@@ -1,8 +1,8 @@
-# Mirrors the justfile for environments without `just`.
+# The task runner of this repository (CI calls the same cargo commands).
 
 SEED ?= 42
 
-.PHONY: build test lint star-lint star-lint-baseline lock-witness bench bench-baseline bench-smoke bench-contention profile chaos chaos-synth chaos-guided chaos-corpus chaos-nightly chaos-smoke server-smoke wire-chaos figures ci
+.PHONY: build test lint loc star-lint star-lint-baseline lock-witness bench bench-baseline bench-smoke steadybench-smoke profile chaos chaos-synth chaos-guided chaos-corpus chaos-nightly chaos-smoke server-smoke wire-chaos figures ci
 
 build:
 	cargo build --release
@@ -13,6 +13,10 @@ test:
 lint:
 	cargo fmt --check
 	cargo clippy --workspace --all-targets -- -D warnings
+
+# Lines of Rust under crates/*/src — the number CHANGES.md tracks per PR.
+loc:
+	@find crates -path '*/src/*' -name '*.rs' | xargs cat | wc -l
 
 # Full-scale exploration run; writes into target/bench, never the committed
 # quick-scale baselines (the two scales are not comparable).
@@ -27,8 +31,12 @@ bench-baseline:
 bench-smoke:
 	cargo run --release -p star-bench --bin star-bench -- --quick --seed $(SEED) --check --threads-sweep --zipf-sweep
 
-bench-contention:
-	cargo run --release -p star-bench --bin star-bench -- --contention-only
+# The gated benchmark (BENCHMARK.json): its unit tests, then one short
+# wire_ycsb run through the exact command the gate uses. A smoke, not a
+# measurement — see steadybench/README.md for the real protocol.
+steadybench-smoke:
+	cargo test --offline --manifest-path steadybench/Cargo.toml
+	bash steadybench/run.sh --workload wire_ycsb --seed 1 --seconds 6 --trace 0
 
 # Per-engine latency-source profile (five-slice table, µs per committed txn).
 profile:
@@ -90,4 +98,4 @@ wire-chaos:
 figures:
 	cargo run --release -p star-bench --bin figures -- --quick all
 
-ci: lint star-lint build test lock-witness bench-smoke chaos-smoke chaos-corpus server-smoke wire-chaos
+ci: lint loc star-lint build test lock-witness bench-smoke steadybench-smoke chaos-smoke chaos-corpus server-smoke wire-chaos

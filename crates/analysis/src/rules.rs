@@ -62,42 +62,33 @@ pub struct AnalysisConfig {
     pub lock_manifest: Vec<LockLevel>,
 }
 
-/// Functions in `crates/core` whose bodies must stay deterministic: the
-/// stepped phase drivers, the fence/election/recovery paths, and the replica
-/// checker. (`crates/net` and `crates/chaos` are deterministic in full, as
-/// is the history module.)
-const CORE_DETERMINISM_FNS: &[&str] = &[
-    "run_partitioned_phase_stepped",
-    "run_single_master_phase_stepped",
-    "run_iteration_stepped",
-    "replication_fence",
-    "fence",
-    "hold_election",
-    "recover_node",
-    "recover_node_interrupted",
-    "verify_replica_consistency",
-];
+/// The single homes of the protocol decisions every deployment shares: the
+/// cluster rules (routing, replica targets, recovery source, election), the
+/// fence's election and survivor functions, and the shared phase workers.
+/// They are in determinism *and* panic-freedom scope in full, keyed by file:
+/// a renamed or newly added function cannot silently drop out of scope the
+/// way a function-name list lets it.
+const PROTOCOL_HOMES: &[&str] =
+    &["crates/common/src/config.rs", "crates/core/src/failure.rs", "crates/core/src/exec.rs"];
 
-fn determinism_in_scope(path: &str, fn_name: Option<&str>) -> bool {
-    if path.starts_with("crates/net/src/") || path.starts_with("crates/chaos/src/") {
-        return true;
-    }
-    if path == "crates/core/src/history.rs" {
-        return true;
-    }
-    if path.starts_with("crates/core/src/") {
-        return matches!(fn_name, Some(f) if CORE_DETERMINISM_FNS.contains(&f));
-    }
-    false
+/// Determinism scope: `crates/net`, `crates/chaos` and `crates/core` in
+/// full, plus the [`PROTOCOL_HOMES`] outside them. The engine's timed path
+/// reads the clock at a handful of reasoned `allow` sites (the `run_for`
+/// window, the `PhaseBudget::Deadline` handling, latency telemetry).
+fn determinism_in_scope(path: &str) -> bool {
+    ["crates/net/src/", "crates/chaos/src/", "crates/core/src/"]
+        .iter()
+        .any(|prefix| path.starts_with(prefix))
+        || PROTOCOL_HOMES.contains(&path)
 }
 
 /// Whether a function puts its body in panic-freedom scope: recovery,
 /// election, and WAL-replay code must not be able to panic, and neither may
-/// anything in the wire-protocol crate — every byte it decodes arrives from
-/// the network, so malformed input must surface as a typed `DecodeError`,
-/// never a crash.
+/// anything in the [`PROTOCOL_HOMES`] or in the wire-protocol crate — every
+/// byte it decodes arrives from the network, so malformed input must surface
+/// as a typed `DecodeError`, never a crash.
 fn panic_in_scope(path: &str, fn_name: Option<&str>) -> bool {
-    if path.starts_with("crates/proto/src/") {
+    if path.starts_with("crates/proto/src/") || PROTOCOL_HOMES.contains(&path) {
         return true;
     }
     let Some(f) = fn_name else { return false };
@@ -199,7 +190,7 @@ fn determinism_pass(path: &str, tokens: &[Token], ctxs: &FileContexts, out: &mut
         if t.kind != TokenKind::Ident || ctxs.ctx[i].in_test {
             continue;
         }
-        if !determinism_in_scope(path, ctxs.fn_name(i)) {
+        if !determinism_in_scope(path) {
             continue;
         }
         let path_call_now = |name: &str| {
@@ -445,14 +436,25 @@ mod tests {
     }
 
     #[test]
-    fn determinism_core_scope_is_fn_scoped() {
-        let hit = "impl E { fn hold_election(&self) { let t = Instant::now(); } }";
-        assert_eq!(
-            rules(&run("crates/core/src/engine.rs", hit, &AnalysisConfig::default())),
-            vec!["determinism::instant-now"]
-        );
-        let miss = "impl E { fn run_wallclock(&self) { let t = Instant::now(); } }";
-        assert!(run("crates/core/src/engine.rs", miss, &AnalysisConfig::default()).is_empty());
+    fn determinism_scope_follows_files_not_function_names() {
+        // Whatever a function is called — a rename must not drop it out of
+        // scope — a clock read in the engine, the shared phase workers or
+        // the cluster rules is a finding.
+        let src = "impl E { fn any_name_at_all(&self) { let t = Instant::now(); } }";
+        for path in [
+            "crates/core/src/engine.rs",
+            "crates/core/src/exec.rs",
+            "crates/core/src/failure.rs",
+            "crates/common/src/config.rs",
+        ] {
+            assert_eq!(
+                rules(&run(path, src, &AnalysisConfig::default())),
+                vec!["determinism::instant-now"],
+                "{path}"
+            );
+        }
+        // The rest of `crates/common` (clocks, stats) stays out of scope.
+        assert!(run("crates/common/src/stats.rs", src, &AnalysisConfig::default()).is_empty());
     }
 
     #[test]
@@ -485,12 +487,15 @@ mod tests {
 
     #[test]
     fn proto_crate_is_panic_free_in_every_function() {
-        // The wire-protocol crate decodes network input, so the whole crate
-        // is in scope regardless of function name — even a `fast_path`.
+        // The wire-protocol crate decodes network input and the protocol
+        // homes decide routing, election and recovery, so they are in scope
+        // in full regardless of function name — even a `fast_path`.
         let src = "fn fast_path(v: Vec<u32>) { let a = v[0].clone(); let b = v.first().unwrap(); }";
-        let f = run("crates/proto/src/message.rs", src, &AnalysisConfig::default());
-        assert_eq!(rules(&f), vec!["panic::slice-index", "panic::unwrap"]);
-        // Test modules inside the crate stay exempt.
+        for path in PROTOCOL_HOMES.iter().chain(&["crates/proto/src/message.rs"]) {
+            let f = run(path, src, &AnalysisConfig::default());
+            assert_eq!(rules(&f), vec!["panic::slice-index", "panic::unwrap"], "{path}");
+        }
+        // Test modules inside them stay exempt.
         let test_src = "#[cfg(test)] mod tests { fn f(o: Option<u32>) { o.unwrap(); } }";
         assert!(run("crates/proto/src/message.rs", test_src, &AnalysisConfig::default()).is_empty());
     }

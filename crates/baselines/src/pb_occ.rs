@@ -226,18 +226,7 @@ impl PbOcc {
         }
 
         let elapsed = start.elapsed();
-        let after = self.counters.snapshot();
-        let mut window = after;
-        window.committed -= before.committed;
-        window.aborted -= before.aborted;
-        window.user_aborted -= before.user_aborted;
-        window.replication_bytes -= before.replication_bytes;
-        window.fences -= before.fences;
-        window.fence_time_us -= before.fence_time_us;
-        window.execution_us -= before.execution_us;
-        window.replication_flush_us -= before.replication_flush_us;
-        window.wal_fsync_us -= before.wal_fsync_us;
-        window.lock_or_validate_us -= before.lock_or_validate_us;
+        let window = self.counters.snapshot().since(&before);
         let report = RunReport::new(
             self.engine_label(),
             self.workload.name(),

@@ -2,15 +2,13 @@
 //!
 //! Runs deterministic YCSB and TPC-C throughput/latency sweeps across all
 //! five engines and emits the canonical `BENCH_ycsb.json` / `BENCH_tpcc.json`
-//! trajectory files, plus the index-contention microbenchmark guarding the
-//! sharded storage hot path.
+//! trajectory files.
 //!
 //! ```bash
 //! cargo run --release -p star-bench --bin star-bench                 # full run
 //! cargo run --release -p star-bench --bin star-bench -- --quick     # CI smoke
 //! cargo run --release -p star-bench --bin star-bench -- --quick --seed 42
 //! cargo run --release -p star-bench --bin star-bench -- --quick --check
-//! cargo run --release -p star-bench --bin star-bench -- --contention-only
 //! ```
 //!
 //! `--check` compares the fresh sweep against the `BENCH_*.json` committed in
@@ -23,12 +21,11 @@
 //! YCSB Zipfian skew from uniform to θ = 0.99.
 
 use star_bench::suite::{
-    check_against_baseline, check_thread_monotonicity, contention_microbench, parse_baseline,
-    BenchPoint, BenchSuite, MONOTONICITY_TOLERANCE,
+    check_against_baseline, check_thread_monotonicity, parse_baseline, BenchPoint, BenchSuite,
+    MONOTONICITY_TOLERANCE,
 };
 use star_bench::Scale;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 struct Options {
     scale: Scale,
@@ -36,9 +33,6 @@ struct Options {
     out_dir: PathBuf,
     check: bool,
     max_regression: f64,
-    contention_only: bool,
-    skip_contention: bool,
-    threads: usize,
     threads_sweep: bool,
     zipf_sweep: bool,
     profile: bool,
@@ -47,8 +41,7 @@ struct Options {
 fn usage() -> ! {
     eprintln!(
         "usage: star-bench [--quick] [--seed N] [--out-dir DIR] [--check] \
-         [--max-regression FRACTION] [--threads N] [--threads-sweep] [--zipf-sweep] \
-         [--profile] [--contention-only] [--skip-contention]"
+         [--max-regression FRACTION] [--threads-sweep] [--zipf-sweep] [--profile]"
     );
     std::process::exit(2);
 }
@@ -60,9 +53,6 @@ fn parse_options() -> Options {
         out_dir: PathBuf::from("."),
         check: false,
         max_regression: 0.25,
-        contention_only: false,
-        skip_contention: false,
-        threads: 8,
         threads_sweep: false,
         zipf_sweep: false,
         profile: false,
@@ -97,16 +87,6 @@ fn parse_options() -> Options {
                 }
                 options.max_regression = value;
             }
-            "--threads" => {
-                let Some(value) = args.next().and_then(|v| v.parse().ok()).filter(|v| *v > 0)
-                else {
-                    eprintln!("--threads requires a positive integer");
-                    usage();
-                };
-                options.threads = value;
-            }
-            "--contention-only" => options.contention_only = true,
-            "--skip-contention" => options.skip_contention = true,
             "--threads-sweep" => options.threads_sweep = true,
             "--zipf-sweep" => options.zipf_sweep = true,
             "--profile" => options.profile = true,
@@ -118,31 +98,6 @@ fn parse_options() -> Options {
         }
     }
     options
-}
-
-fn run_contention(options: &Options) {
-    let window = match options.scale {
-        Scale::Quick => Duration::from_millis(200),
-        Scale::Full => Duration::from_millis(800),
-    };
-    println!(
-        "contention microbenchmark: {} threads, single partition, uniform keys",
-        options.threads
-    );
-    let report = contention_microbench(options.threads, window, options.seed);
-    println!("  pre-shard index : {:>12.0} ops/sec (1 lock, SipHash)", report.legacy_ops_per_sec);
-    println!(
-        "  sharded index   : {:>12.0} ops/sec ({} shards, fixed-key hash)",
-        report.sharded_ops_per_sec, report.shards
-    );
-    println!("  speedup         : {:.2}x", report.speedup);
-    let json = serde_json::to_string_pretty(&report).expect("contention report serializes");
-    let path = options.out_dir.join("BENCH_contention.json");
-    std::fs::write(&path, json).unwrap_or_else(|e| {
-        eprintln!("cannot write {}: {e}", path.display());
-        std::process::exit(1);
-    });
-    println!("  wrote {}", path.display());
 }
 
 /// Loads a committed baseline. Under `--check` a missing or unparseable
@@ -196,16 +151,8 @@ fn main() {
         return;
     }
 
-    if !options.contention_only && options.scale == Scale::Full {
+    if options.scale == Scale::Full {
         println!("running at full scale; use --quick for a smoke-test run\n");
-    }
-
-    if !options.skip_contention {
-        run_contention(&options);
-        println!();
-    }
-    if options.contention_only {
-        return;
     }
 
     const WORKLOADS: [&str; 2] = ["ycsb", "tpcc"];

@@ -13,9 +13,8 @@
 //! The [`suite`](crate::suite) module is the repo's own benchmark-regression
 //! harness, driven by the `star-bench` binary: deterministic YCSB and TPC-C
 //! sweeps across all five engines emitting the canonical `BENCH_ycsb.json` /
-//! `BENCH_tpcc.json` trajectory files, a contention microbenchmark for the
-//! sharded storage index, and the baseline comparison CI's `bench-smoke` job
-//! gates on:
+//! `BENCH_tpcc.json` trajectory files, and the baseline comparison CI's
+//! `bench-smoke` job gates on:
 //!
 //! ```bash
 //! cargo run --release -p star-bench --bin star-bench -- --quick --seed 42
@@ -32,4 +31,4 @@ pub mod figures;
 pub mod suite;
 
 pub use figures::{FigureRunner, Scale};
-pub use suite::{BenchPoint, BenchSuite, ContentionReport};
+pub use suite::{BenchPoint, BenchSuite};

@@ -3,19 +3,15 @@
 //! Where [`figures`](crate::figures) regenerates the *paper's* plots, this
 //! module produces the repo's own machine-readable performance trajectory:
 //! deterministic YCSB and TPC-C sweeps across all five engines, emitted as
-//! `BENCH_ycsb.json` / `BENCH_tpcc.json` at the repository root, plus the
-//! index-contention microbenchmark that guards the sharded storage hot path.
-//! CI's `bench-smoke` job re-runs the sweeps with `--quick` and fails the
+//! `BENCH_ycsb.json` / `BENCH_tpcc.json` at the repository root. CI's `bench-smoke` job re-runs the sweeps with `--quick` and fails the
 //! build when throughput regresses more than a configured fraction against
 //! the committed baselines.
 
 use crate::figures::{Point, Scale};
 use serde::Serialize;
 use star::prelude::*;
-use star::storage::{Partition, Record};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Cross-partition percentages swept per workload. Deliberately a superset of
 /// the interesting region: 0% exercises the pure partitioned phase, 90% is
@@ -71,8 +67,9 @@ pub struct BenchPoint {
     pub wal_fsync_us_per_txn: f64,
     /// How the write-ahead log ran for this point: `"off"` (the bench
     /// clusters keep `disk_logging` disabled, so `wal_fsync_us_per_txn` is
-    /// structurally zero, not a broken clock) or `"group-commit-fsync"`
-    /// when a configuration enables disk logging.
+    /// structurally zero, not a broken clock) or `"group-commit-write"`
+    /// when a configuration enables disk logging — the log is written and
+    /// flushed at the epoch's group commit, never `fsync`ed.
     pub wal_mode: String,
     /// Lock acquisition / OCC validation time per committed transaction, µs.
     pub lock_or_validate_us_per_txn: f64,
@@ -173,7 +170,7 @@ impl BenchSuite {
     /// enable disk logging, and the label records that explicitly).
     fn wal_mode(&self) -> &'static str {
         if self.cluster(4).disk_logging {
-            "group-commit-fsync"
+            "group-commit-write"
         } else {
             "off"
         }
@@ -399,203 +396,6 @@ impl BenchSuite {
 }
 
 // ---------------------------------------------------------------------------
-// Contention microbenchmark
-// ---------------------------------------------------------------------------
-
-/// The seed repository's pre-shard partition index: one `RwLock<HashMap>`
-/// with the standard SipHash hasher guarding every record of the partition.
-/// Kept verbatim (API and all) so the contention microbenchmark measures the
-/// new sharded index against exactly what it replaced.
-struct LegacyPartition {
-    records: parking_lot::RwLock<std::collections::HashMap<u64, Arc<Record>>>,
-}
-
-impl LegacyPartition {
-    fn new() -> Self {
-        LegacyPartition { records: parking_lot::RwLock::new(std::collections::HashMap::new()) }
-    }
-
-    fn get(&self, key: u64) -> Option<Arc<Record>> {
-        self.records.read().get(&key).cloned()
-    }
-
-    fn insert_if_absent(&self, key: u64, record: Record) -> (Arc<Record>, bool) {
-        let mut map = self.records.write();
-        match map.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => (Arc::clone(e.get()), false),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let rec = Arc::new(record);
-                e.insert(Arc::clone(&rec));
-                (rec, true)
-            }
-        }
-    }
-}
-
-/// Result of the index-contention microbenchmark.
-#[derive(Debug, Clone, Serialize)]
-pub struct ContentionReport {
-    /// Worker threads hammering the single partition.
-    pub threads: usize,
-    /// Keys in the uniform working set.
-    pub keyspace: u64,
-    /// Measurement window per index, in milliseconds.
-    pub window_ms: u64,
-    /// Operations per second against the pre-shard single-lock index.
-    pub legacy_ops_per_sec: f64,
-    /// Operations per second against the sharded index.
-    pub sharded_ops_per_sec: f64,
-    /// Shard count of the new index.
-    pub shards: usize,
-    /// `sharded_ops_per_sec / legacy_ops_per_sec`.
-    pub speedup: f64,
-}
-
-/// Deterministic per-thread key stream: an LCG (no `rand` dependency in the
-/// binary, and bit-for-bit identical across runs for a given seed).
-#[inline]
-fn lcg_next(state: &mut u64) -> u64 {
-    *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-    *state
-}
-
-fn hammer<I: Sync>(
-    index: &I,
-    threads: usize,
-    keyspace: u64,
-    window: Duration,
-    seed: u64,
-    get: impl Fn(&I, u64) + Sync,
-    insert: impl Fn(&I, u64) + Sync,
-) -> f64 {
-    let stop = AtomicBool::new(false);
-    let mut total_ops = 0u64;
-    let started = Instant::now();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            let stop = &stop;
-            let get = &get;
-            let insert = &insert;
-            handles.push(scope.spawn(move || {
-                let mut state = seed ^ ((t as u64 + 1) << 32) ^ 0xC0_7E57;
-                let mut ops = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    for _ in 0..64 {
-                        let draw = lcg_next(&mut state);
-                        let key = (draw >> 32) % keyspace;
-                        // 3:1 lookup:insert, the shape of the partitioned
-                        // phase (reads dominate, inserts go through the OCC
-                        // resolve path on mostly-present keys).
-                        if draw & 3 == 0 {
-                            insert(index, key);
-                        } else {
-                            get(index, key);
-                        }
-                        ops += 1;
-                    }
-                }
-                ops
-            }));
-        }
-        std::thread::sleep(window);
-        stop.store(true, Ordering::Relaxed);
-        for handle in handles {
-            total_ops += handle.join().expect("contention worker panicked");
-        }
-    });
-    total_ops as f64 / started.elapsed().as_secs_f64()
-}
-
-fn hammer_legacy(
-    legacy: &LegacyPartition,
-    threads: usize,
-    keyspace: u64,
-    window: Duration,
-    seed: u64,
-) -> f64 {
-    hammer(
-        legacy,
-        threads,
-        keyspace,
-        window,
-        seed,
-        |i, k| {
-            let _ = i.get(k);
-        },
-        // The pre-shard OCC resolve path: probe under the read lock first,
-        // construct the placeholder record and take the write lock only on a
-        // miss (`resolve_write_records` before this PR).
-        |i, k| {
-            if i.get(k).is_none() {
-                let _ = i.insert_if_absent(k, Record::new(Row::empty()));
-            }
-        },
-    )
-}
-
-fn hammer_sharded(
-    sharded: &Partition,
-    threads: usize,
-    keyspace: u64,
-    window: Duration,
-    seed: u64,
-) -> f64 {
-    hammer(
-        sharded,
-        threads,
-        keyspace,
-        window,
-        seed,
-        |i, k| {
-            let _ = i.get(k);
-        },
-        // The sharded OCC resolve path (`resolve_write_records` today).
-        |i, k| {
-            let _ = i.get_or_insert_with(k, || Record::new(Row::empty()));
-        },
-    )
-}
-
-/// Runs the lookup+insert contention microbenchmark: `threads` workers over a
-/// single partition with uniform keys, first against the pre-shard
-/// single-lock index, then against the sharded index. Each side runs its own
-/// production insert path (probe-then-`insert_if_absent` for the old index,
-/// `get_or_insert_with` for the new one) so the comparison is the real
-/// before/after of the OCC resolve hot path, not an API strawman.
-pub fn contention_microbench(threads: usize, window: Duration, seed: u64) -> ContentionReport {
-    let keyspace: u64 = 1 << 16;
-
-    let legacy = LegacyPartition::new();
-    for key in 0..keyspace {
-        legacy.insert_if_absent(key, Record::new(Row::empty()));
-    }
-    let sharded = Partition::new();
-    for key in 0..keyspace {
-        sharded.get_or_insert_with(key, || Record::new(Row::empty()));
-    }
-
-    // Warm-up pass (shorter window) so page faults and lazy rehashing do not
-    // land inside either measured window.
-    let warmup = window / 8;
-    hammer_legacy(&legacy, threads, keyspace, warmup, seed);
-    hammer_sharded(&sharded, threads, keyspace, warmup, seed);
-
-    let legacy_ops_per_sec = hammer_legacy(&legacy, threads, keyspace, window, seed);
-    let sharded_ops_per_sec = hammer_sharded(&sharded, threads, keyspace, window, seed);
-
-    ContentionReport {
-        threads,
-        keyspace,
-        window_ms: window.as_millis() as u64,
-        legacy_ops_per_sec,
-        sharded_ops_per_sec,
-        shards: sharded.num_shards(),
-        speedup: sharded_ops_per_sec / legacy_ops_per_sec.max(1.0),
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Baseline regression checking
 // ---------------------------------------------------------------------------
 
@@ -690,6 +490,11 @@ pub fn parse_baseline(json: &str) -> std::result::Result<Vec<BenchPoint>, String
             let breakdown_version =
                 field(fields, "breakdown_version").and_then(as_f64).unwrap_or(0.0) as u32;
             let wal_mode = match field(fields, "wal_mode") {
+                // The label points written before the rename carry: the log
+                // was never synced, so they read as what they measured.
+                Some(serde_json::Value::String(s)) if s == "group-commit-fsync" => {
+                    "group-commit-write".to_string()
+                }
                 Some(serde_json::Value::String(s)) => s.clone(),
                 // Baselines predating the field never ran with a WAL.
                 _ => "unrecorded".to_string(),
@@ -837,6 +642,9 @@ mod tests {
         let old = r#"[{"engine": "STAR", "workload": "ycsb",
             "cross_partition_pct": 10.0, "committed_txns_per_sec": 1000.0}]"#;
         assert_eq!(parse_baseline(old).unwrap()[0].wal_mode, "unrecorded");
+        // So does one written under the label that promised an fsync.
+        let mislabelled = json.replace("\"off\"", "\"group-commit-fsync\"");
+        assert_eq!(parse_baseline(&mislabelled).unwrap()[0].wal_mode, "group-commit-write");
     }
 
     #[test]
@@ -936,14 +744,5 @@ mod tests {
         let baseline = vec![point("STAR", "ycsb", 10.0, 1000.0)];
         let current = vec![point("STAR", "ycsb", 50.0, 1.0), point("STAR", "ycsb", 10.0, 990.0)];
         assert!(check_against_baseline(&current, &baseline, 0.25).is_empty());
-    }
-
-    #[test]
-    fn contention_microbench_reports_sane_numbers() {
-        let report = contention_microbench(2, Duration::from_millis(40), 7);
-        assert!(report.legacy_ops_per_sec > 0.0);
-        assert!(report.sharded_ops_per_sec > 0.0);
-        assert!(report.shards >= 1);
-        assert!(report.speedup > 0.0);
     }
 }

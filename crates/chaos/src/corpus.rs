@@ -63,19 +63,6 @@ fn faults_to_value(faults: &LinkFaults) -> Value {
     ])
 }
 
-fn point_name(point: InjectionPoint) -> &'static str {
-    use InjectionPoint::*;
-    match point {
-        PartitionedStart => "PartitionedStart",
-        MidPartitioned => "MidPartitioned",
-        BeforeFirstFence => "BeforeFirstFence",
-        SingleMasterStart => "SingleMasterStart",
-        MidSingleMaster => "MidSingleMaster",
-        BeforeSecondFence => "BeforeSecondFence",
-        IterationEnd => "IterationEnd",
-    }
-}
-
 fn recovery_fault_name(fault: RecoveryFault) -> &'static str {
     match fault {
         RecoveryFault::SourceCrash => "SourceCrash",
@@ -184,7 +171,7 @@ pub fn plan_to_json(plan: &ChaosPlan, description: &str, category: &str) -> Stri
         .map(|s| {
             let Value::Object(mut fields) = op_to_value(&s.op) else { unreachable!() };
             fields.insert(0, ("iteration".to_string(), Value::U64(s.iteration as u64)));
-            fields.insert(1, ("point".to_string(), Value::String(point_name(s.point).into())));
+            fields.insert(1, ("point".to_string(), Value::String(s.point.name().into())));
             Value::Object(fields)
         })
         .collect();

@@ -137,19 +137,6 @@ impl EnginePhase {
     }
 }
 
-fn point_label(point: InjectionPoint) -> &'static str {
-    use InjectionPoint::*;
-    match point {
-        PartitionedStart => "PartitionedStart",
-        MidPartitioned => "MidPartitioned",
-        BeforeFirstFence => "BeforeFirstFence",
-        SingleMasterStart => "SingleMasterStart",
-        MidSingleMaster => "MidSingleMaster",
-        BeforeSecondFence => "BeforeSecondFence",
-        IterationEnd => "IterationEnd",
-    }
-}
-
 /// Coverage of one schedule, or the merged coverage of many.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoverageMap {
@@ -165,24 +152,9 @@ pub struct CoverageMap {
 /// point, then insertion order within the point — exactly the order the
 /// driver applies ops in.
 pub fn execution_order(schedule: &FaultSchedule) -> Vec<&ScheduledOp> {
-    use InjectionPoint::*;
-    const POINTS: [InjectionPoint; 7] = [
-        PartitionedStart,
-        MidPartitioned,
-        BeforeFirstFence,
-        SingleMasterStart,
-        MidSingleMaster,
-        BeforeSecondFence,
-        IterationEnd,
-    ];
-    let mut ordered: Vec<&ScheduledOp> = Vec::with_capacity(schedule.ops().len());
-    for iteration in 0..schedule.iterations_required() {
-        for point in POINTS {
-            ordered.extend(
-                schedule.ops().iter().filter(|s| s.iteration == iteration && s.point == point),
-            );
-        }
-    }
+    let mut ordered: Vec<&ScheduledOp> = schedule.ops().iter().collect();
+    // Stable, so insertion order survives within a point.
+    ordered.sort_by_key(|s| (s.iteration, s.point));
     ordered
 }
 
@@ -292,7 +264,7 @@ impl CoverageMap {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}@{}\"", kind.label(), point_label(*point));
+            let _ = write!(out, "\"{}@{}\"", kind.label(), point.name());
         }
         out.push_str("],\"phase_faults\":[");
         for (i, (phase, kind)) in self.phase_faults.iter().enumerate() {

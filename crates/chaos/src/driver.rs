@@ -23,7 +23,7 @@
 
 use crate::checker::{check_history, compare_with_database, CheckReport};
 use crate::schedule::{FaultOp, FaultSchedule, InjectionPoint};
-use star_common::{ClusterConfig, Epoch, NodeId, Result};
+use star_common::{ClusterConfig, Epoch, NodeId};
 use star_core::history::HistoryRecorder;
 use star_core::testing::KvWorkload;
 use star_core::{FailureCase, StarEngine, Workload};
@@ -116,7 +116,10 @@ impl ChaosOutcome {
     }
 }
 
-fn build_workload(spec: &WorkloadSpec, partitions: usize) -> Arc<dyn Workload> {
+/// Builds the workload a plan describes. Every executor of a plan — the
+/// simulated engine, the wire cluster's nodes and its simulation twin —
+/// builds it here, so they draw identical transaction streams.
+pub fn build_workload(spec: &WorkloadSpec, partitions: usize) -> Arc<dyn Workload> {
     match spec {
         WorkloadSpec::Kv { rows_per_partition } => Arc::new(KvWorkload {
             partitions,
@@ -134,125 +137,193 @@ fn build_workload(spec: &WorkloadSpec, partitions: usize) -> Arc<dyn Workload> {
     }
 }
 
-fn apply_op(
-    engine: &mut StarEngine,
-    op: &FaultOp,
-    checkpoints: &mut Vec<(NodeId, Checkpoint)>,
-    violations: &mut Vec<String>,
-) {
-    match op {
-        FaultOp::Crash(node) => engine.inject_failure(*node),
-        FaultOp::Recover(node) => {
-            if let Err(e) = engine.recover_node(*node) {
-                violations.push(format!("scheduled recovery of node {node} failed: {e}"));
-            }
-        }
-        FaultOp::RecoverInterrupted(node, fault) => {
-            // The interruption itself is survivable (the node just stays
-            // down); only a recovery that could not even *start* — no
-            // healthy source — is reported, mirroring `Recover`.
-            if let Err(e) = engine.recover_node_interrupted(*node, *fault) {
-                violations.push(format!("scheduled recovery of node {node} failed: {e}"));
-            }
-        }
-        FaultOp::CutLink(a, b) => engine.cluster().network().cut_link(*a, *b),
-        FaultOp::HealLink(a, b) => engine.cluster().network().heal_link(*a, *b),
-        FaultOp::SetLinkFaults(from, to, faults) => {
-            engine.cluster().network().set_link_faults(*from, *to, *faults)
-        }
-        FaultOp::SetDefaultFaults(faults) => {
-            engine.cluster().network().set_default_link_faults(*faults)
-        }
-        FaultOp::ClearFaults => engine.cluster().network().clear_link_faults(),
-        FaultOp::Checkpoint => {
-            let epoch = engine.last_committed_epoch();
-            let failed = engine.failed_nodes();
-            for (n, node) in engine.cluster().nodes().iter().enumerate() {
-                if !failed.contains(&n) {
-                    checkpoints.push((n, Checkpoint::capture(&node.db, epoch)));
+/// Something a fault schedule can be walked over: the simulated engine
+/// ([`EngineTarget`]) or a real TCP cluster (`star-wire-chaos`'s runner).
+/// An `Err` aborts the walk.
+pub trait ChaosTarget {
+    /// The walk reached injection `point`; `ops` are the operations the
+    /// schedule fires there, in insertion order — possibly none (a target
+    /// may still have work of its own to do at the point).
+    fn inject(&mut self, point: InjectionPoint, ops: &[FaultOp]) -> Result<(), String>;
+    /// Runs `txns` attempts per partition of the partitioned phase.
+    fn run_partitioned(&mut self, txns: u64) -> Result<(), String>;
+    /// Runs `txns` attempts per master worker of the single-master phase.
+    fn run_single_master(&mut self, txns: u64) -> Result<(), String>;
+    /// Closes the current epoch with a replication fence.
+    fn fence(&mut self) -> Result<(), String>;
+}
+
+/// Walks `plan.iterations` iterations of the phase-switching loop over
+/// `target`, visiting every [`InjectionPoint`] in order with the operations
+/// `schedule` pins there — the one place the iteration structure the
+/// schedule DSL describes is written down:
+///
+/// ```text
+/// ops → half phase → ops → half phase → ops → FENCE   (partitioned)
+/// ops → half phase → ops → half phase → ops → FENCE   (single-master)
+/// ops                                                  (IterationEnd)
+/// ```
+pub fn walk(
+    plan: &ChaosPlan,
+    schedule: &FaultSchedule,
+    target: &mut dyn ChaosTarget,
+) -> Result<(), String> {
+    use InjectionPoint::*;
+    let halves = |txns: u64| (txns / 2, txns - txns / 2);
+    let (first_half_p, second_half_p) = halves(plan.partitioned_txns);
+    let (first_half_s, second_half_s) = halves(plan.single_master_txns);
+    for iteration in 0..plan.iterations {
+        let inject = |target: &mut dyn ChaosTarget, point| {
+            let ops: Vec<FaultOp> = schedule.ops_at(iteration, point).cloned().collect();
+            target.inject(point, &ops)
+        };
+        inject(target, PartitionedStart)?;
+        target.run_partitioned(first_half_p)?;
+        inject(target, MidPartitioned)?;
+        target.run_partitioned(second_half_p)?;
+        inject(target, BeforeFirstFence)?;
+        target.fence()?;
+
+        inject(target, SingleMasterStart)?;
+        target.run_single_master(first_half_s)?;
+        inject(target, MidSingleMaster)?;
+        target.run_single_master(second_half_s)?;
+        inject(target, BeforeSecondFence)?;
+        target.fence()?;
+
+        inject(target, IterationEnd)?;
+    }
+    Ok(())
+}
+
+/// The simulated engine as a [`ChaosTarget`]: a history-recording
+/// [`StarEngine`] on a seeded fault plane, plus what the walk leaves behind
+/// for verification. Both [`run_plan`] and the wire harness's simulation
+/// twin walk their schedule over one of these.
+pub struct EngineTarget {
+    /// The engine under test.
+    pub engine: StarEngine,
+    /// The workload it runs.
+    pub workload: Arc<dyn Workload>,
+    /// Its committed-history recorder.
+    pub recorder: Arc<HistoryRecorder>,
+    /// Checkpoints captured by `Checkpoint` ops, with the node they are of.
+    pub checkpoints: Vec<(NodeId, Checkpoint)>,
+    /// Distinct failure classifications observed after fences, in order.
+    pub cases_seen: Vec<FailureCase>,
+    /// Scheduled operations that could not be carried out.
+    pub violations: Vec<String>,
+}
+
+impl EngineTarget {
+    /// Builds the engine `plan` describes and seeds its fault plane.
+    pub fn new(plan: &ChaosPlan) -> star_common::Result<EngineTarget> {
+        debug_assert_eq!(plan.config.seed, plan.seed, "plan seed must drive the cluster RNGs");
+        let workload = build_workload(&plan.workload, plan.config.partitions);
+        let mut engine = StarEngine::new(plan.config.clone(), Arc::clone(&workload))?;
+        let recorder = Arc::new(HistoryRecorder::new());
+        engine.set_history_recorder(Arc::clone(&recorder));
+        engine.cluster().network().seed_faults(plan.seed);
+        Ok(EngineTarget {
+            engine,
+            workload,
+            recorder,
+            checkpoints: Vec::new(),
+            cases_seen: Vec::new(),
+            violations: Vec::new(),
+        })
+    }
+
+    fn apply_op(&mut self, op: &FaultOp) {
+        let EngineTarget { engine, checkpoints, violations, .. } = self;
+        match op {
+            FaultOp::Crash(node) => engine.inject_failure(*node),
+            FaultOp::Recover(node) => {
+                if let Err(e) = engine.recover_node(*node) {
+                    violations.push(format!("scheduled recovery of node {node} failed: {e}"));
                 }
             }
-        }
-        FaultOp::TruncateWal(node, bytes) => {
-            // A byzantine disk: the tail of the node's WAL silently
-            // disappears. Disk recovery must detect the torn record — this
-            // op only appears in planted-bug schedules, so a run carrying
-            // it is expected red.
-            let paths = engine.wal_paths();
-            match paths.get(*node) {
-                Some(path) => {
-                    if let Err(e) = star_replication::truncate_wal_tail(path, *bytes) {
-                        violations.push(format!("TruncateWal({node}) could not run: {e}"));
+            FaultOp::RecoverInterrupted(node, fault) => {
+                // The interruption itself is survivable (the node just stays
+                // down); only a recovery that could not even *start* — no
+                // healthy source — is reported, mirroring `Recover`.
+                if let Err(e) = engine.recover_node_interrupted(*node, *fault) {
+                    violations.push(format!("scheduled recovery of node {node} failed: {e}"));
+                }
+            }
+            FaultOp::CutLink(a, b) => engine.cluster().network().cut_link(*a, *b),
+            FaultOp::HealLink(a, b) => engine.cluster().network().heal_link(*a, *b),
+            FaultOp::SetLinkFaults(from, to, faults) => {
+                engine.cluster().network().set_link_faults(*from, *to, *faults)
+            }
+            FaultOp::SetDefaultFaults(faults) => {
+                engine.cluster().network().set_default_link_faults(*faults)
+            }
+            FaultOp::ClearFaults => engine.cluster().network().clear_link_faults(),
+            FaultOp::Checkpoint => {
+                let epoch = engine.last_committed_epoch();
+                let failed = engine.failed_nodes();
+                for (n, node) in engine.cluster().nodes().iter().enumerate() {
+                    if !failed.contains(&n) {
+                        checkpoints.push((n, Checkpoint::capture(&node.db, epoch)));
                     }
                 }
-                None => violations
-                    .push(format!("TruncateWal({node}) scheduled without disk logging enabled")),
+            }
+            FaultOp::TruncateWal(node, bytes) => {
+                // A byzantine disk: the tail of the node's WAL silently
+                // disappears. Disk recovery must detect the torn record — this
+                // op only appears in planted-bug schedules, so a run carrying
+                // it is expected red.
+                let paths = engine.wal_paths();
+                match paths.get(*node) {
+                    Some(path) => {
+                        if let Err(e) = star_replication::truncate_wal_tail(path, *bytes) {
+                            violations.push(format!("TruncateWal({node}) could not run: {e}"));
+                        }
+                    }
+                    None => violations.push(format!(
+                        "TruncateWal({node}) scheduled without disk logging enabled"
+                    )),
+                }
             }
         }
     }
 }
 
-/// Runs one chaos plan to completion and verifies it. See the module docs
-/// for the checks performed.
-pub fn run_plan(plan: &ChaosPlan) -> Result<ChaosOutcome> {
-    debug_assert_eq!(plan.config.seed, plan.seed, "plan seed must drive the cluster RNGs");
-    let workload = build_workload(&plan.workload, plan.config.partitions);
-    let mut engine = StarEngine::new(plan.config.clone(), Arc::clone(&workload))?;
-    let recorder = Arc::new(HistoryRecorder::new());
-    engine.set_history_recorder(Arc::clone(&recorder));
-    engine.cluster().network().seed_faults(plan.seed);
+impl ChaosTarget for EngineTarget {
+    fn inject(&mut self, _point: InjectionPoint, ops: &[FaultOp]) -> Result<(), String> {
+        ops.iter().for_each(|op| self.apply_op(op));
+        Ok(())
+    }
 
-    let mut checkpoints: Vec<(NodeId, Checkpoint)> = Vec::new();
-    let mut violations: Vec<String> = Vec::new();
-    let mut cases_seen: Vec<FailureCase> = Vec::new();
+    fn run_partitioned(&mut self, txns: u64) -> Result<(), String> {
+        self.engine.run_partitioned_phase_stepped(txns);
+        Ok(())
+    }
 
-    let note_case = |engine: &StarEngine, cases_seen: &mut Vec<FailureCase>| {
-        if let Ok(case) = engine.failure_case() {
-            if !cases_seen.contains(&case) {
-                cases_seen.push(case);
+    fn run_single_master(&mut self, txns: u64) -> Result<(), String> {
+        self.engine.run_single_master_phase_stepped(txns);
+        Ok(())
+    }
+
+    fn fence(&mut self) -> Result<(), String> {
+        self.engine.fence();
+        if let Ok(case) = self.engine.failure_case() {
+            if !self.cases_seen.contains(&case) {
+                self.cases_seen.push(case);
             }
         }
-    };
-
-    for iteration in 0..plan.iterations {
-        use InjectionPoint::*;
-        let first_half_p = plan.partitioned_txns / 2;
-        let second_half_p = plan.partitioned_txns - first_half_p;
-        let first_half_s = plan.single_master_txns / 2;
-        let second_half_s = plan.single_master_txns - first_half_s;
-
-        for op in plan.schedule.ops_at(iteration, PartitionedStart).cloned().collect::<Vec<_>>() {
-            apply_op(&mut engine, &op, &mut checkpoints, &mut violations);
-        }
-        engine.run_partitioned_phase_stepped(first_half_p);
-        for op in plan.schedule.ops_at(iteration, MidPartitioned).cloned().collect::<Vec<_>>() {
-            apply_op(&mut engine, &op, &mut checkpoints, &mut violations);
-        }
-        engine.run_partitioned_phase_stepped(second_half_p);
-        for op in plan.schedule.ops_at(iteration, BeforeFirstFence).cloned().collect::<Vec<_>>() {
-            apply_op(&mut engine, &op, &mut checkpoints, &mut violations);
-        }
-        engine.fence();
-        note_case(&engine, &mut cases_seen);
-
-        for op in plan.schedule.ops_at(iteration, SingleMasterStart).cloned().collect::<Vec<_>>() {
-            apply_op(&mut engine, &op, &mut checkpoints, &mut violations);
-        }
-        engine.run_single_master_phase_stepped(first_half_s);
-        for op in plan.schedule.ops_at(iteration, MidSingleMaster).cloned().collect::<Vec<_>>() {
-            apply_op(&mut engine, &op, &mut checkpoints, &mut violations);
-        }
-        engine.run_single_master_phase_stepped(second_half_s);
-        for op in plan.schedule.ops_at(iteration, BeforeSecondFence).cloned().collect::<Vec<_>>() {
-            apply_op(&mut engine, &op, &mut checkpoints, &mut violations);
-        }
-        engine.fence();
-        note_case(&engine, &mut cases_seen);
-
-        for op in plan.schedule.ops_at(iteration, IterationEnd).cloned().collect::<Vec<_>>() {
-            apply_op(&mut engine, &op, &mut checkpoints, &mut violations);
-        }
+        Ok(())
     }
+}
+
+/// Runs one chaos plan to completion and verifies it. See the module docs
+/// for the checks performed.
+pub fn run_plan(plan: &ChaosPlan) -> star_common::Result<ChaosOutcome> {
+    let mut target = EngineTarget::new(plan)?;
+    walk(plan, &plan.schedule, &mut target).map_err(star_common::Error::Config)?;
+    let EngineTarget { engine, workload, recorder, checkpoints, cases_seen, mut violations } =
+        target;
 
     // 1. Serializability of the client-visible history.
     let history = recorder.committed();

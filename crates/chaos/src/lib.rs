@@ -66,7 +66,10 @@ pub mod synth;
 pub use checker::{check_history, CheckReport, Violation};
 pub use corpus::{load_corpus, plan_from_json, plan_to_json, CorpusEntry, CORPUS_FORMAT_VERSION};
 pub use coverage::{CoverageMap, EnginePhase, OpKind};
-pub use driver::{run_plan, ChaosOutcome, ChaosPlan, WorkloadSpec};
+pub use driver::{
+    build_workload, run_plan, walk, ChaosOutcome, ChaosPlan, ChaosTarget, EngineTarget,
+    WorkloadSpec,
+};
 pub use runner::{
     canonical_config, family_plan, plan_for_seed, run_seed, sweep, ScenarioKind, SweepSummary,
 };

@@ -25,7 +25,8 @@ use star_net::LinkFaults;
 pub const SCHEDULE_FORMAT_VERSION: u32 = 1;
 
 /// Where inside one iteration of the phase-switching loop an operation
-/// fires. The iteration structure is:
+/// fires. The variants are declared — and therefore ordered — in execution
+/// order. The iteration structure is:
 ///
 /// ```text
 /// PartitionedStart → (first half) → MidPartitioned → (second half)
@@ -50,6 +51,23 @@ pub enum InjectionPoint {
     BeforeSecondFence,
     /// After the second fence (iteration complete).
     IterationEnd,
+}
+
+impl InjectionPoint {
+    /// The point's stable name, as the corpus format and the coverage report
+    /// spell it.
+    pub fn name(self) -> &'static str {
+        use InjectionPoint::*;
+        match self {
+            PartitionedStart => "PartitionedStart",
+            MidPartitioned => "MidPartitioned",
+            BeforeFirstFence => "BeforeFirstFence",
+            SingleMasterStart => "SingleMasterStart",
+            MidSingleMaster => "MidSingleMaster",
+            BeforeSecondFence => "BeforeSecondFence",
+            IterationEnd => "IterationEnd",
+        }
+    }
 }
 
 /// One fault (or repair) operation.

@@ -179,16 +179,9 @@ impl WalkState {
         })
     }
 
-    /// Whether `node` could be recovered right now: every partition it
-    /// holds has another healthy holder (mirrors `StarEngine::can_recover`).
+    /// Whether `node` could be recovered right now (the engine's own rule).
     fn recovery_feasible(&self, node: NodeId) -> bool {
-        (0..self.config.partitions).filter(|&p| self.config.node_stores_partition(node, p)).all(
-            |p| {
-                self.crashed.iter().enumerate().any(|(n, crashed)| {
-                    n != node && !crashed && self.config.node_stores_partition(n, p)
-                })
-            },
-        )
+        self.config.can_recover(&self.crashed, node)
     }
 }
 
@@ -290,15 +283,8 @@ pub fn predicted_recovery_source(
     crashed: &[bool],
     node: NodeId,
 ) -> Option<NodeId> {
-    let first_partition =
-        (0..config.partitions).find(|&p| config.node_stores_partition(node, p))?;
-    crashed
-        .iter()
-        .enumerate()
-        .find(|&(n, crashed)| {
-            n != node && !crashed && config.node_stores_partition(n, first_partition)
-        })
-        .map(|(n, _)| n)
+    let first_partition = config.held_partitions(node).into_iter().next()?;
+    config.recovery_source(crashed, node, first_partition)
 }
 
 /// One biased-random-walk schedule. `variant` perturbs only the walk's RNG
@@ -423,8 +409,7 @@ fn walk_plan(seed: u64, variant: u64, options: &SynthOptions) -> ChaosPlan {
         // overlapping windows drops the cluster to Case 2 until one
         // rejoins.
         if reelection && rng.gen_bool(0.6) {
-            let master = (0..state.config.full_replicas).find(|&n| !state.crashed[n]);
-            if let Some(master) = master {
+            if let Some(master) = state.config.elected_master(&state.crashed) {
                 if state.covers_all_partitions_without(master) {
                     emit_crash(
                         &mut schedule,
@@ -813,21 +798,7 @@ mod tests {
     /// promises (shared with the property test below).
     fn assert_well_formed(plan: &ChaosPlan) {
         let seed = plan.seed;
-        // Execution order: iteration, then point order, then insertion
-        // order within a point (what the driver does).
-        let mut ordered: Vec<(usize, InjectionPoint, &FaultOp)> = Vec::new();
-        for iteration in 0..plan.iterations {
-            for point in CRASH_POINTS.iter().copied().chain([InjectionPoint::IterationEnd]) {
-                for op in plan.schedule.ops_at(iteration, point) {
-                    ordered.push((iteration, point, op));
-                }
-            }
-        }
-        assert_eq!(
-            ordered.len(),
-            plan.schedule.ops().len(),
-            "seed {seed}: some op sits outside the planned iterations"
-        );
+        let ordered = crate::coverage::execution_order(&plan.schedule);
         assert!(
             plan.schedule.iterations_required() <= plan.iterations,
             "seed {seed}: schedule runs past the planned iterations"
@@ -836,7 +807,7 @@ mod tests {
         let mut crashed = vec![false; nodes];
         let mut crash_iteration = vec![0usize; nodes];
         let mut cut: Vec<(usize, usize)> = Vec::new();
-        for (iteration, point, op) in ordered {
+        for &crate::schedule::ScheduledOp { iteration, point, ref op } in ordered {
             match op {
                 FaultOp::Crash(n) => {
                     assert!(!crashed[*n], "seed {seed}: node {n} crashed twice without recovery");

@@ -10,8 +10,8 @@
 //! plus the determinism of the whole election log.
 
 use star_common::{ClusterConfig, NodeId};
-use star_core::engine::MasterElection;
 use star_core::testing::KvWorkload;
+use star_core::MasterElection;
 use star_core::{FailureCase, StarEngine};
 use std::sync::Arc;
 use std::time::Duration;

@@ -1,118 +1,49 @@
 //! `star-client`: connection-pooled, pipelined client for `star-serverd`.
 //!
-//! [`Client`] is one connection: requests carry correlation ids, so many can
-//! be written before any response is read — [`Client::pipeline`] ships a
-//! whole batch in one write burst and then collects the responses, which is
-//! what makes a point-read driver fast over a real network. [`Pool`] holds
-//! one client per cluster node and routes point reads to a node that
-//! actually holds the partition.
+//! [`Client`] is one [`star_proto::Conn`]: requests carry correlation ids, so
+//! many can be written before any response is read — [`Client::pipeline`]
+//! ships a whole batch in one write burst and then collects the responses,
+//! which is what makes a point-read driver fast over a real network.
+//! [`Pool`] holds one client per cluster node and routes point reads to a
+//! node that actually holds the partition.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use star_proto::{read_message, write_message, Request, Response, Role, WireMessage};
-use std::collections::BTreeMap;
-use std::io::{self, Write};
-use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use star_proto::{Conn, Request, Response, Role};
+use std::io;
 
-/// How long connecting retries while the target node boots.
-pub const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// One connection to one node.
-pub struct Client {
-    stream: TcpStream,
-    next_id: u64,
-    /// Node id the server reported in its `HelloAck`.
-    node: u32,
-    /// Cluster size the server reported.
-    num_nodes: u32,
-}
-
-impl std::fmt::Debug for Client {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Client").field("node", &self.node).finish()
-    }
-}
+/// One connection to one node: a [`star_proto::Conn`] dialled as a client
+/// (no node id of its own).
+#[derive(Debug)]
+pub struct Client(Conn);
 
 impl Client {
     /// Connects to `addr` and performs the handshake, retrying while the
     /// node is still booting.
     pub fn connect(addr: &str, role: Role) -> io::Result<Client> {
-        let deadline = Instant::now() + CONNECT_TIMEOUT;
-        let stream = loop {
-            match TcpStream::connect(addr) {
-                Ok(stream) => break stream,
-                Err(e) if Instant::now() >= deadline => return Err(e),
-                Err(_) => std::thread::sleep(Duration::from_millis(10)),
-            }
-        };
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(Duration::from_secs(120)))?;
-        let mut client = Client { stream, next_id: 0, node: 0, num_nodes: 0 };
-        write_message(&mut client.stream, &WireMessage::Hello { role, node: 0 })?;
-        client.stream.flush()?;
-        match read_message(&mut client.stream)? {
-            WireMessage::HelloAck { node, num_nodes } => {
-                client.node = node;
-                client.num_nodes = num_nodes;
-                Ok(client)
-            }
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("expected HelloAck, got {other:?}"),
-            )),
-        }
+        Conn::connect(addr, role, 0).map(Client)
     }
 
     /// The node id of the server this client is connected to.
     pub fn node(&self) -> u32 {
-        self.node
+        self.0.node()
     }
 
     /// The cluster size the server reported at handshake.
     pub fn num_nodes(&self) -> u32 {
-        self.num_nodes
+        self.0.num_nodes()
     }
 
     /// Sends one request and blocks for its response.
     pub fn request(&mut self, body: Request) -> io::Result<Response> {
-        let mut responses = self.pipeline(vec![body])?;
-        responses.pop().ok_or_else(|| io::ErrorKind::UnexpectedEof.into())
+        self.0.request(body)
     }
 
-    /// Pipelines a batch: writes every request back-to-back in one burst,
-    /// flushes once, then reads until every response has arrived. Responses
-    /// are returned in request order regardless of arrival order.
+    /// Pipelines a batch (see [`star_proto::Conn::pipeline`]): one write
+    /// burst, responses returned in request order.
     pub fn pipeline(&mut self, bodies: Vec<Request>) -> io::Result<Vec<Response>> {
-        let ids: Vec<u64> = bodies
-            .iter()
-            .map(|_| {
-                self.next_id += 1;
-                self.next_id
-            })
-            .collect();
-        for (id, body) in ids.iter().zip(bodies) {
-            write_message(&mut self.stream, &WireMessage::Request { id: *id, body })?;
-        }
-        self.stream.flush()?;
-        let mut by_id: BTreeMap<u64, Response> = BTreeMap::new();
-        while by_id.len() < ids.len() {
-            match read_message(&mut self.stream)? {
-                WireMessage::Response { id, body } => {
-                    by_id.insert(id, body);
-                }
-                other => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("expected Response, got {other:?}"),
-                    ))
-                }
-            }
-        }
-        ids.iter()
-            .map(|id| by_id.remove(id).ok_or_else(|| io::ErrorKind::InvalidData.into()))
-            .collect()
+        self.0.pipeline(bodies)
     }
 }
 

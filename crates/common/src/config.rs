@@ -321,6 +321,70 @@ impl ClusterConfig {
             || self.partition_secondary(partition) == Some(node)
     }
 
+    /// The partitions `node`'s replica holds, ascending — the replica layout
+    /// of Figure 2: everything on a full replica, primary and secondary
+    /// copies on a partial one.
+    pub fn held_partitions(&self, node: usize) -> Vec<usize> {
+        (0..self.partitions).filter(|&p| self.node_stores_partition(node, p)).collect()
+    }
+
+    /// Healthy nodes holding `partition`, ascending. `failed[n]` marks node
+    /// `n` failed; ids the vector does not cover count as failed, so they
+    /// can never serve a phase, win an election or source a recovery.
+    fn healthy_holders<'a>(
+        &'a self,
+        failed: &'a [bool],
+        partition: usize,
+    ) -> impl Iterator<Item = usize> + 'a {
+        (0..self.num_nodes).filter(move |&n| {
+            failed.get(n) == Some(&false) && self.node_stores_partition(n, partition)
+        })
+    }
+
+    /// Failover routing: the node executing `partition` in the partitioned
+    /// phase — its configured primary while that is healthy, otherwise the
+    /// lowest-id healthy holder (re-mastering, Case 3). `None` when no
+    /// healthy node holds the partition.
+    pub fn effective_primary(&self, failed: &[bool], partition: usize) -> Option<usize> {
+        let primary = self.partition_primary(partition);
+        if failed.get(primary) == Some(&false) {
+            return Some(primary);
+        }
+        self.healthy_holders(failed, partition).next()
+    }
+
+    /// Replica targets: the healthy holders of `partition` other than the
+    /// sender `from`, ascending — who receives a committed write to it.
+    pub fn replica_targets(&self, failed: &[bool], from: usize, partition: usize) -> Vec<usize> {
+        self.healthy_holders(failed, partition).filter(|&n| n != from).collect()
+    }
+
+    /// Healthy nodes other than `node`, ascending — who the single-master
+    /// phase replicates to when `node` is the master.
+    pub fn healthy_peers(&self, failed: &[bool], node: usize) -> Vec<usize> {
+        (0..self.num_nodes).filter(|&n| n != node && failed.get(n) == Some(&false)).collect()
+    }
+
+    /// Recovery source: the lowest-id healthy holder of `partition` other
+    /// than the recovering `node`.
+    pub fn recovery_source(&self, failed: &[bool], node: usize, partition: usize) -> Option<usize> {
+        self.healthy_holders(failed, partition).find(|&n| n != node)
+    }
+
+    /// Whether `node` can catch up from memory: every partition it holds has
+    /// a [`recovery_source`](Self::recovery_source).
+    pub fn can_recover(&self, failed: &[bool], node: usize) -> bool {
+        self.held_partitions(node)
+            .into_iter()
+            .all(|p| self.recovery_source(failed, node, p).is_some())
+    }
+
+    /// The deterministic master election: the lowest-id healthy full
+    /// replica, or `None` when no full replica survives (Cases 2 and 4).
+    pub fn elected_master(&self, failed: &[bool]) -> Option<usize> {
+        (0..self.full_replicas).find(|&n| failed.get(n) == Some(&false))
+    }
+
     /// Validates the configuration, returning a human-readable reason if it
     /// is not runnable.
     pub fn validate(&self) -> Result<(), String> {

@@ -348,6 +348,55 @@ pub struct CounterSnapshot {
 }
 
 impl CounterSnapshot {
+    /// What the counters gained since `before` was taken — the window an
+    /// engine's `run_for` reports. Both snapshots are destructured without
+    /// `..`, so a new counter that is not subtracted here fails to compile
+    /// instead of silently reporting a cumulative value.
+    pub fn since(&self, before: &CounterSnapshot) -> CounterSnapshot {
+        let CounterSnapshot {
+            committed,
+            aborted,
+            user_aborted,
+            replication_bytes,
+            coordination_bytes,
+            fences,
+            fence_time_us,
+            wal_bytes,
+            execution_us,
+            replication_flush_us,
+            wal_fsync_us,
+            lock_or_validate_us,
+        } = *self;
+        let CounterSnapshot {
+            committed: committed0,
+            aborted: aborted0,
+            user_aborted: user_aborted0,
+            replication_bytes: replication_bytes0,
+            coordination_bytes: coordination_bytes0,
+            fences: fences0,
+            fence_time_us: fence_time_us0,
+            wal_bytes: wal_bytes0,
+            execution_us: execution_us0,
+            replication_flush_us: replication_flush_us0,
+            wal_fsync_us: wal_fsync_us0,
+            lock_or_validate_us: lock_or_validate_us0,
+        } = *before;
+        CounterSnapshot {
+            committed: committed - committed0,
+            aborted: aborted - aborted0,
+            user_aborted: user_aborted - user_aborted0,
+            replication_bytes: replication_bytes - replication_bytes0,
+            coordination_bytes: coordination_bytes - coordination_bytes0,
+            fences: fences - fences0,
+            fence_time_us: fence_time_us - fence_time_us0,
+            wal_bytes: wal_bytes - wal_bytes0,
+            execution_us: execution_us - execution_us0,
+            replication_flush_us: replication_flush_us - replication_flush_us0,
+            wal_fsync_us: wal_fsync_us - wal_fsync_us0,
+            lock_or_validate_us: lock_or_validate_us - lock_or_validate_us0,
+        }
+    }
+
     /// Abort rate over all concurrency-control attempts.
     pub fn abort_rate(&self) -> f64 {
         let attempts = self.committed + self.aborted;
@@ -523,6 +572,18 @@ mod tests {
         assert_eq!(s.fence_time_us, 250);
         assert_eq!(s.wal_bytes, 42);
         assert!((s.abort_rate() - 1.0 / 3.0).abs() < 1e-9);
+        // A window is the difference of two snapshots, field by field.
+        c.add_commit();
+        c.add_wal_bytes(8);
+        c.add_lock_or_validate(Duration::from_micros(5));
+        let window = c.snapshot().since(&s);
+        let expected = CounterSnapshot {
+            committed: 1,
+            wal_bytes: 8,
+            lock_or_validate_us: 5,
+            ..CounterSnapshot::default()
+        };
+        assert_eq!(window, expected);
     }
 
     #[test]

@@ -2,10 +2,29 @@
 
 use crate::messages::ReplicationBatch;
 use crate::workload::Workload;
-use star_common::{ClusterConfig, Error, NodeId, PartitionId, Result};
+use star_common::{ClusterConfig, Error, NodeId, Result};
 use star_net::{Endpoint, NetworkConfig, SimNetwork};
 use star_storage::{Database, DatabaseBuilder};
 use std::sync::Arc;
+
+/// Builds node `id`'s replica: the workload's catalog, the partitions the
+/// configuration's layout assigns the node (Figure 2), each loaded from the
+/// workload's deterministic initial state. The simulated cluster and
+/// `star-serverd` both build their replicas here, so they start identical.
+pub fn build_replica(config: &ClusterConfig, workload: &dyn Workload, id: NodeId) -> Arc<Database> {
+    let mut builder = DatabaseBuilder::new(config.partitions);
+    for spec in workload.catalog() {
+        builder = builder.table(spec);
+    }
+    if !config.is_full_replica(id) {
+        builder = builder.holding(config.held_partitions(id));
+    }
+    let db = Arc::new(builder.build());
+    for p in db.held_partitions() {
+        workload.load_partition(&db, p);
+    }
+    db
+}
 
 /// One node of the simulated cluster.
 pub struct ClusterNode {
@@ -45,10 +64,8 @@ impl std::fmt::Debug for StarCluster {
 }
 
 impl StarCluster {
-    /// Builds the cluster for a workload: creates every replica with the
-    /// workload's catalog, assigns partitions per the configuration's layout
-    /// (Figure 2) and loads the initial data into every replica that holds
-    /// each partition.
+    /// Builds the cluster for a workload: the network plus one
+    /// [`build_replica`] per node.
     pub fn build(config: &ClusterConfig, workload: &dyn Workload) -> Result<Self> {
         config.validate().map_err(Error::Config)?;
         if workload.num_partitions() != config.partitions {
@@ -62,27 +79,15 @@ impl StarCluster {
         let (network, endpoints) =
             SimNetwork::new::<ReplicationBatch>(config.num_nodes, net_config);
 
-        let mut nodes = Vec::with_capacity(config.num_nodes);
-        for (id, endpoint) in endpoints.into_iter().enumerate() {
-            let mut builder = DatabaseBuilder::new(config.partitions);
-            for spec in workload.catalog() {
-                builder = builder.table(spec);
-            }
-            if !config.is_full_replica(id) {
-                let held: Vec<PartitionId> = (0..config.partitions)
-                    .filter(|p| {
-                        config.partition_primary(*p) == id
-                            || config.partition_secondary(*p) == Some(id)
-                    })
-                    .collect();
-                builder = builder.holding(held);
-            }
-            let db = Arc::new(builder.build());
-            for p in db.held_partitions() {
-                workload.load_partition(&db, p);
-            }
-            nodes.push(ClusterNode { id, db, endpoint: Arc::new(endpoint) });
-        }
+        let nodes = endpoints
+            .into_iter()
+            .enumerate()
+            .map(|(id, endpoint)| ClusterNode {
+                id,
+                db: build_replica(config, workload, id),
+                endpoint: Arc::new(endpoint),
+            })
+            .collect();
         Ok(StarCluster { config: config.clone(), nodes, network })
     }
 
@@ -110,15 +115,6 @@ impl StarCluster {
     /// The simulated network (failure injection, traffic statistics).
     pub fn network(&self) -> &SimNetwork {
         &self.network
-    }
-
-    /// Nodes (other than `from`) that must receive the writes of a committed
-    /// transaction touching `partition`: every full replica plus the
-    /// partition's primary and secondary.
-    pub fn replica_targets(&self, from: NodeId, partition: PartitionId) -> Vec<NodeId> {
-        (0..self.config.num_nodes)
-            .filter(|&n| n != from && self.config.node_stores_partition(n, partition))
-            .collect()
     }
 }
 
@@ -159,21 +155,21 @@ mod tests {
         let config = ClusterConfig { partitions: 8, ..ClusterConfig::with_nodes(4) };
         let wl = KvWorkload::new(8);
         let cluster = StarCluster::build(&config, &wl).unwrap();
+        let healthy = [false; 4];
+        let targets = |from, p| cluster.config().replica_targets(&healthy, from, p);
         // Partition 1 is primary on partial node 1; at the default
         // replication factor of 2 its only other copy is the full replica.
-        let targets = cluster.replica_targets(1, 1);
-        assert_eq!(targets, vec![0]);
+        assert_eq!(targets(1, 1), vec![0]);
         // From the master (node 0), the same partition's target is node 1.
-        let targets = cluster.replica_targets(0, 1);
-        assert_eq!(targets, vec![1]);
+        assert_eq!(targets(0, 1), vec![1]);
         // Partition 0 is mastered *on* the full replica, so it must get a
         // partial secondary — the partial replicas together hold a full copy.
-        let targets = cluster.replica_targets(0, 0);
-        assert_eq!(targets, vec![1]);
-        // A replication factor of 3 brings back the partial-partial backup.
+        assert_eq!(targets(0, 0), vec![1]);
+        // A replication factor of 3 brings back the partial-partial backup,
+        // and a failed holder stops being a target.
         let config = config.to_builder().replication_factor(3).build().unwrap();
-        let cluster = StarCluster::build(&config, &wl).unwrap();
-        assert_eq!(cluster.replica_targets(1, 1), vec![0, 2]);
+        assert_eq!(config.replica_targets(&healthy, 1, 1), vec![0, 2]);
+        assert_eq!(config.replica_targets(&[false, false, true, false], 1, 1), vec![0]);
     }
 
     #[test]

@@ -24,16 +24,16 @@
 
 use crate::cluster::StarCluster;
 use crate::exec::{
-    run_one_master_txn, run_one_partitioned_txn, MasterWorkerState, PartitionWorkerState,
-    ReplicationStage,
+    run_master_worker, run_partition_worker, MasterWorkerState, NodeCtx, PartitionWorkerState,
+    PhaseBudget, WorkerOutcome,
 };
-use crate::failure::FailureCase;
+use crate::failure::{fence_survivors, hold_election, FailureCase, MasterElection};
 use crate::history::HistoryRecorder;
 use crate::phase::PhasePlan;
 use crate::workload::Workload;
 use parking_lot::Mutex;
 use star_common::stats::{LatencyHistogram, RunCounters, RunReport};
-use star_common::{ClusterConfig, Epoch, Error, NodeId, PartitionId, ReplicationMode, Result};
+use star_common::{ClusterConfig, Epoch, Error, NodeId, ReplicationMode, Result};
 use star_replication::{CommitQueue, DrainMode, EncodedEntry, EpochDrain, WalWriter};
 use star_storage::Database;
 use std::path::{Path, PathBuf};
@@ -50,31 +50,6 @@ static WAL_INSTANCE: AtomicU64 = AtomicU64::new(0);
 /// asynchronous replication in the single-master phase (`SYNC STAR` vs
 /// `STAR` in Figure 15(a)).
 pub type SyncReplication = ReplicationMode;
-
-/// Sampling rate for commit-latency measurements (one in `LATENCY_SAMPLE`
-/// commits records its commit instant; latency is measured to the fence that
-/// closes the epoch).
-const LATENCY_SAMPLE: u64 = 8;
-
-/// One master (re-)election, recorded at the fence that held it.
-///
-/// Elections are deterministic: the winner is always the lowest-id healthy
-/// full replica (or `None` when no full replica survives — Case 2/4), and
-/// they only happen at replication fences, where failure detection has just
-/// run. Identical seed ⇒ identical election log, which is what lets the
-/// chaos harness assert a *deterministic* new master after a coordinator
-/// crash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MasterElection {
-    /// The epoch whose fence held the election (0 for the initial
-    /// appointment at engine construction).
-    pub epoch: Epoch,
-    /// The elected master, or `None` if no healthy full replica remained.
-    pub master: Option<NodeId>,
-    /// Monotonically increasing election generation (0 = initial
-    /// appointment); bumps exactly when the elected master changes.
-    pub generation: u64,
-}
 
 /// How a memory-to-memory recovery is interrupted mid-copy (the chaos
 /// harness's recovery-path fault injection; see
@@ -122,13 +97,73 @@ enum NextPhase {
     Unknown,
 }
 
-/// Result of one phase execution.
+/// One phase's share of an iteration: wall-clock time on the timed path, a
+/// fixed number of attempts per worker on the deterministic stepped path.
+#[derive(Debug, Clone, Copy)]
+enum PhaseShare {
+    Time(Duration),
+    Attempts(u64),
+}
+
+impl PhaseShare {
+    fn is_empty(self) -> bool {
+        match self {
+            PhaseShare::Time(tau) => tau.is_zero(),
+            PhaseShare::Attempts(count) => count == 0,
+        }
+    }
+}
+
+/// Result of one phase execution (all zero for a phase that did not run).
+#[derive(Default)]
 struct PhaseResult {
     committed: u64,
+    /// Wall-clock length of a timed phase; zero on the stepped path.
     elapsed: Duration,
     /// Commit instants of sampled transactions (latency is closed at the next
     /// fence).
     samples: Vec<Instant>,
+}
+
+/// Runs one phase worker per job and sums their outcomes. A timed share arms
+/// one deadline and gives every worker its own scoped thread; a stepped share
+/// runs the workers sequentially in job order — partitioned-phase workers
+/// touch disjoint partitions, so this is semantically the threaded phase,
+/// but the committed history, the replication message sequence and every
+/// fault-plane decision become pure functions of the configuration seed (the
+/// chaos harness's "identical seed ⇒ identical history" contract).
+fn run_workers<J: Send>(
+    share: PhaseShare,
+    jobs: Vec<J>,
+    run: impl Fn(J, PhaseBudget) -> WorkerOutcome + Sync,
+) -> PhaseResult {
+    let mut result = PhaseResult::default();
+    let outcomes: Vec<WorkerOutcome> = match share {
+        PhaseShare::Attempts(count) => {
+            jobs.into_iter().map(|job| run(job, PhaseBudget::Count(count))).collect()
+        }
+        PhaseShare::Time(tau) => {
+            // star-lint: allow(determinism::instant-now) -- the timed path races a wall-clock deadline by definition; stepped runs take the Attempts arm
+            let start = Instant::now();
+            let budget = PhaseBudget::Deadline(start + tau);
+            let run = &run;
+            let outcomes = std::thread::scope(|scope| {
+                let handles: Vec<_> =
+                    jobs.into_iter().map(|job| scope.spawn(move || run(job, budget))).collect();
+                handles
+                    .into_iter()
+                    .map(|handle| handle.join().expect("phase worker panicked"))
+                    .collect()
+            });
+            result.elapsed = start.elapsed();
+            outcomes
+        }
+    };
+    for mut outcome in outcomes {
+        result.committed += outcome.committed;
+        result.samples.append(&mut outcome.samples);
+    }
+    result
 }
 
 /// The STAR engine.
@@ -154,13 +189,8 @@ pub struct StarEngine {
     history: Option<Arc<HistoryRecorder>>,
     /// Epochs that were discarded by an epoch revert, in detection order.
     reverted_epochs: Vec<Epoch>,
-    /// The currently elected master (fence-time decision; `None` while no
-    /// healthy full replica exists).
-    elected_master: Option<NodeId>,
-    /// Generation of the current election (bumps when the master changes).
-    master_generation: u64,
     /// Every election ever held, in order (index 0 is the initial
-    /// appointment).
+    /// appointment); the last entry names the current master.
     elections: Vec<MasterElection>,
     /// Completion-tracked queue for the asynchronous tail of each epoch's
     /// group commit (deferred replica applies and WAL flushes).
@@ -245,12 +275,12 @@ impl StarEngine {
         let plan = PhasePlan::new(workload.mix().cross_partition_fraction);
         let failed = vec![false; config.num_nodes];
         let failed_at_committed_epoch = vec![None; config.num_nodes];
-        let initial_master = (config.full_replicas > 0).then_some(0);
+        let elections = MasterElection::initial_log(&config);
         let counters = Arc::new(RunCounters::new());
-        // Deferred by default: drains are pumped at deterministic points (the
-        // next fence, or a quiesce), which keeps the stepped drivers and the
-        // chaos corpus bit-reproducible. The timed path switches to
-        // Background for the duration of `run_for`.
+        // Deferred outside `run_for`: drains are pumped at deterministic
+        // points (the next fence, or a quiesce), which keeps the stepped
+        // drivers and the chaos corpus bit-reproducible. The timed path
+        // switches to Background for the duration of `run_for`.
         let commit_queue = CommitQueue::new(DrainMode::Deferred, Arc::clone(&counters));
         Ok(StarEngine {
             cluster,
@@ -268,9 +298,7 @@ impl StarEngine {
             wal_dir,
             history: None,
             reverted_epochs: Vec::new(),
-            elected_master: initial_master,
-            master_generation: 0,
-            elections: vec![MasterElection { epoch: 0, master: initial_master, generation: 0 }],
+            elections,
             commit_queue,
             drain_safe_for: NextPhase::Unknown,
             last_report: None,
@@ -287,20 +315,6 @@ impl StarEngine {
             self.commit_queue.wait_for(self.last_committed_epoch);
             self.drain_safe_for = NextPhase::Unknown;
         }
-    }
-
-    /// How the asynchronous tail of each group commit is executed. See
-    /// [`DrainMode`]; the default is [`DrainMode::Deferred`].
-    pub fn drain_mode(&self) -> DrainMode {
-        self.commit_queue.mode()
-    }
-
-    /// Switches the commit-drain mode. Pending drains complete first, so the
-    /// switch can never reorder or lose an epoch's tail.
-    /// [`DrainMode::Immediate`] restores the unpipelined pre-fence behaviour
-    /// for A/B comparison.
-    pub fn set_drain_mode(&mut self, mode: DrainMode) {
-        self.commit_queue.set_mode(mode);
     }
 
     /// Completes every outstanding epoch drain. After this returns, all
@@ -403,6 +417,13 @@ impl StarEngine {
         self.failed.iter().enumerate().filter(|(_, f)| **f).map(|(n, _)| n).collect()
     }
 
+    /// The detected-failure flag of every node (index = node id): the
+    /// `failed` argument of the [`ClusterConfig`] routing rules, e.g.
+    /// `engine.cluster().config().effective_primary(engine.failure_flags(), p)`.
+    pub fn failure_flags(&self) -> &[bool] {
+        &self.failed
+    }
+
     /// Whether `node` is marked failed. Out-of-range ids count as failed:
     /// they can never serve a phase, win an election, or source a recovery.
     fn is_failed(&self, node: NodeId) -> bool {
@@ -413,14 +434,14 @@ impl StarEngine {
     /// most recent election (held at every replication fence, after failure
     /// detection). `None` while no healthy full replica exists.
     pub fn current_master(&self) -> Option<NodeId> {
-        self.elected_master.filter(|&m| !self.is_failed(m))
+        self.elections.last().and_then(|e| e.master).filter(|&m| !self.is_failed(m))
     }
 
     /// Generation of the current master election. Bumps exactly when the
     /// elected master changes (including to/from `None`), so a re-election
     /// storm is visible as a strictly increasing generation sequence.
     pub fn master_generation(&self) -> u64 {
-        self.master_generation
+        self.elections.last().map_or(0, |e| e.generation)
     }
 
     /// The full election log, in order. Index 0 is the initial appointment
@@ -429,67 +450,23 @@ impl StarEngine {
         &self.elections
     }
 
-    /// Holds a deterministic master election: the lowest-id healthy full
-    /// replica wins (matching the paper's "designated master is a full
-    /// replica" rule), or `None` when no full replica survives. Called at
-    /// every fence after failure detection; records a new log entry only
-    /// when the winner changes.
-    fn hold_election(&mut self) {
-        let winner = (0..self.cluster.config().full_replicas).find(|&n| !self.is_failed(n));
-        if winner != self.elected_master {
-            self.master_generation += 1;
-            self.elected_master = winner;
-            self.elections.push(MasterElection {
-                epoch: self.epoch,
-                master: winner,
-                generation: self.master_generation,
-            });
-        }
-    }
-
-    /// The effective primary node of a partition: its configured primary if
-    /// healthy, otherwise the first healthy node holding the partition
-    /// (re-mastering of Case 3).
-    pub fn effective_primary(&self, partition: PartitionId) -> Option<NodeId> {
-        let config = self.cluster.config();
-        let primary = config.partition_primary(partition);
-        if !self.is_failed(primary) {
-            return Some(primary);
-        }
-        (0..config.num_nodes)
-            .find(|&n| !self.is_failed(n) && config.node_stores_partition(n, partition))
-    }
-
     /// Runs the engine for (at least) `duration`, returning a report with the
     /// throughput, latency distribution and traffic counters of the window.
     pub fn run_for(&mut self, duration: Duration) -> RunReport {
         // Timed runs drain each epoch's commit tail on a background worker so
-        // it overlaps the next phase's execution; the prior mode (Deferred by
-        // default, deterministic) is restored — and pending drains completed
-        // — before returning, so callers can inspect replicas right away.
-        let prior_mode = self.commit_queue.mode();
+        // it overlaps the next phase's execution; the deterministic Deferred
+        // mode is restored — and pending drains completed — before
+        // returning, so callers can inspect replicas right away.
         self.commit_queue.set_mode(DrainMode::Background);
+        // star-lint: allow(determinism::instant-now) -- the measurement window of the timed path
         let start = Instant::now();
         let before = self.counters.snapshot();
         while start.elapsed() < duration {
             self.run_iteration();
         }
-        self.commit_queue.set_mode(prior_mode);
+        self.commit_queue.set_mode(DrainMode::Deferred);
         let elapsed = start.elapsed();
-        let after = self.counters.snapshot();
-        let mut window = after;
-        window.committed -= before.committed;
-        window.aborted -= before.aborted;
-        window.user_aborted -= before.user_aborted;
-        window.replication_bytes -= before.replication_bytes;
-        window.coordination_bytes -= before.coordination_bytes;
-        window.fences -= before.fences;
-        window.fence_time_us -= before.fence_time_us;
-        window.wal_bytes -= before.wal_bytes;
-        window.execution_us -= before.execution_us;
-        window.replication_flush_us -= before.replication_flush_us;
-        window.wal_fsync_us -= before.wal_fsync_us;
-        window.lock_or_validate_us -= before.lock_or_validate_us;
+        let window = self.counters.snapshot().since(&before);
         let report = RunReport::new(
             "STAR",
             self.workload.name(),
@@ -502,7 +479,7 @@ impl StarEngine {
         report
     }
 
-    /// Executes exactly one iteration (partitioned phase, fence,
+    /// Executes exactly one timed iteration (partitioned phase, fence,
     /// single-master phase, fence). Exposed for tests and for the
     /// phase-overhead benchmark.
     pub fn run_iteration(&mut self) {
@@ -512,36 +489,50 @@ impl StarEngine {
         // group-commit latency without costing throughput.
         let iteration = self.plan.adaptive_iteration(self.cluster.config().iteration);
         let (tau_p, tau_s) = self.plan.split(iteration);
+        let (partitioned, single_master) =
+            self.run_phases(PhaseShare::Time(tau_p), PhaseShare::Time(tau_s));
+        self.plan.observe_partitioned(partitioned.committed, partitioned.elapsed);
+        self.plan.observe_single_master(single_master.committed, single_master.elapsed);
+        self.plan.observe_mix(partitioned.committed, single_master.committed);
+    }
 
-        let available = self.failure_case().map(|c| c.available()).unwrap_or(false);
-        let partitioned = if !tau_p.is_zero() && available {
-            Some(self.run_partitioned_phase(tau_p))
-        } else {
-            None
-        };
+    /// One fully deterministic iteration: stepped partitioned phase, fence,
+    /// stepped single-master phase, fence. The transaction counts replace the
+    /// `τp` / `τs` wall-clock split of [`run_iteration`](Self::run_iteration);
+    /// outside `run_for` drains are pumped at the next fence, so the stepped
+    /// driver exercises the pipelined (deferred-apply) fence path and stays
+    /// deterministic.
+    pub fn run_iteration_stepped(&mut self, partitioned_txns: u64, single_master_txns: u64) {
+        self.run_phases(
+            PhaseShare::Attempts(partitioned_txns),
+            PhaseShare::Attempts(single_master_txns),
+        );
+    }
+
+    /// The iteration both drivers share: partitioned phase, fence,
+    /// single-master phase, fence. Execution time and sampled commit
+    /// latencies are non-zero on the timed path only.
+    fn run_phases(
+        &mut self,
+        partitioned: PhaseShare,
+        single_master: PhaseShare,
+    ) -> (PhaseResult, PhaseResult) {
+        let partitioned_result = self.run_partitioned_phase(partitioned);
         // The fence hint anticipates which phase runs next so the fence can
         // defer every replica apply that phase will not read. A mispredicted
         // hint (the failure picture changed at the fence) is caught by the
         // phases themselves: they complete a drain deferred for a different
         // phase before touching any replica (`ensure_drain_safe`).
-        let next = if !tau_s.is_zero() && self.current_master().is_some() {
+        let next = if !single_master.is_empty() && self.current_master().is_some() {
             NextPhase::SingleMaster
         } else {
             NextPhase::Partitioned
         };
         let fence_end = self.replication_fence(next);
-        if let Some(result) = &partitioned {
-            self.counters.add_execution(result.elapsed);
-            self.plan.observe_partitioned(result.committed, result.elapsed);
-            self.close_latency_samples(&result.samples, fence_end);
-        }
+        self.close_phase(&partitioned_result, fence_end);
 
-        let single_master = if !tau_s.is_zero() && self.current_master().is_some() {
-            Some(self.run_single_master_phase(tau_s))
-        } else {
-            None
-        };
-        let next = if tau_s >= iteration && self.current_master().is_some() {
+        let single_master_result = self.run_single_master_phase(single_master);
+        let next = if partitioned.is_empty() && self.current_master().is_some() {
             // A pure cross-partition plan starts the next iteration with the
             // single-master phase again.
             NextPhase::SingleMaster
@@ -549,336 +540,93 @@ impl StarEngine {
             NextPhase::Partitioned
         };
         let fence_end = self.replication_fence(next);
-        if let Some(result) = &single_master {
-            self.counters.add_execution(result.elapsed);
-            self.plan.observe_single_master(result.committed, result.elapsed);
-            self.close_latency_samples(&result.samples, fence_end);
-        }
-        self.plan.observe_mix(
-            partitioned.as_ref().map_or(0, |r| r.committed),
-            single_master.as_ref().map_or(0, |r| r.committed),
-        );
+        self.close_phase(&single_master_result, fence_end);
+        (partitioned_result, single_master_result)
     }
 
-    fn close_latency_samples(&mut self, samples: &[Instant], fence_end: Instant) {
-        for &commit_instant in samples {
+    /// Accounts a phase's execution time and releases its sampled commits at
+    /// `fence_end`, the group-commit point of the epoch the phase ran in.
+    fn close_phase(&mut self, phase: &PhaseResult, fence_end: Instant) {
+        self.counters.add_execution(phase.elapsed);
+        for &commit_instant in &phase.samples {
             self.latency.record(fence_end.saturating_duration_since(commit_instant));
         }
     }
 
-    /// Runs the partitioned phase for `tau_p`.
-    fn run_partitioned_phase(&mut self, tau_p: Duration) -> PhaseResult {
-        self.ensure_drain_safe(NextPhase::Partitioned);
-        let config = self.cluster.config().clone();
-        let deadline = Instant::now() + tau_p;
-        let start = Instant::now();
-        let epoch = self.epoch;
-        let strategy = config.replication_strategy;
-        let mut total_committed = 0u64;
-        let mut samples = Vec::new();
-
-        // Precompute, per partition, the node that will execute it and the
-        // replica targets, so the scoped workers only capture owned data.
-        let assignments: Vec<Option<(NodeId, Vec<NodeId>)>> = (0..config.partitions)
-            .map(|p| {
-                self.effective_primary(p).map(|primary| {
-                    let targets: Vec<NodeId> = self
-                        .cluster
-                        .replica_targets(primary, p)
-                        .into_iter()
-                        .filter(|n| !self.failed[*n])
-                        .collect();
-                    (primary, targets)
-                })
-            })
-            .collect();
-
-        let cluster = &self.cluster;
-        let workload = &self.workload;
-        let counters = &self.counters;
-        let wal = &self.wal;
-        let history = &self.history;
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (partition, state) in self.partition_workers.iter_mut().enumerate() {
-                let Some((primary, targets)) = assignments[partition].clone() else {
-                    continue;
-                };
-                let node = &cluster.nodes()[primary];
-                let db = Arc::clone(&node.db);
-                let endpoint = Arc::clone(&node.endpoint);
-                let workload = Arc::clone(workload);
-                let counters = Arc::clone(counters);
-                let wal = wal.as_ref().map(|w| Arc::clone(&w[primary]));
-                let history = history.clone();
-                let num_nodes = config.num_nodes;
-                handles.push(scope.spawn(move || {
-                    let mut committed = 0u64;
-                    let mut attempts = 0u64;
-                    let mut samples = Vec::new();
-                    // Each worker stages its replication traffic in its own
-                    // buffers and merges at the end of the phase: no shared
-                    // lock, no per-transaction fan-out.
-                    let mut stage = ReplicationStage::new(primary, epoch, num_nodes);
-                    // Always attempt at least one transaction per phase so a
-                    // heavily loaded host cannot starve a worker out of an
-                    // entire (very short) phase.
-                    while attempts == 0 || Instant::now() < deadline {
-                        attempts += 1;
-                        if run_one_partitioned_txn(
-                            partition,
-                            primary,
-                            &targets,
-                            &db,
-                            endpoint.as_ref(),
-                            workload.as_ref(),
-                            &counters,
-                            wal.as_deref(),
-                            history.as_deref(),
-                            epoch,
-                            strategy,
-                            state,
-                            Some(&mut stage),
-                        ) {
-                            committed += 1;
-                            if committed % LATENCY_SAMPLE == 0 {
-                                samples.push(Instant::now());
-                            }
-                        }
-                        stage.flush_if_full(endpoint.as_ref(), &counters);
-                    }
-                    stage.flush(endpoint.as_ref(), &counters);
-                    (committed, samples)
-                }));
-            }
-            for handle in handles {
-                let (committed, mut worker_samples) =
-                    handle.join().expect("partition worker panicked");
-                total_committed += committed;
-                samples.append(&mut worker_samples);
-            }
-        });
-
-        PhaseResult { committed: total_committed, elapsed: start.elapsed(), samples }
+    /// What `node` lends its phase workers for the current epoch.
+    fn node_ctx(&self, node: NodeId) -> NodeCtx<'_> {
+        let replica = &self.cluster.nodes()[node];
+        NodeCtx {
+            node,
+            config: self.cluster.config(),
+            db: &replica.db,
+            transport: replica.endpoint.as_ref(),
+            workload: self.workload.as_ref(),
+            counters: &self.counters,
+            wal: self.wal.as_ref().map(|wal| wal[node].as_ref()),
+            history: self.history.as_deref(),
+            epoch: self.epoch,
+        }
     }
 
-    /// Runs the single-master phase for `tau_s`.
-    fn run_single_master_phase(&mut self, tau_s: Duration) -> PhaseResult {
-        self.ensure_drain_safe(NextPhase::SingleMaster);
-        let config = self.cluster.config().clone();
-        let Some(master) = self.current_master() else {
-            return PhaseResult { committed: 0, elapsed: Duration::ZERO, samples: Vec::new() };
-        };
-        let deadline = Instant::now() + tau_s;
-        let start = Instant::now();
-        let epoch = self.epoch;
-        let mut total_committed = 0u64;
-        let mut samples = Vec::new();
-
-        let healthy: Vec<NodeId> =
-            (0..config.num_nodes).filter(|&n| n != master && !self.failed[n]).collect();
-        let cluster = &self.cluster;
-        let workload = &self.workload;
-        let counters = &self.counters;
-        let wal = &self.wal;
-        let history = &self.history;
-        let master_node = &cluster.nodes()[master];
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (worker_id, state) in self.master_workers.iter_mut().enumerate() {
-                let db = Arc::clone(&master_node.db);
-                let endpoint = Arc::clone(&master_node.endpoint);
-                let workload = Arc::clone(workload);
-                let counters = Arc::clone(counters);
-                let wal = wal.as_ref().map(|w| Arc::clone(&w[master]));
-                let history = history.clone();
-                let healthy = healthy.clone();
-                let config = config.clone();
-                handles.push(scope.spawn(move || {
-                    let mut committed = 0u64;
-                    let mut attempts = 0u64;
-                    let mut samples = Vec::new();
-                    // Per-worker staging, merged at phase end (see the
-                    // partitioned phase).
-                    let mut stage = ReplicationStage::new(master, epoch, config.num_nodes);
-                    while attempts == 0 || Instant::now() < deadline {
-                        attempts += 1;
-                        if run_one_master_txn(
-                            worker_id,
-                            master,
-                            &healthy,
-                            &config,
-                            &db,
-                            endpoint.as_ref(),
-                            workload.as_ref(),
-                            &counters,
-                            wal.as_deref(),
-                            history.as_deref(),
-                            epoch,
-                            state,
-                            Some(&mut stage),
-                        ) {
-                            committed += 1;
-                            if committed % LATENCY_SAMPLE == 0 {
-                                samples.push(Instant::now());
-                            }
-                        }
-                        stage.flush_if_full(endpoint.as_ref(), &counters);
-                    }
-                    stage.flush(endpoint.as_ref(), &counters);
-                    (committed, samples)
-                }));
-            }
-            for handle in handles {
-                let (committed, mut worker_samples) =
-                    handle.join().expect("master worker panicked");
-                total_committed += committed;
-                samples.append(&mut worker_samples);
-            }
-        });
-
-        PhaseResult { committed: total_committed, elapsed: start.elapsed(), samples }
-    }
-
-    /// Deterministic, single-threaded variant of the partitioned phase: each
-    /// partition's worker executes exactly `txns_per_partition` transaction
-    /// attempts, in partition order, instead of racing a wall-clock deadline.
-    ///
-    /// Because partitioned-phase workers touch disjoint partitions, running
-    /// them sequentially is semantically identical to the threaded phase —
-    /// but the committed history, the replication message sequence and every
-    /// fault-plane decision become pure functions of the configuration seed.
-    /// This is what the chaos harness's "identical seed ⇒ identical history"
-    /// contract rests on. Returns the number of committed transactions.
-    pub fn run_partitioned_phase_stepped(&mut self, txns_per_partition: u64) -> u64 {
+    /// Runs the partitioned phase: one worker per partition that still has a
+    /// healthy holder, on the partition's effective primary.
+    fn run_partitioned_phase(&mut self, share: PhaseShare) -> PhaseResult {
         let available = self.failure_case().map(|c| c.available()).unwrap_or(false);
-        if txns_per_partition == 0 || !available {
-            return 0;
+        if share.is_empty() || !available {
+            return PhaseResult::default();
         }
         self.ensure_drain_safe(NextPhase::Partitioned);
-        let config = self.cluster.config().clone();
-        let epoch = self.epoch;
-        let strategy = config.replication_strategy;
-        let assignments: Vec<Option<(NodeId, Vec<NodeId>)>> = (0..config.partitions)
-            .map(|p| {
-                self.effective_primary(p).map(|primary| {
-                    let targets: Vec<NodeId> = self
-                        .cluster
-                        .replica_targets(primary, p)
-                        .into_iter()
-                        .filter(|n| !self.failed[*n])
-                        .collect();
-                    (primary, targets)
-                })
+        let mut workers = std::mem::take(&mut self.partition_workers);
+        let config = self.cluster.config();
+        let jobs: Vec<_> = workers
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(partition, state)| {
+                let primary = config.effective_primary(&self.failed, partition)?;
+                let targets = config.replica_targets(&self.failed, primary, partition);
+                Some((self.node_ctx(primary), targets, state))
             })
             .collect();
-
-        let cluster = &self.cluster;
-        let workload = &self.workload;
-        let counters = &self.counters;
-        let wal = &self.wal;
-        let history = &self.history;
-        let mut total_committed = 0u64;
-
-        for (partition, state) in self.partition_workers.iter_mut().enumerate() {
-            let Some((primary, targets)) = assignments[partition].clone() else {
-                continue;
-            };
-            let node = &cluster.nodes()[primary];
-            let wal = wal.as_ref().map(|w| w[primary].as_ref());
-            for _ in 0..txns_per_partition {
-                if run_one_partitioned_txn(
-                    partition,
-                    primary,
-                    &targets,
-                    &node.db,
-                    node.endpoint.as_ref(),
-                    workload.as_ref(),
-                    counters,
-                    wal,
-                    history.as_deref(),
-                    epoch,
-                    strategy,
-                    state,
-                    None,
-                ) {
-                    total_committed += 1;
-                }
-            }
-        }
-        total_committed
+        let result = run_workers(share, jobs, |(ctx, targets, state), budget| {
+            run_partition_worker(&ctx, &targets, state, budget)
+        });
+        self.partition_workers = workers;
+        result
     }
 
-    /// Deterministic, single-threaded variant of the single-master phase:
-    /// each master worker executes exactly `txns_per_worker` transaction
-    /// attempts, in worker order. With a single configured master worker the
-    /// OCC commit never aborts on contention, so the committed stream is a
-    /// pure function of the seed (see
-    /// [`run_partitioned_phase_stepped`](Self::run_partitioned_phase_stepped)).
-    /// Returns the number of committed transactions.
-    pub fn run_single_master_phase_stepped(&mut self, txns_per_worker: u64) -> u64 {
-        let config = self.cluster.config().clone();
-        let Some(master) = self.current_master() else {
-            return 0;
+    /// Runs the single-master phase: every master worker on the elected
+    /// master, replicating to every other healthy node. With a single
+    /// configured master worker the OCC commit never aborts on contention,
+    /// so a stepped phase's committed stream is a pure function of the seed.
+    fn run_single_master_phase(&mut self, share: PhaseShare) -> PhaseResult {
+        let Some(master) = self.current_master().filter(|_| !share.is_empty()) else {
+            return PhaseResult::default();
         };
-        if txns_per_worker == 0 {
-            return 0;
-        }
         self.ensure_drain_safe(NextPhase::SingleMaster);
-        let epoch = self.epoch;
-        let healthy: Vec<NodeId> =
-            (0..config.num_nodes).filter(|&n| n != master && !self.failed[n]).collect();
-        let cluster = &self.cluster;
-        let workload = &self.workload;
-        let counters = &self.counters;
-        let wal = self.wal.as_ref().map(|w| w[master].as_ref());
-        let history = &self.history;
-        let master_node = &cluster.nodes()[master];
-        let mut total_committed = 0u64;
-
-        for (worker_id, state) in self.master_workers.iter_mut().enumerate() {
-            for _ in 0..txns_per_worker {
-                if run_one_master_txn(
-                    worker_id,
-                    master,
-                    &healthy,
-                    &config,
-                    &master_node.db,
-                    master_node.endpoint.as_ref(),
-                    workload.as_ref(),
-                    counters,
-                    wal,
-                    history.as_deref(),
-                    epoch,
-                    state,
-                    None,
-                ) {
-                    total_committed += 1;
-                }
-            }
-        }
-        total_committed
+        let mut workers = std::mem::take(&mut self.master_workers);
+        let healthy = self.cluster.config().healthy_peers(&self.failed, master);
+        let ctx = self.node_ctx(master);
+        let result = run_workers(share, workers.iter_mut().collect(), |state, budget| {
+            run_master_worker(&ctx, &healthy, state, budget)
+        });
+        self.master_workers = workers;
+        result
     }
 
-    /// One fully deterministic iteration: stepped partitioned phase, fence,
-    /// stepped single-master phase, fence. The transaction counts replace the
-    /// `τp` / `τs` wall-clock split of [`run_iteration`](Self::run_iteration).
-    pub fn run_iteration_stepped(&mut self, partitioned_txns: u64, single_master_txns: u64) {
-        self.run_partitioned_phase_stepped(partitioned_txns);
-        // Same fence hints as `run_iteration`, so the stepped driver
-        // exercises the pipelined (deferred-apply) fence path — in
-        // `DrainMode::Deferred` the drains are pumped at the next fence,
-        // keeping the whole iteration deterministic.
-        let next = if single_master_txns > 0 && self.current_master().is_some() {
-            NextPhase::SingleMaster
-        } else {
-            NextPhase::Partitioned
-        };
-        let _ = self.replication_fence(next);
-        self.run_single_master_phase_stepped(single_master_txns);
-        let _ = self.replication_fence(NextPhase::Partitioned);
+    /// Deterministic, single-threaded partitioned phase: each partition's
+    /// worker executes exactly `txns_per_partition` transaction attempts, in
+    /// partition order, instead of racing a wall-clock deadline. Returns the
+    /// number of committed transactions.
+    pub fn run_partitioned_phase_stepped(&mut self, txns_per_partition: u64) -> u64 {
+        self.run_partitioned_phase(PhaseShare::Attempts(txns_per_partition)).committed
+    }
+
+    /// Deterministic, single-threaded single-master phase: each master worker
+    /// executes exactly `txns_per_worker` transaction attempts, in worker
+    /// order. Returns the number of committed transactions.
+    pub fn run_single_master_phase_stepped(&mut self, txns_per_worker: u64) -> u64 {
+        self.run_single_master_phase(PhaseShare::Attempts(txns_per_worker)).committed
     }
 
     /// Executes a replication fence: complete the previous epoch's pending
@@ -896,7 +644,7 @@ impl StarEngine {
     fn replication_fence(&mut self, next: NextPhase) -> Instant {
         // star-lint: allow(determinism::instant-now) -- fence-duration telemetry only; no control flow or recorded history depends on it
         let start = Instant::now();
-        let config = self.cluster.config().clone();
+        let num_nodes = self.cluster.config().num_nodes;
 
         // Pipelining step 1: the previous epoch's drain must fully land
         // before this fence reasons about replica state (reverts, applies,
@@ -907,7 +655,7 @@ impl StarEngine {
         // Failure detection: the coordinator notices nodes that stopped
         // responding. Newly failed nodes trigger an epoch revert on every
         // healthy replica (Figure 6) before the fence proceeds.
-        let newly_failed: Vec<NodeId> = (0..config.num_nodes)
+        let newly_failed: Vec<NodeId> = (0..num_nodes)
             .filter(|&n| self.cluster.network().is_failed(n) && !self.failed[n])
             .collect();
         let reverting = !newly_failed.is_empty();
@@ -926,7 +674,7 @@ impl StarEngine {
         // crashed coordinator is replaced by the next healthy full replica,
         // and a recovered lower-id full replica takes the role back — both
         // deterministically, before the next single-master phase runs.
-        self.hold_election();
+        hold_election(&mut self.elections, self.cluster.config(), &self.failed, self.epoch);
 
         // Release any messages held back by reorder faults: the fence's
         // contract is that every *sent* message is either applied now or
@@ -935,11 +683,8 @@ impl StarEngine {
             node.endpoint.flush_stash();
         }
 
-        // Drain outstanding replication streams on every healthy node,
-        // ignoring messages that originated at failed nodes. When a failure
-        // was just detected, the whole in-flight epoch is being discarded
-        // (Figure 6), so its replication messages must be dropped as well —
-        // applying them would resurrect writes the primaries just reverted.
+        // Drain outstanding replication streams on every healthy node; which
+        // queued entries survive is `fence_survivors`' rule.
         //
         // Each surviving entry is applied *now* only if the next phase reads
         // the target copy: on the elected master before a single-master
@@ -948,6 +693,7 @@ impl StarEngine {
         // applied while the next phase runs. (After a partitioned epoch at
         // 0% cross-partition traffic no entry targets its own primary, so
         // the fence applies nothing synchronously at all.)
+        let config = self.cluster.config();
         let master = self.current_master();
         // star-lint: allow(determinism::instant-now) -- apply-time telemetry for the replication-flush latency slice only
         let apply_start = Instant::now();
@@ -957,29 +703,25 @@ impl StarEngine {
                 continue;
             }
             let mut deferred_entries: Vec<EncodedEntry> = Vec::new();
-            for envelope in node.endpoint.drain() {
-                if self.failed[envelope.from] {
-                    continue;
-                }
-                if reverting && envelope.payload.epoch > self.last_committed_epoch {
-                    continue;
-                }
-                for entry in envelope.payload.entries {
-                    if !node.db.holds(entry.partition()) {
-                        continue;
+            let queued = node.endpoint.drain().into_iter().map(|envelope| envelope.payload);
+            for entry in fence_survivors(
+                queued,
+                &node.db,
+                &self.failed,
+                reverting,
+                self.last_committed_epoch,
+            ) {
+                let read_by_next_phase = match next {
+                    NextPhase::Unknown => true,
+                    NextPhase::SingleMaster => master == Some(n),
+                    NextPhase::Partitioned => {
+                        config.effective_primary(&self.failed, entry.partition()) == Some(n)
                     }
-                    let read_by_next_phase = match next {
-                        NextPhase::Unknown => true,
-                        NextPhase::SingleMaster => master == Some(n),
-                        NextPhase::Partitioned => {
-                            self.effective_primary(entry.partition()) == Some(n)
-                        }
-                    };
-                    if read_by_next_phase {
-                        let _ = entry.apply(&node.db);
-                    } else {
-                        deferred_entries.push(entry);
-                    }
+                };
+                if read_by_next_phase {
+                    let _ = entry.apply(&node.db);
+                } else {
+                    deferred_entries.push(entry);
                 }
             }
             if !deferred_entries.is_empty() {
@@ -1043,42 +785,31 @@ impl StarEngine {
     /// schedule synthesizer and the chaos driver consult it before
     /// scheduling overlapping recoveries.
     pub fn can_recover(&self, node: NodeId) -> bool {
-        let Some(node_db) = self.cluster.node(node).map(|n| &n.db) else {
-            return false;
-        };
-        node_db.held_partitions().into_iter().all(|partition| {
-            (0..self.cluster.config().num_nodes)
-                .any(|n| n != node && !self.is_failed(n) && self.node_holds(n, partition))
-        })
+        self.cluster.node(node).is_some() && self.cluster.config().can_recover(&self.failed, node)
     }
 
-    /// Whether `node` exists and its replica holds `partition`.
-    fn node_holds(&self, node: NodeId, partition: PartitionId) -> bool {
-        self.cluster.node(node).is_some_and(|n| n.db.holds(partition))
-    }
-
-    /// Recovers a previously failed node: the node copies the partitions it
-    /// holds from healthy replicas (preferring a full replica), is healed in
-    /// the network and rejoins the cluster. Corresponds to the per-node
-    /// recovery path shared by Cases 1–3.
+    /// What both recoveries start with. Pending epoch drains land first: the
+    /// copy reads healthy replicas directly, and a deferred apply arriving at
+    /// the source after the copy would leave the recovered node permanently
+    /// behind. Source availability is checked for *every* held partition
+    /// before anything changes. Then the node's inbound queue is discarded —
+    /// everything in it was addressed to the crashed process and died with
+    /// it, in particular replication batches of epochs the cluster reverted
+    /// after the crash (fences skip failed nodes, so their queues are never
+    /// drained while down); applying them after rejoining would resurrect
+    /// discarded writes — and its replica reverts to the epoch that had
+    /// committed when it crashed, because the epoch then in flight was
+    /// discarded by the rest of the cluster (Figure 6).
     ///
-    /// Source availability is checked for *every* held partition before any
-    /// data moves, so an impossible recovery (all other replicas of some
-    /// partition dead — the Case-4 situation that needs disk recovery
-    /// instead) fails atomically: the node stays down, its pre-crash state
-    /// untouched, and a later recovery attempt — e.g. after another replica
-    /// rejoined — can still succeed.
-    pub fn recover_node(&mut self, node: NodeId) -> Result<usize> {
-        // The copy below reads healthy replicas directly; a still-pending
-        // epoch drain would make it miss the deferred applies (the source
-        // would receive them after the copy, leaving the recovered node
-        // permanently behind).
+    /// Returns the node's replica, or `None` for a healthy node. The revert
+    /// marker is only peeked at; a *completed* recovery clears it.
+    fn begin_recovery(&self, node: NodeId) -> Result<Option<Arc<Database>>> {
         self.commit_queue.quiesce();
         let Some(target) = self.cluster.node(node) else {
             return Err(Error::Config(format!("no such node {node}")));
         };
         if !self.is_failed(node) {
-            return Ok(0);
+            return Ok(None);
         }
         if !self.can_recover(node) {
             return Err(Error::Config(format!(
@@ -1086,44 +817,69 @@ impl StarEngine {
                  another replica first or recover from disk"
             )));
         }
-        // The failed node's replica may still contain writes from the epoch
-        // that was in flight when it crashed; that epoch was discarded by the
-        // rest of the cluster (Figure 6), so discard it here too before
-        // catching up.
-        let target_db = Arc::clone(&target.db);
-        // Everything still queued at this node's endpoint was addressed to
-        // the crashed process and died with it — in particular replication
-        // batches of epochs the cluster reverted after the crash (fences skip
-        // failed nodes, so their queues are never drained while down).
-        // Applying them after rejoining would resurrect discarded writes;
-        // the copy from healthy replicas below supplies the current state.
         drop(target.endpoint.drain());
-        if let Some(committed) = self.failed_at_committed_epoch.get_mut(node).and_then(Option::take)
-        {
-            target_db.revert_to_epoch(committed);
+        if let Some(committed) = self.failed_at_committed_epoch.get(node).copied().flatten() {
+            target.db.revert_to_epoch(committed);
         }
+        Ok(Some(Arc::clone(&target.db)))
+    }
+
+    /// Copies `partition` onto the recovering `node`'s replica `target` from
+    /// its recovery source, under the Thomas write rule. Returns the source
+    /// and the number of records that were fresher than the target's.
+    /// `begin_recovery` checked that a source exists, but recovery must
+    /// never be a crash site: a vanished source is a typed error.
+    fn recover_partition(
+        &self,
+        node: NodeId,
+        target: &Database,
+        partition: usize,
+    ) -> Result<(NodeId, usize)> {
+        let source = self.cluster.config().recovery_source(&self.failed, node, partition);
+        let Some((source, source_db)) =
+            source.and_then(|n| self.cluster.node(n).map(|replica| (n, &replica.db)))
+        else {
+            return Err(Error::Config(format!(
+                "no healthy replica holds partition {partition}; recover from disk instead"
+            )));
+        };
+        let mut copied = 0usize;
+        source_db.for_each_record(|table, p, key, rec| {
+            if p != partition {
+                return;
+            }
+            let read = rec.read();
+            if target.apply_value_write(table, p, key, read.row, read.tid).unwrap_or(false) {
+                copied += 1;
+            }
+        });
+        Ok((source, copied))
+    }
+
+    /// Recovers a previously failed node: the node copies the partitions it
+    /// holds from healthy replicas (preferring a full replica), is healed in
+    /// the network and rejoins the cluster. Corresponds to the per-node
+    /// recovery path shared by Cases 1–3.
+    ///
+    /// An impossible recovery (all other replicas of some partition dead —
+    /// the Case-4 situation that needs disk recovery instead) fails
+    /// atomically: the node stays down, its pre-crash state untouched, and a
+    /// later recovery attempt — e.g. after another replica rejoined — can
+    /// still succeed. Recovering a healthy node is a no-op.
+    pub fn recover_node(&mut self, node: NodeId) -> Result<usize> {
+        let Some(target_db) = self.begin_recovery(node)? else {
+            return Ok(0);
+        };
         let mut copied = 0usize;
         for partition in target_db.held_partitions() {
-            let source = (0..self.cluster.config().num_nodes)
-                .find(|&n| n != node && !self.is_failed(n) && self.node_holds(n, partition));
-            let Some(source_db) = source.and_then(|n| self.cluster.node(n)).map(|n| &n.db) else {
-                return Err(Error::Config(format!(
-                    "no healthy replica holds partition {partition}; recover from disk instead"
-                )));
-            };
-            source_db.for_each_record(|table, p, key, rec| {
-                if p != partition {
-                    return;
-                }
-                let read = rec.read();
-                if target_db.apply_value_write(table, p, key, read.row, read.tid).unwrap_or(false) {
-                    copied += 1;
-                }
-            });
+            copied += self.recover_partition(node, &target_db, partition)?.1;
         }
         self.cluster.network().heal_node(node);
         if let Some(failed) = self.failed.get_mut(node) {
             *failed = false;
+        }
+        if let Some(marker) = self.failed_at_committed_epoch.get_mut(node) {
+            *marker = None;
         }
         Ok(copied)
     }
@@ -1135,13 +891,15 @@ impl StarEngine {
     /// the chaos harness's recovery-path fault injection: the paper's
     /// catch-up protocol must survive its own interruption.
     ///
-    /// The partial copy is harmless: the failure marker is kept (not
-    /// consumed), so a later successful [`Self::recover_node`] first reverts
-    /// the target back to its crash-time committed epoch — discarding any
-    /// in-flight versions an aborted mid-epoch copy may have picked up from
-    /// the source, even if the cluster later reverted that epoch — and then
-    /// re-copies everything under original TIDs (Thomas write rule). The
-    /// interruption's side effects are exactly those of the fault itself:
+    /// The partial copy is harmless even when the interruption lands
+    /// mid-epoch and copies the source's *in-flight* versions. If that epoch
+    /// later reverts, the down node keeps the copies (it does not take part
+    /// in fences), and the Thomas write rule would block the committed rows
+    /// from overwriting them on retry — but the revert marker is kept, so a
+    /// later successful [`Self::recover_node`] first reverts the target back
+    /// to its crash-time committed epoch, discarding anything this aborted
+    /// copy resurrected, and then re-copies everything under original TIDs.
+    /// The interruption's side effects are exactly those of the fault itself:
     ///
     /// * [`RecoveryFault::SourceCrash`] — the source node is marked failed
     ///   in the network (detected, like any crash, at the next fence);
@@ -1158,67 +916,21 @@ impl StarEngine {
         node: NodeId,
         fault: RecoveryFault,
     ) -> Result<InterruptedRecovery> {
-        // Same as `recover_node`: the partial copy reads replicas directly,
-        // so pending epoch drains must land first.
-        self.commit_queue.quiesce();
-        let Some(target) = self.cluster.node(node) else {
-            return Err(Error::Config(format!("no such node {node}")));
-        };
-        if !self.is_failed(node) {
+        let Some(target_db) = self.begin_recovery(node)? else {
             return Ok(InterruptedRecovery { source: node, records_copied: 0 });
-        }
-        if !self.can_recover(node) {
-            return Err(Error::Config(format!(
-                "node {node}: no healthy replica holds every partition it needs; recover \
-                 another replica first or recover from disk"
-            )));
-        }
-        let target_db = Arc::clone(&target.db);
-        // Peek — do NOT consume — the revert marker: an interruption can
-        // land mid-epoch, in which case the partial copy below includes the
-        // source's *in-flight* versions. If that epoch later reverts, the
-        // down node keeps the copies (it does not participate in fences),
-        // and the Thomas write rule would block the committed rows from
-        // overwriting them on retry. Keeping the marker makes the retried
-        // `recover_node` revert the target again, discarding anything this
-        // aborted copy resurrected before re-copying.
-        if let Some(committed) = self.failed_at_committed_epoch.get(node).copied().flatten() {
-            target_db.revert_to_epoch(committed);
-        }
-        drop(target.endpoint.drain());
+        };
         let partition = target_db
             .held_partitions()
             .into_iter()
             .next()
             .ok_or_else(|| Error::Config(format!("node {node} holds no partitions")))?;
-        // `can_recover` held a moment ago, but recovery must never be a
-        // crash site: a vanished source is a typed error, not a panic.
-        let source = (0..self.cluster.config().num_nodes)
-            .find(|&n| n != node && !self.is_failed(n) && self.node_holds(n, partition))
-            .ok_or_else(|| {
-                Error::Config(format!(
-                    "node {node}: healthy source for partition {partition} vanished mid-recovery"
-                ))
-            })?;
-        let mut copied = 0usize;
-        let Some(source_db) = self.cluster.node(source).map(|n| &n.db) else {
-            return Err(Error::Config(format!("no such node {source}")));
-        };
-        source_db.for_each_record(|table, p, key, rec| {
-            if p != partition {
-                return;
-            }
-            let read = rec.read();
-            if target_db.apply_value_write(table, p, key, read.row, read.tid).unwrap_or(false) {
-                copied += 1;
-            }
-        });
+        let (source, records_copied) = self.recover_partition(node, &target_db, partition)?;
         match fault {
             RecoveryFault::SourceCrash => self.cluster.network().fail_node(source),
             RecoveryFault::TargetCrash => {}
             RecoveryFault::LinkCut => self.cluster.network().cut_link(source, node),
         }
-        Ok(InterruptedRecovery { source, records_copied: copied })
+        Ok(InterruptedRecovery { source, records_copied })
     }
 
     /// Checks that every pair of healthy replicas agrees on the contents of
@@ -1696,10 +1408,11 @@ mod tests {
     #[test]
     fn effective_primary_fails_over_to_a_holder() {
         let mut engine = StarEngine::new(small_config(), workload(0.1)).unwrap();
-        assert_eq!(engine.effective_primary(1), Some(1));
+        let primary = |e: &StarEngine| e.cluster().config().effective_primary(e.failure_flags(), 1);
+        assert_eq!(primary(&engine), Some(1));
         engine.inject_failure(1);
         engine.run_iteration();
-        let fallback = engine.effective_primary(1).unwrap();
+        let fallback = primary(&engine).unwrap();
         assert_ne!(fallback, 1);
         assert!(engine.cluster().config().node_stores_partition(fallback, 1));
     }
@@ -1798,15 +1511,6 @@ mod tests {
             history.fingerprint()
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn immediate_drain_mode_restores_unpipelined_fences() {
-        let mut engine = StarEngine::new(small_config(), workload(0.3)).unwrap();
-        engine.set_drain_mode(DrainMode::Immediate);
-        engine.run_iteration_stepped(8, 4);
-        assert!(engine.pending_drains().is_empty(), "immediate mode drains at the fence");
-        engine.verify_replica_consistency().unwrap();
     }
 
     #[test]

@@ -6,8 +6,88 @@
 //! that classification and the engine uses it to decide whether it can keep
 //! running the phase-switching algorithm, must fall back to distributed
 //! concurrency control, or must stop and recover from disk.
+//!
+//! The two decisions every replication fence takes once the failure picture
+//! is current also live here, shared by the simulated engine's fence, the
+//! `star-serverd` node's fence and the wire-chaos supervisor's mirror: who is
+//! master now ([`hold_election`]) and which in-flight replication survives
+//! ([`fence_survivors`]).
 
-use star_common::ClusterConfig;
+use crate::messages::ReplicationBatch;
+use star_common::{ClusterConfig, Epoch, NodeId};
+use star_replication::EncodedEntry;
+use star_storage::Database;
+
+/// One master (re-)election, recorded at the fence that held it.
+///
+/// Elections are deterministic: the winner is always
+/// [`ClusterConfig::elected_master`] (the lowest-id healthy full replica, or
+/// `None` when no full replica survives — Case 2/4), and they only happen at
+/// replication fences, where failure detection has just run. Identical seed
+/// ⇒ identical election log, which is what lets the chaos harness assert a
+/// *deterministic* new master after a coordinator crash.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MasterElection {
+    /// The epoch whose fence held the election (0 for the initial
+    /// appointment at construction).
+    pub epoch: Epoch,
+    /// The elected master, or `None` if no healthy full replica remained.
+    pub master: Option<NodeId>,
+    /// Monotonically increasing election generation (0 = initial
+    /// appointment); bumps exactly when the elected master changes.
+    pub generation: u64,
+}
+
+impl MasterElection {
+    /// The election log of a freshly started, fully healthy cluster: the
+    /// initial appointment alone.
+    pub fn initial_log(config: &ClusterConfig) -> Vec<MasterElection> {
+        let master = config.elected_master(&vec![false; config.num_nodes]);
+        vec![MasterElection { epoch: 0, master, generation: 0 }]
+    }
+}
+
+/// Holds the election of `epoch`'s fence over the election `log`, now that
+/// `failed` is current: a crashed coordinator is replaced by the next healthy
+/// full replica, and a recovered lower-id full replica takes the role back.
+/// A new entry — one generation up — is appended only when the winner
+/// differs from the last entry's.
+pub fn hold_election(
+    log: &mut Vec<MasterElection>,
+    config: &ClusterConfig,
+    failed: &[bool],
+    epoch: Epoch,
+) {
+    let winner = config.elected_master(failed);
+    let (master, generation) = log.last().map_or((None, 0), |e| (e.master, e.generation));
+    if log.is_empty() || winner != master {
+        log.push(MasterElection { epoch, master: winner, generation: generation + 1 });
+    }
+}
+
+/// The fence's survivor rule: of the replication `batches` queued at a node
+/// holding `db`, the entries the fence may apply. Dropped are batches from
+/// senders in `failed`; when the fence is `reverting` (it just detected a
+/// failure, so the whole in-flight epoch is being discarded — Figure 6),
+/// batches of epochs after `last_committed`, whose application would
+/// resurrect writes the primaries just reverted; and entries of partitions
+/// the replica does not hold.
+pub fn fence_survivors<'a>(
+    batches: impl IntoIterator<Item = ReplicationBatch> + 'a,
+    db: &'a Database,
+    failed: &'a [bool],
+    reverting: bool,
+    last_committed: Epoch,
+) -> impl Iterator<Item = EncodedEntry> + 'a {
+    batches
+        .into_iter()
+        .filter(move |batch| {
+            failed.get(batch.from_node) == Some(&false)
+                && !(reverting && batch.epoch > last_committed)
+        })
+        .flat_map(|batch| batch.entries)
+        .filter(|entry| db.holds(entry.partition()))
+}
 
 /// Error returned by [`FailureCase::classify`] when the failure vector does
 /// not describe the configured cluster.
@@ -307,5 +387,82 @@ mod tests {
         assert!(err.to_string().contains("3 entries"));
         let err = FailureCase::classify(&c, &[false; 5]).unwrap_err();
         assert_eq!(err.got, 5);
+    }
+
+    #[test]
+    fn routing_recovery_and_election_rules_hold_under_every_failure_vector() {
+        // The chaos harness's canonical cluster (4 nodes, one full replica,
+        // factor 3) and its re-election cluster (5 nodes, two full
+        // replicas, factor 4), under all 2^n failure vectors.
+        let shape = |nodes, full, factor| {
+            ClusterConfig::builder()
+                .nodes(nodes)
+                .full_replicas(full)
+                .workers_per_node(1)
+                .partitions(4)
+                .replication_factor(factor)
+                .build()
+                .unwrap()
+        };
+        for c in [shape(4, 1, 3), shape(5, 2, 4)] {
+            for mask in 0u32..(1 << c.num_nodes) {
+                let failed: Vec<bool> = (0..c.num_nodes).map(|n| mask & (1 << n) != 0).collect();
+                let healthy_holder =
+                    |n: usize, p: usize| !failed[n] && c.node_stores_partition(n, p);
+                for p in 0..c.partitions {
+                    let primary = c.effective_primary(&failed, p);
+                    let any_holder = (0..c.num_nodes).any(|n| healthy_holder(n, p));
+                    assert_eq!(primary.is_some(), any_holder, "mask {mask:b} p{p}");
+                    if let Some(primary) = primary {
+                        assert!(healthy_holder(primary, p), "mask {mask:b} p{p}");
+                        if !failed[c.partition_primary(p)] {
+                            assert_eq!(primary, c.partition_primary(p), "mask {mask:b} p{p}");
+                        }
+                    }
+                    for node in 0..c.num_nodes {
+                        let lowest_other =
+                            (0..c.num_nodes).find(|&n| n != node && healthy_holder(n, p));
+                        assert_eq!(c.recovery_source(&failed, node, p), lowest_other);
+                    }
+                }
+                let full_remains = matches!(
+                    FailureCase::classify(&c, &failed).unwrap(),
+                    FailureCase::NoFailure
+                        | FailureCase::FullAndPartialRemain
+                        | FailureCase::OnlyFullRemains
+                );
+                assert_eq!(c.elected_master(&failed).is_some(), full_remains, "mask {mask:b}");
+            }
+        }
+    }
+
+    #[test]
+    fn fence_survivors_drop_failed_senders_reverted_epochs_and_unheld_partitions() {
+        use star_common::row::row;
+        use star_common::{FieldValue, Tid};
+        use star_replication::{LogEntry, Payload};
+        use star_storage::{DatabaseBuilder, TableSpec};
+
+        let db = DatabaseBuilder::new(2).table(TableSpec::new("t")).holding(vec![0]).build();
+        let batch = |from_node, epoch, partition| {
+            let entry = LogEntry {
+                table: 0,
+                partition,
+                key: 1,
+                tid: Tid::new(epoch, 1),
+                payload: Payload::Value(row([FieldValue::U64(0)])),
+            };
+            ReplicationBatch::from_entries(from_node, epoch, vec![entry])
+        };
+        // Sender 1 is failed; epoch 3 is in flight (2 committed last).
+        let failed = [false, true, false];
+        let queued = || vec![batch(0, 2, 0), batch(1, 2, 0), batch(2, 3, 0), batch(2, 2, 1)];
+        let survivors = |reverting| -> Vec<(Epoch, usize)> {
+            fence_survivors(queued(), &db, &failed, reverting, 2)
+                .map(|e| (e.tid().epoch(), e.partition()))
+                .collect()
+        };
+        assert_eq!(survivors(false), vec![(2, 0), (3, 0)]);
+        assert_eq!(survivors(true), vec![(2, 0)]);
     }
 }

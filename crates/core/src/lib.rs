@@ -18,11 +18,13 @@
 //! * [`engine`] — the phase-switching execution loop itself: partitioned
 //!   phase, replication fence, single-master phase, replication fence,
 //!   epoch advancement, statistics.
-//! * [`exec`] — the per-transaction execution paths shared by the in-process
-//!   engine and the TCP deployment (`star-serverd`), parameterized over the
-//!   [`star_net::Transport`] seam.
+//! * [`exec`] — the phase workers shared by the in-process engine (timed and
+//!   stepped) and the TCP deployment (`star-serverd`): one loop over a
+//!   borrowed [`exec::NodeCtx`] until a [`exec::PhaseBudget`] is spent,
+//!   parameterized over the [`star_net::Transport`] seam.
 //! * [`failure`] — failure-scenario classification (the four recovery cases
-//!   of Section 4.5.3), epoch revert and node recovery.
+//!   of Section 4.5.3) and the two fence-time rules every deployment shares:
+//!   the master election and which in-flight replication survives.
 //! * [`history`] — optional committed-history recording (epoch-buffered, so
 //!   reverted epochs vanish exactly as their effects do); the `star-chaos`
 //!   serializability checker consumes these histories.
@@ -47,9 +49,9 @@ pub mod testing;
 pub mod workload;
 
 pub use cluster::StarCluster;
-pub use engine::{InterruptedRecovery, MasterElection, RecoveryFault, StarEngine, SyncReplication};
+pub use engine::{InterruptedRecovery, RecoveryFault, StarEngine, SyncReplication};
 pub use engine_api::Engine;
-pub use failure::{FailureCase, FailureVectorMismatch};
+pub use failure::{FailureCase, FailureVectorMismatch, MasterElection};
 pub use history::{CommittedTxn, HistoryRecorder, RecordedRead, RecordedWrite};
 pub use model::AnalyticalModel;
 pub use phase::PhasePlan;

@@ -1,4 +1,5 @@
-//! Blocking frame I/O over any byte stream.
+//! Blocking frame I/O over any byte stream, and the one client-side
+//! connection built on it.
 //!
 //! `star-serverd` and `star-client` both speak frames over [`TcpStream`]s;
 //! this module is the one place that turns a byte stream into messages. The
@@ -6,11 +7,129 @@
 //! as a read size, and every decode failure surfaces as a typed
 //! [`DecodeError`] wrapped in [`io::ErrorKind::InvalidData`].
 //!
-//! [`TcpStream`]: std::net::TcpStream
+//! [`Conn`] is how anything *dials* a node — the `Run` coordinator, the
+//! wire-chaos supervisor, `star-client`, `star-admin`, the parity tests —
+//! and [`connect_with_retry`] is the only place a socket is opened (the
+//! replication mesh dials through it too), so the boot-friendly retry
+//! policy and the request timeout exist once.
 
 use crate::frame::{decode_frame_header, FRAME_HEADER_LEN};
-use crate::message::WireMessage;
+use crate::message::{Request, Response, Role, WireMessage};
 use std::io::{self, Read, Write};
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
+
+/// How long [`Conn::connect`] keeps retrying while the target node boots
+/// (long enough to cover a supervisor restarting the process).
+pub const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Pause between two connect attempts.
+const CONNECT_RETRY_INTERVAL: Duration = Duration::from_millis(10);
+
+/// How long one response may take. Fences legitimately wait for in-flight
+/// replication, so this is generous.
+const REQUEST_TIMEOUT: Duration = Duration::from_secs(120);
+
+/// Dials `addr`, retrying every 10 ms until `timeout` has passed: a node
+/// that is still booting, or being restarted, is not listening yet. Returns
+/// the last connect error once the deadline is reached. The stream comes
+/// back with `TCP_NODELAY` set.
+pub fn connect_with_retry(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
+    let deadline = Instant::now() + timeout;
+    loop {
+        match TcpStream::connect(addr) {
+            Ok(stream) => {
+                stream.set_nodelay(true)?;
+                return Ok(stream);
+            }
+            Err(e) if Instant::now() >= deadline => return Err(e),
+            Err(_) => std::thread::sleep(CONNECT_RETRY_INTERVAL),
+        }
+    }
+}
+
+fn unexpected(expected: &str, got: &WireMessage) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, format!("expected {expected}, got {got:?}"))
+}
+
+/// One handshaken request/response connection to one node.
+///
+/// Requests carry correlation ids, so many can be written before any
+/// response is read: [`pipeline`](Self::pipeline) ships a whole batch in one
+/// write burst and then collects the responses.
+#[derive(Debug)]
+pub struct Conn {
+    stream: TcpStream,
+    next_id: u64,
+    node: u32,
+    num_nodes: u32,
+}
+
+impl Conn {
+    /// Connects to `addr` (see [`connect_with_retry`], [`CONNECT_TIMEOUT`])
+    /// and performs the `Hello`/`HelloAck` handshake as `role`; `from_node`
+    /// is the dialling node's id (0 for clients and tools, which have none).
+    pub fn connect(addr: &str, role: Role, from_node: u32) -> io::Result<Conn> {
+        let mut stream = connect_with_retry(addr, CONNECT_TIMEOUT)?;
+        stream.set_read_timeout(Some(REQUEST_TIMEOUT))?;
+        write_message(&mut stream, &WireMessage::Hello { role, node: from_node })?;
+        stream.flush()?;
+        match read_message(&mut stream)? {
+            WireMessage::HelloAck { node, num_nodes } => {
+                Ok(Conn { stream, next_id: 0, node, num_nodes })
+            }
+            other => Err(unexpected("HelloAck", &other)),
+        }
+    }
+
+    /// The node id the server reported in its `HelloAck`.
+    pub fn node(&self) -> u32 {
+        self.node
+    }
+
+    /// The cluster size the server reported in its `HelloAck`.
+    pub fn num_nodes(&self) -> u32 {
+        self.num_nodes
+    }
+
+    /// Sends one request and blocks for its response.
+    pub fn request(&mut self, body: Request) -> io::Result<Response> {
+        let mut responses = self.pipeline(vec![body])?;
+        responses.pop().ok_or_else(|| io::ErrorKind::UnexpectedEof.into())
+    }
+
+    /// Pipelines a batch: writes every request back-to-back in one burst,
+    /// flushes once, then reads until every response has arrived. Responses
+    /// are returned in request order regardless of arrival order. A response
+    /// whose id this batch did not issue (the late answer to a request an
+    /// earlier caller gave up on) is skipped; any other frame kind is
+    /// [`io::ErrorKind::InvalidData`].
+    pub fn pipeline(&mut self, bodies: Vec<Request>) -> io::Result<Vec<Response>> {
+        let first_id = self.next_id + 1;
+        let mut responses: Vec<Option<Response>> = Vec::with_capacity(bodies.len());
+        for body in bodies {
+            self.next_id += 1;
+            write_message(&mut self.stream, &WireMessage::Request { id: self.next_id, body })?;
+            responses.push(None);
+        }
+        self.stream.flush()?;
+        let mut missing = responses.len();
+        while missing > 0 {
+            match read_message(&mut self.stream)? {
+                WireMessage::Response { id, body } => {
+                    let slot = id.checked_sub(first_id).and_then(|i| responses.get_mut(i as usize));
+                    if let Some(slot) = slot {
+                        if slot.replace(body).is_none() {
+                            missing -= 1;
+                        }
+                    }
+                }
+                other => return Err(unexpected("Response", &other)),
+            }
+        }
+        Ok(responses.into_iter().flatten().collect())
+    }
+}
 
 /// Writes one complete frame to `writer` (no implicit flush; callers batch
 /// pipelined frames and flush once).
@@ -38,7 +157,7 @@ pub fn read_message<R: Read>(reader: &mut R) -> io::Result<WireMessage> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{Request, WireMessage};
+    use std::net::TcpListener;
 
     #[test]
     fn messages_round_trip_through_a_stream() {
@@ -68,5 +187,62 @@ mod tests {
         let mut cursor = raw.as_slice();
         let err = read_message(&mut cursor).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// A one-connection fake node: acknowledges the handshake, then answers
+    /// each request it reads with the next scripted burst of frames.
+    fn scripted_node(script: Vec<Vec<WireMessage>>) -> (String, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let handle = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let hello = read_message(&mut stream).unwrap();
+            assert_eq!(hello, WireMessage::Hello { role: Role::Coordinator, node: 2 });
+            write_message(&mut stream, &WireMessage::HelloAck { node: 1, num_nodes: 3 }).unwrap();
+            for burst in script {
+                read_message(&mut stream).unwrap();
+                for frame in burst {
+                    write_message(&mut stream, &frame).unwrap();
+                }
+            }
+        });
+        (addr, handle)
+    }
+
+    #[test]
+    fn conn_orders_pipelined_responses_skips_stale_ones_and_rejects_other_frames() {
+        let response = |id, body| WireMessage::Response { id, body };
+        let (addr, node) = scripted_node(vec![
+            // A stale id first, then the real answer.
+            vec![response(77, Response::Ok), response(1, Response::Pong)],
+            // A pipelined pair, answered after the second request and out
+            // of order.
+            vec![],
+            vec![response(3, Response::Ok), response(2, Response::Pong)],
+            // A frame a server must never send on a request connection.
+            vec![WireMessage::HelloAck { node: 1, num_nodes: 3 }],
+        ]);
+        let mut conn = Conn::connect(&addr, Role::Coordinator, 2).unwrap();
+        assert_eq!((conn.node(), conn.num_nodes()), (1, 3));
+        assert_eq!(conn.request(Request::Ping).unwrap(), Response::Pong);
+        let responses = conn.pipeline(vec![Request::Ping, Request::Shutdown]).unwrap();
+        assert_eq!(responses, vec![Response::Pong, Response::Ok]);
+        let err = conn.request(Request::Ping).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        node.join().unwrap();
+    }
+
+    #[test]
+    fn connect_gives_up_at_its_deadline() {
+        // Bind-then-drop reserves an address nobody is listening on.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        drop(listener);
+        let timeout = Duration::from_millis(100);
+        let started = Instant::now();
+        assert!(connect_with_retry(&addr, timeout).is_err());
+        let waited = started.elapsed();
+        assert!(waited >= timeout, "gave up after {waited:?}, before the deadline");
+        assert!(waited < CONNECT_TIMEOUT, "kept retrying past the deadline: {waited:?}");
     }
 }

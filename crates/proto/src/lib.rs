@@ -32,7 +32,7 @@ pub use frame::{
     decode_frame_header, encode_frame_header, FrameHeader, FRAME_HEADER_LEN, FRAME_MAGIC,
     MAX_BODY_LEN, PROTOCOL_VERSION,
 };
-pub use io::{read_message, write_message};
+pub use io::{connect_with_retry, read_message, write_message, Conn, CONNECT_TIMEOUT};
 pub use message::{
     decode_entries, encode_elections, encode_entries, encode_history, replication_frame,
     replication_frame_encoded, AdminQuery, Request, Response, Role, WireElection, WireMessage,

@@ -18,8 +18,8 @@ use crate::error::DecodeError;
 use crate::frame::{decode_frame_header, encode_frame_header, FRAME_HEADER_LEN};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use star_common::{Epoch, NodeId, Row, Tid};
-use star_core::engine::MasterElection;
 use star_core::history::{CommittedTxn, RecordedRead, RecordedWrite};
+use star_core::MasterElection;
 use star_replication::{decode_row, encode_row, ExecutionPhase, LogEntry};
 
 // ---------------------------------------------------------------------------

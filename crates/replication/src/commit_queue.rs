@@ -16,18 +16,16 @@
 //! still tracked per *epoch*: an epoch counts as drained only when every one
 //! of its jobs has finished and every earlier epoch has drained too.
 //!
-//! Three modes cover the three callers:
+//! Two modes cover the two callers:
 //!
 //! * [`DrainMode::Background`] — the worker pool drains jobs as they are
-//!   submitted; the timed benchmark path uses this to overlap the drain with
-//!   the next phase's execution.
+//!   submitted; the timed path (`StarEngine::run_for`) uses this to overlap
+//!   the drain with the next phase's execution.
 //! * [`DrainMode::Deferred`] — jobs queue until the caller pumps them, in
 //!   FIFO order on the calling thread. The stepped drivers and the chaos
 //!   harness use this: the drain of epoch `N` deterministically completes at
 //!   the *next* fence (or at a quiesce), so replays are bit-identical while
 //!   still exercising the pipelined ordering.
-//! * [`DrainMode::Immediate`] — submit executes inline; the pre-pipelining
-//!   behaviour, kept for A/B comparison.
 //!
 //! The queue uses `std::sync` primitives because the drain workers must
 //! sleep on a condition variable, which the vendored `parking_lot` stub does
@@ -45,8 +43,6 @@ use std::time::Instant;
 /// How a [`CommitQueue`] executes submitted drains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DrainMode {
-    /// Run each drain inline at submission (no pipelining).
-    Immediate,
     /// Queue drains; the caller pumps them at deterministic points.
     Deferred,
     /// A pool of background worker threads drains jobs as they arrive.
@@ -237,11 +233,6 @@ impl CommitQueue {
         CommitQueue { shared, counters, mode, workers }
     }
 
-    /// The queue's drain mode.
-    pub fn mode(&self) -> DrainMode {
-        self.mode
-    }
-
     /// Switches the execution mode. Pending jobs are pumped first so no job
     /// ever straddles two modes.
     pub fn set_mode(&mut self, mode: DrainMode) {
@@ -276,31 +267,18 @@ impl CommitQueue {
         }
     }
 
-    /// Submits a drain. In [`DrainMode::Immediate`] it runs before this
-    /// returns; otherwise its jobs run on the pool (Background) or at the
-    /// next pump (Deferred).
+    /// Submits a drain: its jobs run on the pool (Background) or at the next
+    /// pump (Deferred).
     pub fn submit(&self, drain: EpochDrain) {
         let epoch = drain.epoch;
         let jobs = drain.into_jobs();
-        match self.mode {
-            DrainMode::Immediate => {
-                for job in jobs {
-                    job.run(&self.counters);
-                }
-                let mut state = self.shared.state.lock().expect("commit queue poisoned");
-                state.submitted = state.submitted.max(epoch);
-                state.completed = state.completed.max(epoch);
-            }
-            DrainMode::Deferred | DrainMode::Background => {
-                let mut state = self.shared.state.lock().expect("commit queue poisoned");
-                state.submitted = state.submitted.max(epoch);
-                state.remaining.insert(epoch, jobs.len());
-                state.jobs.extend(jobs);
-                state.advance_watermark();
-                drop(state);
-                self.shared.cond.notify_all();
-            }
-        }
+        let mut state = self.shared.state.lock().expect("commit queue poisoned");
+        state.submitted = state.submitted.max(epoch);
+        state.remaining.insert(epoch, jobs.len());
+        state.jobs.extend(jobs);
+        state.advance_watermark();
+        drop(state);
+        self.shared.cond.notify_all();
     }
 
     /// Runs every queued drain on the calling thread (Deferred mode). In
@@ -308,7 +286,6 @@ impl CommitQueue {
     /// same: on return, everything submitted so far has completed.
     pub fn quiesce(&self) {
         match self.mode {
-            DrainMode::Immediate => {}
             DrainMode::Deferred => self.pump_all(),
             DrainMode::Background => {
                 let submitted = self.shared.state.lock().expect("commit queue poisoned").submitted;
@@ -320,7 +297,6 @@ impl CommitQueue {
     /// Ensures the drain of `epoch` (and everything before it) has completed.
     pub fn wait_for(&self, epoch: Epoch) {
         match self.mode {
-            DrainMode::Immediate => {}
             DrainMode::Deferred => {
                 loop {
                     let job = {
@@ -446,16 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn immediate_mode_runs_at_submit() {
-        let counters = Arc::new(RunCounters::new());
-        let queue = CommitQueue::new(DrainMode::Immediate, Arc::clone(&counters));
-        let db = replica();
-        queue.submit(drain_writing(1, &db, 7));
-        assert_eq!(value_of(&db), 7);
-        assert!(queue.pending_epochs().is_empty());
-    }
-
-    #[test]
     fn deferred_mode_holds_work_until_pumped() {
         let counters = Arc::new(RunCounters::new());
         let queue = CommitQueue::new(DrainMode::Deferred, Arc::clone(&counters));
@@ -561,6 +527,6 @@ mod tests {
         queue.submit(drain_writing(1, &db, 5));
         queue.set_mode(DrainMode::Background);
         assert_eq!(value_of(&db), 5);
-        assert_eq!(queue.mode(), DrainMode::Background);
+        assert_eq!(queue.mode, DrainMode::Background);
     }
 }

@@ -17,65 +17,9 @@
 //! Two fences per iteration, always — including when the single-master
 //! phase is empty — so epoch numbers stay aligned with the simulation twin.
 
-use crate::node::{NodeInner, CONNECT_TIMEOUT};
-use star_proto::{read_message, write_message, Request, Response, Role, WireMessage, WirePhase};
-use std::io::{self, Write};
-use std::net::TcpStream;
+use crate::node::NodeInner;
+use star_proto::{Conn, Request, Response, Role, WirePhase};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
-
-/// A synchronous control connection to one node.
-pub(crate) struct CtrlConn {
-    stream: TcpStream,
-    next_id: u64,
-}
-
-impl CtrlConn {
-    /// Connects and handshakes, retrying while the peer boots.
-    pub(crate) fn connect(addr: &str, from_node: usize) -> io::Result<CtrlConn> {
-        let deadline = Instant::now() + CONNECT_TIMEOUT;
-        let stream = loop {
-            match TcpStream::connect(addr) {
-                Ok(stream) => break stream,
-                Err(e) if Instant::now() >= deadline => return Err(e),
-                Err(_) => std::thread::sleep(Duration::from_millis(10)),
-            }
-        };
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(Duration::from_secs(120)))?;
-        let mut conn = CtrlConn { stream, next_id: 0 };
-        let hello = WireMessage::Hello { role: Role::Coordinator, node: from_node as u32 };
-        write_message(&mut conn.stream, &hello)?;
-        conn.stream.flush()?;
-        match read_message(&mut conn.stream)? {
-            WireMessage::HelloAck { .. } => Ok(conn),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("expected HelloAck, got {other:?}"),
-            )),
-        }
-    }
-
-    /// Sends one request and blocks for its response.
-    pub(crate) fn request(&mut self, body: Request) -> io::Result<Response> {
-        self.next_id += 1;
-        let id = self.next_id;
-        write_message(&mut self.stream, &WireMessage::Request { id, body })?;
-        self.stream.flush()?;
-        loop {
-            match read_message(&mut self.stream)? {
-                WireMessage::Response { id: got, body } if got == id => return Ok(body),
-                WireMessage::Response { .. } => continue,
-                other => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("expected Response, got {other:?}"),
-                    ))
-                }
-            }
-        }
-    }
-}
 
 /// One node's answer to a phase: committed count and cumulative sent counts.
 fn expect_phase_done(response: Response) -> Result<(u64, Vec<u64>), String> {
@@ -96,11 +40,11 @@ pub(crate) fn run_cluster(
 ) -> Result<(u64, u32), String> {
     let num_nodes = inner.config.num_nodes;
     let master = inner.config.master_node();
-    let conns: Vec<Mutex<CtrlConn>> = inner
+    let conns: Vec<Mutex<Conn>> = inner
         .addrs
         .iter()
         .map(|addr| {
-            CtrlConn::connect(addr, inner.node)
+            Conn::connect(addr, Role::Coordinator, inner.node as u32)
                 .map(Mutex::new)
                 .map_err(|e| format!("coordinator cannot reach {addr}: {e}"))
         })
@@ -166,7 +110,7 @@ pub(crate) fn run_cluster(
     Ok((committed_total, epochs_closed))
 }
 
-fn conn_request(conn: &Mutex<CtrlConn>, body: Request) -> Result<Response, String> {
+fn conn_request(conn: &Mutex<Conn>, body: Request) -> Result<Response, String> {
     let mut conn_guard = conn.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     conn_guard.request(body).map_err(|e| format!("control request failed: {e}"))
 }
@@ -174,7 +118,7 @@ fn conn_request(conn: &Mutex<CtrlConn>, body: Request) -> Result<Response, Strin
 /// Sends one request to every node in parallel and collects the responses in
 /// node order.
 fn broadcast(
-    conns: &[Mutex<CtrlConn>],
+    conns: &[Mutex<Conn>],
     make_request: impl Fn(usize) -> Request + Sync,
 ) -> Result<Vec<Response>, String> {
     let results: Vec<Result<Response, String>> = std::thread::scope(|scope| {
@@ -198,7 +142,7 @@ fn broadcast(
 
 /// Fences every node for `epoch`: receiver `r` waits for `last_sent[s][r]`
 /// batches from each sender `s`.
-fn fence_all(conns: &[Mutex<CtrlConn>], last_sent: &[Vec<u64>], epoch: u32) -> Result<(), String> {
+fn fence_all(conns: &[Mutex<Conn>], last_sent: &[Vec<u64>], epoch: u32) -> Result<(), String> {
     let responses = broadcast(conns, |receiver| Request::Fence {
         epoch,
         expected: last_sent.iter().map(|sent_by_s| sent_by_s[receiver]).collect(),

@@ -4,10 +4,10 @@
 //! shared bootstrap file ([`bootstrap`]). Nodes replicate committed writes
 //! to each other over a TCP mesh ([`transport`]) that implements the same
 //! [`Transport`](star_net::Transport) seam as the deterministic in-memory
-//! endpoint; the per-transaction execution paths are shared with the
-//! simulated engine (`star_core::exec`), so the deployment and the
-//! simulation can only diverge in the transport — which the transport-parity
-//! harness (`tests/parity.rs`) checks by asserting byte-identical committed
+//! endpoint; the phase workers are shared with the simulated engine
+//! (`star_core::exec`), so the deployment and the simulation can only
+//! diverge in the transport — which the transport-parity harness
+//! (`tests/parity.rs`) checks by asserting byte-identical committed
 //! histories, election logs and replica digests between the two.
 //!
 //! The node that receives a client's `Run` request acts as the coordinator

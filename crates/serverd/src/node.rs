@@ -1,9 +1,10 @@
 //! One node of the TCP deployment.
 //!
 //! A [`NodeServer`] is the wire-facing shell around exactly the machinery the
-//! simulated engine uses: the same [`Database`] replica layout, the same
-//! seeded worker states, the same per-transaction execution paths from
-//! `star_core::exec`. The only thing TCP-specific is the shell itself — a
+//! simulated engine uses: the same [`Database`] replica layout
+//! (`star_core::cluster::build_replica`), the same seeded worker states and
+//! phase workers (`star_core::exec`), the same routing, election and fence
+//! survivor rules. The only thing TCP-specific is the shell itself — a
 //! listener, one thread per connection, an inbox of replication batches and
 //! the fence barrier that drains it.
 //!
@@ -49,9 +50,12 @@ use bytes::{BufMut, BytesMut};
 use star_common::stats::RunCounters;
 use star_common::Tid;
 use star_common::{ClusterConfig, Epoch, NodeId, PartitionId, Result};
+use star_core::cluster::build_replica;
 use star_core::exec::{
-    run_one_master_txn, run_one_partitioned_txn, MasterWorkerState, PartitionWorkerState,
+    run_master_worker, run_partition_worker, MasterWorkerState, NodeCtx, PartitionWorkerState,
+    PhaseBudget,
 };
+use star_core::failure::{fence_survivors, hold_election};
 use star_core::history::HistoryRecorder;
 use star_core::messages::ReplicationBatch;
 use star_core::workload::Workload;
@@ -61,16 +65,13 @@ use star_proto::{
     WirePhase, WireRecord, WireStatus, WireTxn,
 };
 use star_replication::encode_row;
-use star_storage::{Database, DatabaseBuilder};
+use star_storage::Database;
 use std::collections::BTreeMap;
 use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// How long a peer connection keeps retrying while the target node boots.
-pub const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// How long a fence waits for in-flight replication before giving up.
 const FENCE_TIMEOUT: Duration = Duration::from_secs(60);
@@ -124,30 +125,6 @@ impl std::fmt::Debug for NodeServer {
             .field("addr", &self.addr)
             .finish()
     }
-}
-
-/// Builds node `id`'s database replica exactly as the simulated cluster
-/// does: full replicas hold everything, partial replicas hold the partitions
-/// they are primary or secondary for, and every held partition is loaded
-/// from the workload's deterministic initial state.
-fn build_replica(config: &ClusterConfig, workload: &dyn Workload, id: NodeId) -> Arc<Database> {
-    let mut builder = DatabaseBuilder::new(config.partitions);
-    for spec in workload.catalog() {
-        builder = builder.table(spec);
-    }
-    if !config.is_full_replica(id) {
-        let held: Vec<PartitionId> = (0..config.partitions)
-            .filter(|p| {
-                config.partition_primary(*p) == id || config.partition_secondary(*p) == Some(id)
-            })
-            .collect();
-        builder = builder.holding(held);
-    }
-    let db = Arc::new(builder.build());
-    for p in db.held_partitions() {
-        workload.load_partition(&db, p);
-    }
-    db
 }
 
 /// A commutative digest of a replica: per-record FNV-1a over the canonical
@@ -212,7 +189,6 @@ impl NodeServer {
     ) -> Result<NodeServer> {
         config.validate().map_err(star_common::Error::Config)?;
         let db = build_replica(&config, workload.as_ref(), id);
-        let initial_master = (config.full_replicas > 0).then(|| config.master_node());
         let fallback_addr = addrs.get(id).cloned().unwrap_or_default();
         let inner = Arc::new(NodeInner {
             node: id,
@@ -236,11 +212,7 @@ impl NodeServer {
             }),
             inbox: Mutex::new(Vec::new()),
             recv_counts: (0..config.num_nodes).map(|_| AtomicU64::new(0)).collect(),
-            elections: Mutex::new(vec![MasterElection {
-                epoch: 0,
-                master: initial_master,
-                generation: 0,
-            }]),
+            elections: Mutex::new(MasterElection::initial_log(&config)),
             shutdown: AtomicBool::new(false),
         });
         let addr = listener.local_addr().map(|a| a.to_string()).unwrap_or(fallback_addr);
@@ -448,21 +420,6 @@ fn failed_flags(num_nodes: usize, failed_ids: &[u32]) -> Vec<bool> {
     flags
 }
 
-/// The engine's failover routing: the configured primary while it is
-/// healthy, otherwise the lowest-id healthy replica holding the partition.
-fn effective_primary(
-    config: &ClusterConfig,
-    failed: &[bool],
-    partition: PartitionId,
-) -> Option<NodeId> {
-    let primary = config.partition_primary(partition);
-    if failed.get(primary) == Some(&false) {
-        return Some(primary);
-    }
-    (0..config.num_nodes)
-        .find(|&n| failed.get(n) == Some(&false) && config.node_stores_partition(n, partition))
-}
-
 fn handle_run_phase(
     inner: &NodeInner,
     phase: WirePhase,
@@ -490,6 +447,24 @@ fn handle_run_phase(
     Response::PhaseDone { committed, sent: inner.mesh.sent_counts() }
 }
 
+impl NodeInner {
+    /// What this node lends its phase workers for `epoch`: the wire has no
+    /// WAL yet and always records history (parity and chaos read it back).
+    fn ctx(&self, epoch: Epoch) -> NodeCtx<'_> {
+        NodeCtx {
+            node: self.node,
+            config: &self.config,
+            db: &self.db,
+            transport: &self.mesh,
+            workload: self.workload.as_ref(),
+            counters: &self.counters,
+            wal: None,
+            history: Some(&self.history),
+            epoch,
+        }
+    }
+}
+
 /// The stepped partitioned phase, restricted to the partitions this node is
 /// the *effective* primary for — the union across healthy nodes is exactly
 /// the engine's stepped partitioned phase, partition by partition, same
@@ -505,46 +480,26 @@ fn run_partitioned(
     failed: &[bool],
 ) -> u64 {
     let config = &inner.config;
+    let ctx = inner.ctx(epoch);
     let EngineState { partition_workers, partition_attempts, .. } = engine_state;
     let mut committed = 0u64;
     for partition in 0..config.partitions {
-        if effective_primary(config, failed, partition) != Some(inner.node) {
+        if config.effective_primary(failed, partition) != Some(inner.node) {
             continue;
         }
-        let targets: Vec<NodeId> = (0..config.num_nodes)
-            .filter(|&n| {
-                n != inner.node && !failed[n] && config.node_stores_partition(n, partition)
-            })
-            .collect();
+        let targets = config.replica_targets(failed, inner.node, partition);
         let worker = partition_workers
             .entry(partition)
             .or_insert_with(|| PartitionWorkerState::new(config, partition));
         let attempts = partition_attempts.entry(partition).or_insert(0);
         if let Some(&baseline) = baselines.get(partition) {
             if *attempts < baseline {
-                worker.fast_forward(inner.workload.as_ref(), partition, baseline - *attempts);
+                worker.fast_forward(inner.workload.as_ref(), baseline - *attempts);
                 *attempts = baseline;
             }
         }
-        for _ in 0..txns {
-            if run_one_partitioned_txn(
-                partition,
-                inner.node,
-                &targets,
-                &inner.db,
-                &inner.mesh,
-                inner.workload.as_ref(),
-                &inner.counters,
-                None,
-                Some(&inner.history),
-                epoch,
-                config.replication_strategy,
-                worker,
-                None,
-            ) {
-                committed += 1;
-            }
-        }
+        committed +=
+            run_partition_worker(&ctx, &targets, worker, PhaseBudget::Count(txns)).committed;
         *attempts += txns;
     }
     committed
@@ -570,42 +525,20 @@ fn run_single_master(
         return 0;
     }
     let config = &inner.config;
+    let ctx = inner.ctx(epoch);
     let EngineState { master_workers, master_attempts, .. } = engine_state;
-    let healthy: Vec<NodeId> =
-        (0..config.num_nodes).filter(|&n| n != inner.node && !failed[n]).collect();
+    let healthy = config.healthy_peers(failed, inner.node);
     let mut committed = 0u64;
     for (worker_id, worker) in master_workers.iter_mut().enumerate() {
         let attempts = &mut master_attempts[worker_id];
         if let Some(&baseline) = baselines.get(worker_id) {
             if *attempts < baseline {
-                worker.fast_forward(
-                    inner.workload.as_ref(),
-                    worker_id,
-                    config.partitions,
-                    baseline - *attempts,
-                );
+                let behind = baseline - *attempts;
+                worker.fast_forward(inner.workload.as_ref(), config.partitions, behind);
                 *attempts = baseline;
             }
         }
-        for _ in 0..txns {
-            if run_one_master_txn(
-                worker_id,
-                inner.node,
-                &healthy,
-                config,
-                &inner.db,
-                &inner.mesh,
-                inner.workload.as_ref(),
-                &inner.counters,
-                None,
-                Some(&inner.history),
-                epoch,
-                worker,
-                None,
-            ) {
-                committed += 1;
-            }
-        }
+        committed += run_master_worker(&ctx, &healthy, worker, PhaseBudget::Count(txns)).committed;
         *attempts += txns;
     }
     committed
@@ -654,23 +587,10 @@ fn handle_fence(inner: &NodeInner, epoch: Epoch, expected: &[u64], failed_ids: &
     }
     engine_guard.failed = failed.clone();
 
-    // Deterministic master election: lowest-id healthy full replica wins; a
-    // new log entry appears only when the winner actually changes.
     {
-        let winner = (0..inner.config.full_replicas).find(|&n| !failed[n]);
         let mut elections_guard =
             inner.elections.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        let (last_master, last_generation) = match elections_guard.last() {
-            Some(e) => (e.master, e.generation),
-            None => (None, 0),
-        };
-        if winner != last_master {
-            elections_guard.push(MasterElection {
-                epoch,
-                master: winner,
-                generation: last_generation + 1,
-            });
-        }
+        hold_election(&mut elections_guard, &inner.config, &failed, epoch);
     }
 
     let batches = {
@@ -678,21 +598,11 @@ fn handle_fence(inner: &NodeInner, epoch: Epoch, expected: &[u64], failed_ids: &
         std::mem::take(&mut *inbox_guard)
     };
     let mut applied = 0u64;
-    for batch in batches {
-        // Skip traffic from failed senders, and — when reverting — anything
-        // shipped inside the epoch being discarded.
-        if failed[batch.from_node] {
-            continue;
-        }
-        if reverting && batch.epoch > engine_guard.last_committed {
-            continue;
-        }
-        for entry in batch.entries {
-            if inner.db.holds(entry.partition()) {
-                let _ = entry.apply(&inner.db);
-                applied += 1;
-            }
-        }
+    for entry in
+        fence_survivors(batches, &inner.db, &failed, reverting, engine_guard.last_committed)
+    {
+        let _ = entry.apply(&inner.db);
+        applied += 1;
     }
     inner.history.finalize_epoch(epoch, !reverting);
     // The engine advances `last_committed` even past a reverted epoch — the
@@ -846,7 +756,7 @@ fn handle_admin(inner: &NodeInner, query: AdminQuery) -> Response {
 mod tests {
     use super::*;
     use crate::bootstrap::Bootstrap;
-    use star_proto::{read_message, Role};
+    use star_proto::{Conn, Role};
 
     fn test_bootstrap(nodes: usize) -> (Vec<TcpListener>, Bootstrap) {
         let listeners: Vec<TcpListener> =
@@ -862,45 +772,29 @@ mod tests {
         (listeners, Bootstrap::parse(&text).expect("bootstrap parses"))
     }
 
-    fn request(stream: &mut TcpStream, id: u64, body: Request) -> Response {
-        write_message(stream, &WireMessage::Request { id, body }).expect("write");
-        match read_message(stream).expect("read") {
-            WireMessage::Response { id: got, body } => {
-                assert_eq!(got, id);
-                body
-            }
-            other => panic!("unexpected frame {other:?}"),
-        }
-    }
-
     #[test]
     fn ping_get_and_shutdown_over_tcp() {
         let (mut listeners, boot) = test_bootstrap(1);
         let server = NodeServer::start_on(listeners.remove(0), &boot, 0).expect("start");
-        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        let mut conn = Conn::connect(server.local_addr(), Role::Client, 0).expect("connect");
+        assert_eq!((conn.node(), conn.num_nodes()), (0, 1));
+        let mut request = |body| conn.request(body).expect("request");
 
-        write_message(&mut stream, &WireMessage::Hello { role: Role::Client, node: 0 })
-            .expect("hello");
-        match read_message(&mut stream).expect("ack") {
-            WireMessage::HelloAck { node, num_nodes } => assert_eq!((node, num_nodes), (0, 1)),
-            other => panic!("unexpected {other:?}"),
-        }
-
-        assert_eq!(request(&mut stream, 1, Request::Ping), Response::Pong);
+        assert_eq!(request(Request::Ping), Response::Pong);
 
         // Row 0 of partition 0 was loaded by the workload.
         let key = star_workloads::ycsb::ycsb_key(0, 0);
-        match request(&mut stream, 2, Request::Get { table: 0, partition: 0, key }) {
+        match request(Request::Get { table: 0, partition: 0, key }) {
             Response::Record { row: Some(_), .. } => {}
             other => panic!("expected a loaded row, got {other:?}"),
         }
         // A key that was never loaded is absent, not an error.
-        match request(&mut stream, 3, Request::Get { table: 0, partition: 0, key: u64::MAX }) {
+        match request(Request::Get { table: 0, partition: 0, key: u64::MAX }) {
             Response::Record { tid: 0, row: None } => {}
             other => panic!("expected absent row, got {other:?}"),
         }
 
-        assert_eq!(request(&mut stream, 4, Request::Shutdown), Response::Ok);
+        assert_eq!(request(Request::Shutdown), Response::Ok);
         server.wait();
     }
 
@@ -908,8 +802,8 @@ mod tests {
     fn status_reports_initial_election() {
         let (mut listeners, boot) = test_bootstrap(1);
         let server = NodeServer::start_on(listeners.remove(0), &boot, 0).expect("start");
-        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-        match request(&mut stream, 1, Request::Admin(AdminQuery::Status)) {
+        let mut conn = Conn::connect(server.local_addr(), Role::Admin, 0).expect("connect");
+        match conn.request(Request::Admin(AdminQuery::Status)).expect("status") {
             Response::Status(status) => {
                 assert_eq!(status.node, 0);
                 assert_eq!(status.epoch, 1);
@@ -920,7 +814,7 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        match request(&mut stream, 2, Request::Admin(AdminQuery::Elections)) {
+        match conn.request(Request::Admin(AdminQuery::Elections)).expect("elections") {
             Response::Elections(log) => {
                 assert_eq!(log, vec![WireElection { epoch: 0, master: 0, generation: 0 }]);
             }

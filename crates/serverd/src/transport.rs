@@ -1,22 +1,20 @@
 //! The real-network twin of the simulated endpoint: a TCP mesh.
 //!
 //! [`TcpMesh`] implements the same [`Transport`] seam the deterministic
-//! in-memory [`Endpoint`](star_net::Endpoint) does, so the shared
-//! per-transaction execution paths in `star_core::exec` replicate over real
-//! sockets without a single engine-side branch. One lazily-connected,
-//! mutex-guarded stream exists per peer; batches on one link are therefore
-//! FIFO, which is the only ordering the fence protocol needs (operation
-//! entries of one partition all travel one link; value entries commute under
-//! the Thomas write rule).
+//! in-memory [`Endpoint`](star_net::Endpoint) does, so the shared phase
+//! workers in `star_core::exec` replicate over real sockets without a single
+//! engine-side branch. One lazily-connected, mutex-guarded stream exists per
+//! peer; batches on one link are therefore FIFO, which is the only ordering
+//! the fence protocol needs (operation entries of one partition all travel
+//! one link; value entries commute under the Thomas write rule).
 
-use crate::node::CONNECT_TIMEOUT;
 use star_core::messages::ReplicationBatch;
 use star_net::{SendError, Transport};
-use star_proto::{replication_frame_encoded, write_message};
+use star_proto::{connect_with_retry, replication_frame_encoded, write_message, CONNECT_TIMEOUT};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// TCP connections from one node to every peer, plus cumulative per-peer
 /// batch counters — the sent side of the fence's "wait until everything a
@@ -63,19 +61,7 @@ impl TcpMesh {
     /// Connects to `to`, retrying while the peer is still booting.
     fn connect(&self, to: usize) -> Result<TcpStream, SendError> {
         let addr = self.addrs.get(to).ok_or(SendError::NoSuchNode(to))?;
-        let deadline = Instant::now() + self.connect_timeout;
-        loop {
-            match TcpStream::connect(addr) {
-                Ok(stream) => {
-                    let _ = stream.set_nodelay(true);
-                    return Ok(stream);
-                }
-                Err(_) if Instant::now() < deadline => {
-                    std::thread::sleep(std::time::Duration::from_millis(10));
-                }
-                Err(_) => return Err(SendError::Disconnected(to)),
-            }
-        }
+        connect_with_retry(addr, self.connect_timeout).map_err(|_| SendError::Disconnected(to))
     }
 }
 

@@ -19,48 +19,22 @@
 use star_core::engine::StarEngine;
 use star_core::history::{CommittedTxn, HistoryRecorder};
 use star_core::workload::Workload;
-use star_proto::{
-    encode_elections, encode_history, read_message, write_message, AdminQuery, Request, Response,
-    Role, WireMessage,
-};
+use star_proto::{encode_elections, encode_history, AdminQuery, Conn, Request, Response, Role};
 use star_serverd::{replica_digest, Bootstrap, NodeServer};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::sync::Arc;
 
 const ITERATIONS: u32 = 3;
 const PARTITIONED_TXNS: u64 = 20;
 const SINGLE_MASTER_TXNS: u64 = 10;
 
-struct Conn {
-    stream: TcpStream,
-    next_id: u64,
+/// One admin request; the parity suite has no use for I/O errors.
+fn request(conn: &mut Conn, body: Request) -> Response {
+    conn.request(body).expect("request")
 }
 
-impl Conn {
-    fn connect(addr: &str) -> Conn {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream.set_nodelay(true).expect("nodelay");
-        let mut conn = Conn { stream, next_id: 0 };
-        write_message(&mut conn.stream, &WireMessage::Hello { role: Role::Admin, node: 0 })
-            .expect("hello");
-        match read_message(&mut conn.stream).expect("ack") {
-            WireMessage::HelloAck { .. } => conn,
-            other => panic!("expected HelloAck, got {other:?}"),
-        }
-    }
-
-    fn request(&mut self, body: Request) -> Response {
-        self.next_id += 1;
-        let id = self.next_id;
-        write_message(&mut self.stream, &WireMessage::Request { id, body }).expect("write");
-        loop {
-            match read_message(&mut self.stream).expect("read") {
-                WireMessage::Response { id: got, body } if got == id => return body,
-                WireMessage::Response { .. } => continue,
-                other => panic!("expected Response, got {other:?}"),
-            }
-        }
-    }
+fn connect(addr: &str) -> Conn {
+    Conn::connect(addr, Role::Admin, 0).expect("connect")
 }
 
 /// Boots a 3-node localhost cluster for `cross_pct`% cross-partition YCSB.
@@ -100,12 +74,13 @@ fn run_twin(boot: &Bootstrap) -> (StarEngine, Arc<HistoryRecorder>, u64) {
 
 fn parity_at(cross_pct: f64) {
     let (servers, boot) = boot_cluster(cross_pct);
-    let mut coordinator = Conn::connect(servers[0].local_addr());
-    let wire_committed = match coordinator.request(Request::Run {
+    let mut coordinator = connect(servers[0].local_addr());
+    let run = Request::Run {
         iterations: ITERATIONS,
         partitioned_txns: PARTITIONED_TXNS,
         single_master_txns: SINGLE_MASTER_TXNS,
-    }) {
+    };
+    let wire_committed = match request(&mut coordinator, run) {
         Response::RunDone { committed, epochs } => {
             assert_eq!(epochs, 2 * ITERATIONS, "two epochs close per iteration");
             committed
@@ -119,18 +94,18 @@ fn parity_at(cross_pct: f64) {
     let mut wire_elections = Vec::new();
     let mut wire_digests = Vec::new();
     for server in &servers {
-        let mut admin = Conn::connect(server.local_addr());
-        match admin.request(Request::Admin(AdminQuery::History)) {
+        let mut admin = connect(server.local_addr());
+        match request(&mut admin, Request::Admin(AdminQuery::History)) {
             Response::History(txns) => {
                 wire_history.extend(txns.iter().map(|t| t.to_committed()));
             }
             other => panic!("expected History, got {other:?}"),
         }
-        match admin.request(Request::Admin(AdminQuery::Elections)) {
+        match request(&mut admin, Request::Admin(AdminQuery::Elections)) {
             Response::Elections(log) => wire_elections.push(log),
             other => panic!("expected Elections, got {other:?}"),
         }
-        match admin.request(Request::Admin(AdminQuery::ReplicaDigest)) {
+        match request(&mut admin, Request::Admin(AdminQuery::ReplicaDigest)) {
             Response::Digest { records, digest } => wire_digests.push((records, digest)),
             other => panic!("expected Digest, got {other:?}"),
         }

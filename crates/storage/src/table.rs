@@ -108,8 +108,7 @@ impl Partition {
 
     /// Creates an empty partition with an explicit shard count (rounded up to
     /// a power of two, minimum 1). `with_shards(1)` reproduces the pre-shard
-    /// single-lock layout and is what the contention microbenchmark compares
-    /// against.
+    /// single-lock layout.
     pub fn with_shards(shards: usize) -> Self {
         let n = shards.max(1).next_power_of_two();
         Partition { shards: (0..n).map(|_| Shard::default()).collect(), mask: n - 1 }

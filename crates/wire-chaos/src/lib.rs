@@ -38,7 +38,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod cluster;
-pub mod control;
 pub mod lower;
 pub mod plans;
 pub mod proxy;

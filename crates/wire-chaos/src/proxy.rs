@@ -457,17 +457,7 @@ fn forward(link: &Arc<Link>, frame: &Bytes) {
 
 fn connect_forward(link: &Arc<Link>) -> Option<TcpStream> {
     let target = link.target.lock().unwrap_or_else(|p| p.into_inner()).clone()?;
-    let deadline = Instant::now() + FORWARD_CONNECT_TIMEOUT;
-    loop {
-        match TcpStream::connect(&target) {
-            Ok(stream) => {
-                let _ = stream.set_nodelay(true);
-                return Some(stream);
-            }
-            Err(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(10)),
-            Err(_) => return None,
-        }
-    }
+    star_proto::connect_with_retry(&target, FORWARD_CONNECT_TIMEOUT).ok()
 }
 
 #[cfg(test)]

@@ -3,14 +3,14 @@
 //! simulation twin on the same (lowered) schedule, and compares the two
 //! trajectories byte-for-byte.
 //!
-//! The runner plays the role the simulated engine's control loop plays in
-//! `star_chaos::run_plan`: it owns the epoch counter, the failure picture,
-//! the deterministic election mirror and the cumulative per-executor
-//! transaction baselines, and lowers every schedule op to wire actions —
-//! `Crash` becomes a real process/server kill at the detecting fence (see
-//! [`crate::lower`]), `Recover` becomes a restart plus a catch-up copy
-//! over `FetchPartition`/`InstallRecords` plus a `Rejoin`, and link ops
-//! program the proxy fault plane.
+//! The runner is the wire-side [`ChaosTarget`] of `star_chaos::walk` (the
+//! twin is the same walk over an [`EngineTarget`]): it owns the epoch
+//! counter, the failure picture, the deterministic election mirror and the
+//! cumulative per-executor transaction baselines, and lowers every schedule
+//! op to wire actions — `Crash` becomes a real process/server kill at the
+//! detecting fence (see [`crate::lower`]), `Recover` becomes a restart plus
+//! a catch-up copy over `FetchPartition`/`InstallRecords` plus a `Rejoin`,
+//! and link ops program the proxy fault plane.
 //!
 //! Verification at the end of a run, mirroring the transport-parity tests:
 //!
@@ -24,22 +24,21 @@
 //! * the merged wire history must pass the serializability checker.
 
 use crate::cluster::{InProcessCluster, WireCluster};
-use crate::control::Conn;
 use crate::lower::lower_schedule;
 use crate::proxy::ProxyMesh;
-use star_chaos::{check_history, ChaosPlan, FaultOp, FaultSchedule, InjectionPoint, WorkloadSpec};
-use star_common::{ClusterConfig, Epoch};
-use star_core::history::CommittedTxn;
-use star_core::testing::KvWorkload;
-use star_core::{
-    FailureCase, HistoryRecorder, MasterElection, RecoveryFault, StarEngine, Workload,
+use star_chaos::{
+    build_workload, check_history, walk, ChaosPlan, ChaosTarget, EngineTarget, FaultOp,
+    InjectionPoint, WorkloadSpec,
 };
+use star_common::{ClusterConfig, Epoch};
+use star_core::failure::hold_election;
+use star_core::history::CommittedTxn;
+use star_core::{FailureCase, MasterElection, RecoveryFault};
 use star_proto::{
-    encode_elections, encode_history, AdminQuery, Request, Response, WireElection, WirePhase,
+    encode_elections, encode_history, AdminQuery, Conn, Request, Response, Role, WireElection,
+    WirePhase,
 };
 use star_serverd::replica_digest;
-use star_workloads::{YcsbConfig, YcsbWorkload};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// How long the runner waits for in-flight frames to settle in the proxy
@@ -67,27 +66,6 @@ impl WireReport {
     }
 }
 
-/// Builds the workload a plan describes — the same construction
-/// `star_chaos::run_plan` uses, so wire and twin draw identical
-/// transaction streams.
-pub fn build_workload(spec: &WorkloadSpec, partitions: usize) -> Arc<dyn Workload> {
-    match spec {
-        WorkloadSpec::Kv { rows_per_partition } => Arc::new(KvWorkload {
-            partitions,
-            rows_per_partition: *rows_per_partition,
-            cross_partition_fraction: 0.3,
-        }),
-        WorkloadSpec::Ycsb { rows_per_partition } => Arc::new(YcsbWorkload::new(YcsbConfig {
-            partitions,
-            rows_per_partition: *rows_per_partition,
-            ops_per_transaction: 4,
-            read_fraction: 0.5,
-            zipf_theta: 0.0,
-            cross_partition_fraction: 0.3,
-        })),
-    }
-}
-
 /// Replays `plan` against a cluster the caller booted behind `proxies`,
 /// plus the simulation twin, and returns the comparison. The schedule is
 /// lowered internally; plans carrying disk-simulation ops are an error.
@@ -105,18 +83,22 @@ pub fn replay_plan(
     let schedule = lower_schedule(&plan.schedule)?;
     proxies.seed(plan.seed);
 
-    let mut runner = WireRunner::new(plan, schedule.clone(), cluster, proxies)?;
-    runner.run()?;
+    let mut runner = WireRunner::new(plan, cluster, proxies)?;
+    walk(plan, &schedule, &mut runner)?;
     let WireOutcome {
         history: wire_history,
         elections: wire_elections,
         digests: wire_digests,
-        live,
         mirror,
         mut violations,
     } = runner.finish()?;
 
-    let (twin, mut twin_history, twin_violations) = run_twin(plan, &schedule)?;
+    // The simulation twin: the same walk over the same lowered schedule.
+    let mut twin = EngineTarget::new(plan).map_err(|e| format!("twin engine: {e}"))?;
+    walk(plan, &schedule, &mut twin)?;
+    let EngineTarget { engine: twin, recorder, violations: twin_violations, .. } = twin;
+    twin.quiesce();
+    let mut twin_history = recorder.committed();
     violations.extend(twin_violations.into_iter().map(|v| format!("twin: {v}")));
     // The twin records stepped half-phases interleaved across executors;
     // the wire merge is grouped per executor. The same stable sort puts
@@ -173,7 +155,6 @@ pub fn replay_plan(
         violations.push(format!("wire history is not serializable: {:?}", report.violation));
     }
 
-    let _ = live;
     Ok(WireReport {
         label: plan.label.clone(),
         seed: plan.seed,
@@ -254,24 +235,20 @@ struct WireOutcome {
     history: Vec<CommittedTxn>,
     elections: Vec<(usize, Vec<WireElection>)>,
     digests: Vec<(usize, (u64, u64))>,
-    live: Vec<usize>,
     mirror: Vec<MasterElection>,
     violations: Vec<String>,
 }
 
 /// The wire-side control loop (see module docs).
 struct WireRunner<'a> {
-    plan: &'a ChaosPlan,
-    schedule: FaultSchedule,
     cluster: &'a mut dyn WireCluster,
     proxies: &'a ProxyMesh,
     config: ClusterConfig,
     epoch: Epoch,
     last_committed: Epoch,
     failed: Vec<bool>,
-    /// The runner's deterministic election mirror — same rule as the
-    /// engine: winner is the lowest-id healthy full replica; a new entry is
-    /// pushed only when the winner changes.
+    /// The runner's deterministic election mirror (`hold_election`, the
+    /// rule the engine and every node apply at the same fences).
     elections: Vec<MasterElection>,
     /// Cumulative transaction attempts per partition / per master worker —
     /// the fast-forward baselines shipped with every `RunPhase`.
@@ -295,30 +272,26 @@ struct WireRunner<'a> {
 
 impl<'a> WireRunner<'a> {
     fn new(
-        plan: &'a ChaosPlan,
-        schedule: FaultSchedule,
+        plan: &ChaosPlan,
         cluster: &'a mut dyn WireCluster,
         proxies: &'a ProxyMesh,
     ) -> Result<WireRunner<'a>, String> {
         let config = plan.config.clone();
         let n = config.num_nodes;
-        let initial_master = (config.full_replicas > 0).then(|| config.master_node());
         let mut conns = Vec::with_capacity(n);
         for node in 0..n {
             let addr = cluster.control_addr(node);
-            let conn = Conn::connect(&addr)
+            let conn = Conn::connect(&addr, Role::Admin, 0)
                 .map_err(|e| format!("cannot connect to node {node} at {addr}: {e}"))?;
             conns.push(Some(conn));
         }
         Ok(WireRunner {
-            plan,
-            schedule,
             cluster,
             proxies,
             epoch: 1,
             last_committed: 0,
             failed: vec![false; n],
-            elections: vec![MasterElection { epoch: 0, master: initial_master, generation: 0 }],
+            elections: MasterElection::initial_log(&config),
             partition_baselines: vec![0; config.partitions],
             master_baselines: vec![0; config.workers_per_node],
             last_sent: vec![vec![0; n]; n],
@@ -329,31 +302,6 @@ impl<'a> WireRunner<'a> {
             violations: Vec::new(),
             config,
         })
-    }
-
-    fn run(&mut self) -> Result<(), String> {
-        use InjectionPoint::*;
-        for iteration in 0..self.plan.iterations {
-            let first_half_p = self.plan.partitioned_txns / 2;
-            let second_half_p = self.plan.partitioned_txns - first_half_p;
-            let first_half_s = self.plan.single_master_txns / 2;
-            let second_half_s = self.plan.single_master_txns - first_half_s;
-
-            self.apply_ops(iteration, PartitionedStart)?;
-            self.run_partitioned(first_half_p)?;
-            self.apply_ops(iteration, MidPartitioned)?;
-            self.run_partitioned(second_half_p)?;
-            self.apply_ops(iteration, BeforeFirstFence)?;
-            self.fence()?;
-            self.apply_ops(iteration, SingleMasterStart)?;
-            self.run_single_master(first_half_s)?;
-            self.apply_ops(iteration, MidSingleMaster)?;
-            self.run_single_master(second_half_s)?;
-            self.apply_ops(iteration, BeforeSecondFence)?;
-            self.fence()?;
-            self.apply_ops(iteration, IterationEnd)?;
-        }
-        Ok(())
     }
 
     fn failed_ids(&self) -> Vec<u32> {
@@ -383,88 +331,6 @@ impl<'a> WireRunner<'a> {
         for (t, &count) in sent.iter().enumerate() {
             self.last_sent[node][t] = self.sent_offsets[node][t] + count;
         }
-    }
-
-    fn run_partitioned(&mut self, txns: u64) -> Result<(), String> {
-        if txns == 0 || !self.partitioned_available() {
-            return Ok(());
-        }
-        let failed = self.failed_ids();
-        let baselines = self.partition_baselines.clone();
-        for node in 0..self.config.num_nodes {
-            if self.failed[node] {
-                continue;
-            }
-            let response = self.request(
-                node,
-                Request::RunPhase {
-                    phase: WirePhase::Partitioned,
-                    epoch: self.epoch,
-                    txns,
-                    baselines: baselines.clone(),
-                    failed: failed.clone(),
-                },
-            )?;
-            match response {
-                Response::PhaseDone { sent, .. } => self.note_sent(node, &sent),
-                other => return Err(format!("node {node}: expected PhaseDone, got {other:?}")),
-            }
-        }
-        // Every partition has an effective primary when the system is
-        // available, so every partition's stream advanced.
-        for baseline in &mut self.partition_baselines {
-            *baseline += txns;
-        }
-        Ok(())
-    }
-
-    fn run_single_master(&mut self, txns: u64) -> Result<(), String> {
-        let Some(master) = self.current_master() else { return Ok(()) };
-        if txns == 0 {
-            return Ok(());
-        }
-        let response = self.request(
-            master,
-            Request::RunPhase {
-                phase: WirePhase::SingleMaster,
-                epoch: self.epoch,
-                txns,
-                baselines: self.master_baselines.clone(),
-                failed: self.failed_ids(),
-            },
-        )?;
-        match response {
-            Response::PhaseDone { sent, .. } => self.note_sent(master, &sent),
-            other => return Err(format!("node {master}: expected PhaseDone, got {other:?}")),
-        }
-        for baseline in &mut self.master_baselines {
-            *baseline += txns;
-        }
-        Ok(())
-    }
-
-    /// Applies every scheduled op at `(iteration, point)`, plus any pending
-    /// kills when the point is a fence boundary. Ops touch the proxy fault
-    /// plane, so in-flight frames are settled first — the simulator applies
-    /// ops between stepped halves with nothing in flight.
-    fn apply_ops(&mut self, iteration: usize, point: InjectionPoint) -> Result<(), String> {
-        let ops: Vec<FaultOp> = self.schedule.ops_at(iteration, point).cloned().collect();
-        let fence_point =
-            matches!(point, InjectionPoint::BeforeFirstFence | InjectionPoint::BeforeSecondFence);
-        let must_flush_kills = fence_point && !self.pending_kills.is_empty();
-        if ops.is_empty() && !must_flush_kills {
-            return Ok(());
-        }
-        self.settle()?;
-        for op in ops {
-            self.apply_op(&op)?;
-        }
-        if fence_point {
-            for node in std::mem::take(&mut self.pending_kills) {
-                self.do_kill(node)?;
-            }
-        }
-        Ok(())
     }
 
     fn apply_op(&mut self, op: &FaultOp) -> Result<(), String> {
@@ -523,21 +389,7 @@ impl<'a> WireRunner<'a> {
     /// (the wire form of the engine's `recover_node` copy loop) and rejoins
     /// it to the cluster's epoch/election/counter state.
     fn do_recover(&mut self, node: usize) -> Result<(), String> {
-        if self.failed.get(node) != Some(&true) {
-            return Ok(());
-        }
-        let held: Vec<usize> = (0..self.config.partitions)
-            .filter(|&p| self.config.node_stores_partition(node, p))
-            .collect();
-        let Some(sources) = self.recovery_sources(node, &held) else {
-            // Same typed failure (and violation phrasing) as the simulator
-            // driver when no healthy replica can source the copy.
-            self.violations.push(format!(
-                "scheduled recovery of node {node} failed: no healthy replica holds every \
-                 partition it needs"
-            ));
-            return Ok(());
-        };
+        let Some(copies) = self.recovery_copies(node) else { return Ok(()) };
         let addr = self.cluster.restart(node)?;
         self.proxies.set_target(node, &addr);
         if let (Some(offset), Some(sent)) =
@@ -545,13 +397,13 @@ impl<'a> WireRunner<'a> {
         {
             *offset = sent.clone();
         }
-        let conn = Conn::connect(&addr)
+        let conn = Conn::connect(&addr, Role::Admin, 0)
             .map_err(|e| format!("cannot reconnect to restarted node {node}: {e}"))?;
         if let Some(slot) = self.conns.get_mut(node) {
             *slot = Some(conn);
         }
 
-        for (partition, source) in held.iter().copied().zip(sources) {
+        for (partition, source) in copies {
             let records = match self
                 .request(source, Request::FetchPartition { partition: partition as u32 })?
             {
@@ -589,23 +441,8 @@ impl<'a> WireRunner<'a> {
     /// The state the engine's partial copy would leave behind is erased by
     /// the eventual full recovery, so omitting the copy is unobservable.
     fn do_recover_interrupted(&mut self, node: usize, fault: RecoveryFault) -> Result<(), String> {
-        if self.failed.get(node) != Some(&true) {
-            return Ok(());
-        }
-        let held: Vec<usize> = (0..self.config.partitions)
-            .filter(|&p| self.config.node_stores_partition(node, p))
-            .collect();
-        let Some(sources) = self.recovery_sources(node, &held) else {
-            self.violations.push(format!(
-                "scheduled recovery of node {node} failed: no healthy replica holds every \
-                 partition it needs"
-            ));
-            return Ok(());
-        };
-        let source = match sources.first() {
-            Some(&source) => source,
-            None => return Ok(()),
-        };
+        let Some(copies) = self.recovery_copies(node) else { return Ok(()) };
+        let Some(&(_, source)) = copies.first() else { return Ok(()) };
         match fault {
             RecoveryFault::SourceCrash => self.pending_kills.push(source),
             RecoveryFault::TargetCrash => {}
@@ -614,19 +451,27 @@ impl<'a> WireRunner<'a> {
         Ok(())
     }
 
-    /// For each held partition (ascending), the lowest-id healthy node that
-    /// also holds it — the engine's source-selection rule. `None` if any
-    /// partition has no healthy holder.
-    fn recovery_sources(&self, node: usize, held: &[usize]) -> Option<Vec<usize>> {
-        held.iter()
-            .map(|&p| {
-                (0..self.config.num_nodes).find(|&s| {
-                    s != node
-                        && self.failed.get(s) == Some(&false)
-                        && self.config.node_stores_partition(s, p)
-                })
-            })
-            .collect()
+    /// The `(partition, recovery source)` copies a recovery of the crashed
+    /// `node` makes, in partition order. `None` — nothing to do — for a node
+    /// that is not down, and for one holding a partition no healthy replica
+    /// can source, which is reported with the simulator driver's violation
+    /// phrasing.
+    fn recovery_copies(&mut self, node: usize) -> Option<Vec<(usize, usize)>> {
+        if self.failed.get(node) != Some(&true) {
+            return None;
+        }
+        let held = self.config.held_partitions(node);
+        let copies: Option<Vec<_>> = held
+            .into_iter()
+            .map(|p| Some((p, self.config.recovery_source(&self.failed, node, p)?)))
+            .collect();
+        if copies.is_none() {
+            self.violations.push(format!(
+                "scheduled recovery of node {node} failed: no healthy replica holds every \
+                 partition it needs"
+            ));
+        }
+        copies
     }
 
     /// Waits until the proxies have verdicted every frame the nodes report
@@ -634,6 +479,124 @@ impl<'a> WireRunner<'a> {
     fn settle(&mut self) -> Result<(), String> {
         self.proxies.wait_settled(&self.last_sent, SETTLE_TIMEOUT)?;
         self.proxies.flush_all();
+        Ok(())
+    }
+
+    /// Collects the merged history, per-live-node election logs and
+    /// digests after the run.
+    fn finish(mut self) -> Result<WireOutcome, String> {
+        let mut history = std::mem::take(&mut self.archived_history);
+        let mut elections = Vec::new();
+        let mut digests = Vec::new();
+        for node in 0..self.config.num_nodes {
+            if self.failed[node] {
+                continue;
+            }
+            match self.request(node, Request::Admin(AdminQuery::History))? {
+                Response::History(txns) => history.extend(txns.iter().map(|t| t.to_committed())),
+                other => return Err(format!("node {node}: expected History, got {other:?}")),
+            }
+            match self.request(node, Request::Admin(AdminQuery::Elections))? {
+                Response::Elections(log) => elections.push((node, log)),
+                other => return Err(format!("node {node}: expected Elections, got {other:?}")),
+            }
+            match self.request(node, Request::Admin(AdminQuery::ReplicaDigest))? {
+                Response::Digest { records, digest } => digests.push((node, (records, digest))),
+                other => return Err(format!("node {node}: expected Digest, got {other:?}")),
+            }
+        }
+        // Per-node histories are in execution order; the stable sort by
+        // (epoch, executor) interleaves them into the twin's global order.
+        history.sort_by_key(|t| (t.epoch, t.executor));
+        Ok(WireOutcome {
+            history,
+            elections,
+            digests,
+            mirror: self.elections,
+            violations: self.violations,
+        })
+    }
+}
+
+impl ChaosTarget for WireRunner<'_> {
+    fn run_partitioned(&mut self, txns: u64) -> Result<(), String> {
+        if txns == 0 || !self.partitioned_available() {
+            return Ok(());
+        }
+        let failed = self.failed_ids();
+        let baselines = self.partition_baselines.clone();
+        for node in 0..self.config.num_nodes {
+            if self.failed[node] {
+                continue;
+            }
+            let response = self.request(
+                node,
+                Request::RunPhase {
+                    phase: WirePhase::Partitioned,
+                    epoch: self.epoch,
+                    txns,
+                    baselines: baselines.clone(),
+                    failed: failed.clone(),
+                },
+            )?;
+            match response {
+                Response::PhaseDone { sent, .. } => self.note_sent(node, &sent),
+                other => return Err(format!("node {node}: expected PhaseDone, got {other:?}")),
+            }
+        }
+        // Every partition has an effective primary when the system is
+        // available, so every partition's stream advanced.
+        for baseline in &mut self.partition_baselines {
+            *baseline += txns;
+        }
+        Ok(())
+    }
+
+    fn run_single_master(&mut self, txns: u64) -> Result<(), String> {
+        let Some(master) = self.current_master() else { return Ok(()) };
+        if txns == 0 {
+            return Ok(());
+        }
+        let response = self.request(
+            master,
+            Request::RunPhase {
+                phase: WirePhase::SingleMaster,
+                epoch: self.epoch,
+                txns,
+                baselines: self.master_baselines.clone(),
+                failed: self.failed_ids(),
+            },
+        )?;
+        match response {
+            Response::PhaseDone { sent, .. } => self.note_sent(master, &sent),
+            other => return Err(format!("node {master}: expected PhaseDone, got {other:?}")),
+        }
+        for baseline in &mut self.master_baselines {
+            *baseline += txns;
+        }
+        Ok(())
+    }
+
+    /// Applies the ops scheduled at `point`, plus any pending kills when the
+    /// point is a fence boundary. Ops touch the proxy fault plane, so
+    /// in-flight frames are settled first — the simulator applies ops between
+    /// stepped halves with nothing in flight.
+    fn inject(&mut self, point: InjectionPoint, ops: &[FaultOp]) -> Result<(), String> {
+        let fence_point =
+            matches!(point, InjectionPoint::BeforeFirstFence | InjectionPoint::BeforeSecondFence);
+        let must_flush_kills = fence_point && !self.pending_kills.is_empty();
+        if ops.is_empty() && !must_flush_kills {
+            return Ok(());
+        }
+        self.settle()?;
+        for op in ops {
+            self.apply_op(op)?;
+        }
+        if fence_point {
+            for node in std::mem::take(&mut self.pending_kills) {
+                self.do_kill(node)?;
+            }
+        }
         Ok(())
     }
 
@@ -661,134 +624,9 @@ impl<'a> WireRunner<'a> {
                 other => return Err(format!("node {node}: expected FenceDone, got {other:?}")),
             }
         }
-        // Deterministic election, same rule as the engine: lowest-id
-        // healthy full replica, new entry only when the winner changes.
-        let winner = (0..self.config.full_replicas).find(|&n| !self.failed[n]);
-        let last = self.elections.last().expect("election log starts non-empty");
-        if winner != last.master {
-            let generation = last.generation + 1;
-            self.elections.push(MasterElection { epoch: self.epoch, master: winner, generation });
-        }
+        hold_election(&mut self.elections, &self.config, &self.failed, self.epoch);
         self.last_committed = self.epoch;
         self.epoch += 1;
         Ok(())
     }
-
-    /// Collects the merged history, per-live-node election logs and
-    /// digests after the run.
-    fn finish(mut self) -> Result<WireOutcome, String> {
-        let mut history = std::mem::take(&mut self.archived_history);
-        let mut elections = Vec::new();
-        let mut digests = Vec::new();
-        let mut live = Vec::new();
-        for node in 0..self.config.num_nodes {
-            if self.failed[node] {
-                continue;
-            }
-            live.push(node);
-            match self.request(node, Request::Admin(AdminQuery::History))? {
-                Response::History(txns) => history.extend(txns.iter().map(|t| t.to_committed())),
-                other => return Err(format!("node {node}: expected History, got {other:?}")),
-            }
-            match self.request(node, Request::Admin(AdminQuery::Elections))? {
-                Response::Elections(log) => elections.push((node, log)),
-                other => return Err(format!("node {node}: expected Elections, got {other:?}")),
-            }
-            match self.request(node, Request::Admin(AdminQuery::ReplicaDigest))? {
-                Response::Digest { records, digest } => digests.push((node, (records, digest))),
-                other => return Err(format!("node {node}: expected Digest, got {other:?}")),
-            }
-        }
-        // Per-node histories are in execution order; the stable sort by
-        // (epoch, executor) interleaves them into the twin's global order.
-        history.sort_by_key(|t| (t.epoch, t.executor));
-        Ok(WireOutcome {
-            history,
-            elections,
-            digests,
-            live,
-            mirror: self.elections,
-            violations: self.violations,
-        })
-    }
-}
-
-/// Runs the simulation twin over the *lowered* schedule — the same loop as
-/// `star_chaos::run_plan`, minus the disk ops lowering already rejected.
-fn run_twin(
-    plan: &ChaosPlan,
-    schedule: &FaultSchedule,
-) -> Result<(StarEngine, Vec<CommittedTxn>, Vec<String>), String> {
-    let workload = build_workload(&plan.workload, plan.config.partitions);
-    let mut engine =
-        StarEngine::new(plan.config.clone(), workload).map_err(|e| format!("twin engine: {e}"))?;
-    let recorder = Arc::new(HistoryRecorder::new());
-    engine.set_history_recorder(Arc::clone(&recorder));
-    engine.cluster().network().seed_faults(plan.seed);
-
-    let mut violations = Vec::new();
-    let apply = |engine: &mut StarEngine, op: &FaultOp, violations: &mut Vec<String>| match op {
-        FaultOp::Crash(node) => engine.inject_failure(*node),
-        FaultOp::Recover(node) => {
-            if let Err(e) = engine.recover_node(*node) {
-                violations.push(format!("scheduled recovery of node {node} failed: {e}"));
-            }
-        }
-        FaultOp::RecoverInterrupted(node, fault) => {
-            if let Err(e) = engine.recover_node_interrupted(*node, *fault) {
-                violations.push(format!("scheduled recovery of node {node} failed: {e}"));
-            }
-        }
-        FaultOp::CutLink(a, b) => engine.cluster().network().cut_link(*a, *b),
-        FaultOp::HealLink(a, b) => engine.cluster().network().heal_link(*a, *b),
-        FaultOp::SetLinkFaults(from, to, faults) => {
-            engine.cluster().network().set_link_faults(*from, *to, *faults)
-        }
-        FaultOp::SetDefaultFaults(faults) => {
-            engine.cluster().network().set_default_link_faults(*faults)
-        }
-        FaultOp::ClearFaults => engine.cluster().network().clear_link_faults(),
-        FaultOp::Checkpoint | FaultOp::TruncateWal(..) => {
-            violations.push(format!("unlowerable op {op:?} reached the twin"));
-        }
-    };
-
-    for iteration in 0..plan.iterations {
-        use InjectionPoint::*;
-        let first_half_p = plan.partitioned_txns / 2;
-        let second_half_p = plan.partitioned_txns - first_half_p;
-        let first_half_s = plan.single_master_txns / 2;
-        let second_half_s = plan.single_master_txns - first_half_s;
-
-        for op in schedule.ops_at(iteration, PartitionedStart).cloned().collect::<Vec<_>>() {
-            apply(&mut engine, &op, &mut violations);
-        }
-        engine.run_partitioned_phase_stepped(first_half_p);
-        for op in schedule.ops_at(iteration, MidPartitioned).cloned().collect::<Vec<_>>() {
-            apply(&mut engine, &op, &mut violations);
-        }
-        engine.run_partitioned_phase_stepped(second_half_p);
-        for op in schedule.ops_at(iteration, BeforeFirstFence).cloned().collect::<Vec<_>>() {
-            apply(&mut engine, &op, &mut violations);
-        }
-        engine.fence();
-        for op in schedule.ops_at(iteration, SingleMasterStart).cloned().collect::<Vec<_>>() {
-            apply(&mut engine, &op, &mut violations);
-        }
-        engine.run_single_master_phase_stepped(first_half_s);
-        for op in schedule.ops_at(iteration, MidSingleMaster).cloned().collect::<Vec<_>>() {
-            apply(&mut engine, &op, &mut violations);
-        }
-        engine.run_single_master_phase_stepped(second_half_s);
-        for op in schedule.ops_at(iteration, BeforeSecondFence).cloned().collect::<Vec<_>>() {
-            apply(&mut engine, &op, &mut violations);
-        }
-        engine.fence();
-        for op in schedule.ops_at(iteration, IterationEnd).cloned().collect::<Vec<_>>() {
-            apply(&mut engine, &op, &mut violations);
-        }
-    }
-    engine.quiesce();
-    let history = recorder.committed();
-    Ok((engine, history, violations))
 }

@@ -77,7 +77,7 @@ fn case3_losing_partial_coverage_re_masters_onto_the_full_replica() {
     assert!(engine.failure_case().unwrap().phase_switching_available());
     // Every partition must now be re-mastered onto a full replica.
     for p in 0..config.partitions {
-        let primary = engine.effective_primary(p).unwrap();
+        let primary = config.effective_primary(engine.failure_flags(), p).unwrap();
         assert!(primary < 2, "partition {p} re-mastered to {primary}");
     }
     let report = engine.run_for(Duration::from_millis(30));
