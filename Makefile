@@ -31,12 +31,15 @@ bench-baseline:
 bench-smoke:
 	cargo run --release -p star-bench --bin star-bench -- --quick --seed $(SEED) --check --threads-sweep --zipf-sweep
 
-# The gated benchmark (BENCHMARK.json): its unit tests, then one short
-# wire_ycsb run through the exact command the gate uses. A smoke, not a
-# measurement — see steadybench/README.md for the real protocol.
+# The gated benchmark (BENCHMARK.json): its unit tests, then one short run
+# of every workload through the exact command the gate uses — the in-process
+# fence and the wire driver are different code. A smoke, not a measurement —
+# see steadybench/README.md for the real protocol.
 steadybench-smoke:
 	cargo test --offline --manifest-path steadybench/Cargo.toml
-	bash steadybench/run.sh --workload wire_ycsb --seed 1 --seconds 6 --trace 0
+	for workload in ycsb_cross ycsb_hot tpcc_wal wire_ycsb; do \
+		bash steadybench/run.sh --workload $$workload --seed 1 --seconds 6 --trace 0 || exit 1; \
+	done
 
 # Per-engine latency-source profile (five-slice table, µs per committed txn).
 profile:

@@ -64,12 +64,18 @@ pub struct AnalysisConfig {
 
 /// The single homes of the protocol decisions every deployment shares: the
 /// cluster rules (routing, replica targets, recovery source, election), the
-/// fence's election and survivor functions, and the shared phase workers.
-/// They are in determinism *and* panic-freedom scope in full, keyed by file:
-/// a renamed or newly added function cannot silently drop out of scope the
-/// way a function-name list lets it.
-const PROTOCOL_HOMES: &[&str] =
-    &["crates/common/src/config.rs", "crates/core/src/failure.rs", "crates/core/src/exec.rs"];
+/// epoch state and what a fence does to it and to a replica, the shared
+/// phase workers, and the cluster driver — which indexes per-node tables
+/// with ids read off the network. They are in determinism *and*
+/// panic-freedom scope in full, keyed by file: a renamed or newly added
+/// function cannot silently drop out of scope the way a function-name list
+/// lets it.
+const PROTOCOL_HOMES: &[&str] = &[
+    "crates/common/src/config.rs",
+    "crates/core/src/failure.rs",
+    "crates/core/src/exec.rs",
+    "crates/serverd/src/coordinator.rs",
+];
 
 /// Determinism scope: `crates/net`, `crates/chaos` and `crates/core` in
 /// full, plus the [`PROTOCOL_HOMES`] outside them. The engine's timed path
@@ -438,14 +444,15 @@ mod tests {
     #[test]
     fn determinism_scope_follows_files_not_function_names() {
         // Whatever a function is called — a rename must not drop it out of
-        // scope — a clock read in the engine, the shared phase workers or
-        // the cluster rules is a finding.
+        // scope — a clock read in the engine, the shared phase workers, the
+        // cluster rules or the cluster driver is a finding.
         let src = "impl E { fn any_name_at_all(&self) { let t = Instant::now(); } }";
         for path in [
             "crates/core/src/engine.rs",
             "crates/core/src/exec.rs",
             "crates/core/src/failure.rs",
             "crates/common/src/config.rs",
+            "crates/serverd/src/coordinator.rs",
         ] {
             assert_eq!(
                 rules(&run(path, src, &AnalysisConfig::default())),
@@ -453,8 +460,11 @@ mod tests {
                 "{path}"
             );
         }
-        // The rest of `crates/common` (clocks, stats) stays out of scope.
-        assert!(run("crates/common/src/stats.rs", src, &AnalysisConfig::default()).is_empty());
+        // The rest of `crates/common` (clocks, stats) and of `crates/serverd`
+        // (the node's fence barrier polls a deadline) stays out of scope.
+        for path in ["crates/common/src/stats.rs", "crates/serverd/src/node.rs"] {
+            assert!(run(path, src, &AnalysisConfig::default()).is_empty(), "{path}");
+        }
     }
 
     #[test]

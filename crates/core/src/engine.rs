@@ -27,7 +27,7 @@ use crate::exec::{
     run_master_worker, run_partition_worker, MasterWorkerState, NodeCtx, PartitionWorkerState,
     PhaseBudget, WorkerOutcome,
 };
-use crate::failure::{fence_survivors, hold_election, FailureCase, MasterElection};
+use crate::failure::{fence_replica, EpochState, FailureCase, MasterElection};
 use crate::history::HistoryRecorder;
 use crate::phase::PhasePlan;
 use crate::workload::Workload;
@@ -171,13 +171,13 @@ pub struct StarEngine {
     cluster: StarCluster,
     workload: Arc<dyn Workload>,
     plan: PhasePlan,
-    epoch: Epoch,
-    last_committed_epoch: Epoch,
+    /// Epoch in flight, last committed epoch, detected failures and the
+    /// election log: what every fence advances.
+    clock: EpochState,
     counters: Arc<RunCounters>,
     latency: LatencyHistogram,
     partition_workers: Vec<PartitionWorkerState>,
     master_workers: Vec<MasterWorkerState>,
-    failed: Vec<bool>,
     /// For each currently failed node, the last epoch that had committed when
     /// its failure was detected; used to discard its in-flight writes when it
     /// recovers.
@@ -189,9 +189,6 @@ pub struct StarEngine {
     history: Option<Arc<HistoryRecorder>>,
     /// Epochs that were discarded by an epoch revert, in detection order.
     reverted_epochs: Vec<Epoch>,
-    /// Every election ever held, in order (index 0 is the initial
-    /// appointment); the last entry names the current master.
-    elections: Vec<MasterElection>,
     /// Completion-tracked queue for the asynchronous tail of each epoch's
     /// group commit (deferred replica applies and WAL flushes).
     commit_queue: CommitQueue,
@@ -206,9 +203,9 @@ pub struct StarEngine {
 impl std::fmt::Debug for StarEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StarEngine")
-            .field("epoch", &self.epoch)
+            .field("epoch", &self.clock.epoch())
             .field("nodes", &self.cluster.nodes().len())
-            .field("failed", &self.failed)
+            .field("failed", &self.clock.failed())
             .finish()
     }
 }
@@ -273,9 +270,7 @@ impl StarEngine {
             (None, None)
         };
         let plan = PhasePlan::new(workload.mix().cross_partition_fraction);
-        let failed = vec![false; config.num_nodes];
         let failed_at_committed_epoch = vec![None; config.num_nodes];
-        let elections = MasterElection::initial_log(&config);
         let counters = Arc::new(RunCounters::new());
         // Deferred outside `run_for`: drains are pumped at deterministic
         // points (the next fence, or a quiesce), which keeps the stepped
@@ -286,19 +281,16 @@ impl StarEngine {
             cluster,
             workload,
             plan,
-            epoch: 1,
-            last_committed_epoch: 0,
+            clock: EpochState::new(&config),
             counters,
             latency: LatencyHistogram::new(),
             partition_workers,
             master_workers,
-            failed,
             failed_at_committed_epoch,
             wal,
             wal_dir,
             history: None,
             reverted_epochs: Vec::new(),
-            elections,
             commit_queue,
             drain_safe_for: NextPhase::Unknown,
             last_report: None,
@@ -312,7 +304,7 @@ impl StarEngine {
     /// deferred *for a different reader* would serve stale records.
     fn ensure_drain_safe(&mut self, phase: NextPhase) {
         if self.drain_safe_for != phase && self.drain_safe_for != NextPhase::Unknown {
-            self.commit_queue.wait_for(self.last_committed_epoch);
+            self.commit_queue.wait_for(self.clock.last_committed());
             self.drain_safe_for = NextPhase::Unknown;
         }
     }
@@ -338,7 +330,7 @@ impl StarEngine {
 
     /// The current global epoch.
     pub fn epoch(&self) -> Epoch {
-        self.epoch
+        self.clock.epoch()
     }
 
     /// The shared run counters.
@@ -349,7 +341,7 @@ impl StarEngine {
     /// The last epoch that was closed by a replication fence (the newest
     /// epoch whose transactions have been released to clients).
     pub fn last_committed_epoch(&self) -> Epoch {
-        self.last_committed_epoch
+        self.clock.last_committed()
     }
 
     /// Attaches a committed-history recorder. Every subsequently committed
@@ -400,7 +392,7 @@ impl StarEngine {
     /// [`crate::failure::FailureVectorMismatch`] contract of
     /// [`FailureCase::classify`] instead of panicking on it.
     pub fn failure_case(&self) -> Result<FailureCase> {
-        FailureCase::classify(self.cluster.config(), &self.failed)
+        FailureCase::classify(self.cluster.config(), self.clock.failed())
             .map_err(|e| Error::Config(e.to_string()))
     }
 
@@ -414,40 +406,40 @@ impl StarEngine {
 
     /// Which nodes are currently known (detected) to be failed.
     pub fn failed_nodes(&self) -> Vec<NodeId> {
-        self.failed.iter().enumerate().filter(|(_, f)| **f).map(|(n, _)| n).collect()
+        self.failure_flags().iter().enumerate().filter(|(_, f)| **f).map(|(n, _)| n).collect()
     }
 
     /// The detected-failure flag of every node (index = node id): the
     /// `failed` argument of the [`ClusterConfig`] routing rules, e.g.
     /// `engine.cluster().config().effective_primary(engine.failure_flags(), p)`.
     pub fn failure_flags(&self) -> &[bool] {
-        &self.failed
+        self.clock.failed()
     }
 
     /// Whether `node` is marked failed. Out-of-range ids count as failed:
     /// they can never serve a phase, win an election, or source a recovery.
     fn is_failed(&self, node: NodeId) -> bool {
-        self.failed.get(node).copied().unwrap_or(true)
+        self.clock.failed().get(node).copied().unwrap_or(true)
     }
 
     /// The node currently acting as the designated master: the winner of the
     /// most recent election (held at every replication fence, after failure
     /// detection). `None` while no healthy full replica exists.
     pub fn current_master(&self) -> Option<NodeId> {
-        self.elections.last().and_then(|e| e.master).filter(|&m| !self.is_failed(m))
+        self.clock.current_master()
     }
 
     /// Generation of the current master election. Bumps exactly when the
     /// elected master changes (including to/from `None`), so a re-election
     /// storm is visible as a strictly increasing generation sequence.
     pub fn master_generation(&self) -> u64 {
-        self.elections.last().map_or(0, |e| e.generation)
+        self.elections().last().map_or(0, |e| e.generation)
     }
 
     /// The full election log, in order. Index 0 is the initial appointment
     /// at engine construction; later entries record fence-time re-elections.
     pub fn elections(&self) -> &[MasterElection] {
-        &self.elections
+        self.clock.elections()
     }
 
     /// Runs the engine for (at least) `duration`, returning a report with the
@@ -565,7 +557,7 @@ impl StarEngine {
             counters: &self.counters,
             wal: self.wal.as_ref().map(|wal| wal[node].as_ref()),
             history: self.history.as_deref(),
-            epoch: self.epoch,
+            epoch: self.clock.epoch(),
         }
     }
 
@@ -583,8 +575,8 @@ impl StarEngine {
             .iter_mut()
             .enumerate()
             .filter_map(|(partition, state)| {
-                let primary = config.effective_primary(&self.failed, partition)?;
-                let targets = config.replica_targets(&self.failed, primary, partition);
+                let primary = config.effective_primary(self.clock.failed(), partition)?;
+                let targets = config.replica_targets(self.clock.failed(), primary, partition);
                 Some((self.node_ctx(primary), targets, state))
             })
             .collect();
@@ -605,7 +597,7 @@ impl StarEngine {
         };
         self.ensure_drain_safe(NextPhase::SingleMaster);
         let mut workers = std::mem::take(&mut self.master_workers);
-        let healthy = self.cluster.config().healthy_peers(&self.failed, master);
+        let healthy = self.cluster.config().healthy_peers(self.clock.failed(), master);
         let ctx = self.node_ctx(master);
         let result = run_workers(share, workers.iter_mut().collect(), |state, budget| {
             run_master_worker(&ctx, &healthy, state, budget)
@@ -649,32 +641,24 @@ impl StarEngine {
         // Pipelining step 1: the previous epoch's drain must fully land
         // before this fence reasons about replica state (reverts, applies,
         // recoveries all assume replicas reflect every committed epoch).
-        self.commit_queue.wait_for(self.last_committed_epoch);
+        self.commit_queue.wait_for(self.clock.last_committed());
         self.drain_safe_for = NextPhase::Unknown;
 
         // Failure detection: the coordinator notices nodes that stopped
-        // responding. Newly failed nodes trigger an epoch revert on every
-        // healthy replica (Figure 6) before the fence proceeds.
-        let newly_failed: Vec<NodeId> = (0..num_nodes)
-            .filter(|&n| self.cluster.network().is_failed(n) && !self.failed[n])
-            .collect();
-        let reverting = !newly_failed.is_empty();
-        if reverting {
-            for &n in &newly_failed {
-                self.failed[n] = true;
-                self.failed_at_committed_epoch[n] = Some(self.last_committed_epoch);
-            }
-            for (n, node) in self.cluster.nodes().iter().enumerate() {
-                if !self.failed[n] {
-                    node.db.revert_to_epoch(self.last_committed_epoch);
-                }
+        // responding. A newly failed node makes the fence revert the epoch in
+        // flight on every healthy replica (Figure 6), and the master is
+        // re-elected over the now-current picture: a crashed coordinator is
+        // replaced by the next healthy full replica, and a recovered lower-id
+        // full replica takes the role back — both deterministically, before
+        // the next single-master phase runs.
+        let network = self.cluster.network();
+        let observed: Vec<bool> = (0..num_nodes).map(|n| network.is_failed(n)).collect();
+        for (n, marker) in self.failed_at_committed_epoch.iter_mut().enumerate() {
+            if observed[n] && !self.clock.failed()[n] {
+                *marker = Some(self.clock.last_committed());
             }
         }
-        // Re-elect the master now that the failure picture is current: a
-        // crashed coordinator is replaced by the next healthy full replica,
-        // and a recovered lower-id full replica takes the role back — both
-        // deterministically, before the next single-master phase runs.
-        hold_election(&mut self.elections, self.cluster.config(), &self.failed, self.epoch);
+        let reverting = self.clock.open_fence(self.cluster.config(), &observed);
 
         // Release any messages held back by reorder faults: the fence's
         // contract is that every *sent* message is either applied now or
@@ -683,8 +667,8 @@ impl StarEngine {
             node.endpoint.flush_stash();
         }
 
-        // Drain outstanding replication streams on every healthy node; which
-        // queued entries survive is `fence_survivors`' rule.
+        // Fence every healthy replica over what its endpoint has queued
+        // (`fence_replica`: revert if reverting, then the surviving entries).
         //
         // Each surviving entry is applied *now* only if the next phase reads
         // the target copy: on the elected master before a single-master
@@ -694,28 +678,23 @@ impl StarEngine {
         // 0% cross-partition traffic no entry targets its own primary, so
         // the fence applies nothing synchronously at all.)
         let config = self.cluster.config();
-        let master = self.current_master();
+        let failed = self.clock.failed();
+        let master = self.clock.current_master();
         // star-lint: allow(determinism::instant-now) -- apply-time telemetry for the replication-flush latency slice only
         let apply_start = Instant::now();
         let mut deferred: Vec<(Arc<Database>, Vec<EncodedEntry>)> = Vec::new();
         for (n, node) in self.cluster.nodes().iter().enumerate() {
-            if self.failed[n] {
+            if failed[n] {
                 continue;
             }
             let mut deferred_entries: Vec<EncodedEntry> = Vec::new();
             let queued = node.endpoint.drain().into_iter().map(|envelope| envelope.payload);
-            for entry in fence_survivors(
-                queued,
-                &node.db,
-                &self.failed,
-                reverting,
-                self.last_committed_epoch,
-            ) {
+            fence_replica(&self.clock, reverting, &node.db, queued, |entry| {
                 let read_by_next_phase = match next {
                     NextPhase::Unknown => true,
                     NextPhase::SingleMaster => master == Some(n),
                     NextPhase::Partitioned => {
-                        config.effective_primary(&self.failed, entry.partition()) == Some(n)
+                        config.effective_primary(failed, entry.partition()) == Some(n)
                     }
                 };
                 if read_by_next_phase {
@@ -723,7 +702,7 @@ impl StarEngine {
                 } else {
                     deferred_entries.push(entry);
                 }
-            }
+            });
             if !deferred_entries.is_empty() {
                 deferred.push((Arc::clone(&node.db), deferred_entries));
             }
@@ -741,7 +720,7 @@ impl StarEngine {
         let mut wal_flushes = Vec::new();
         if let Some(wal) = &self.wal {
             for (n, writer) in wal.iter().enumerate() {
-                if !self.failed[n] {
+                if !failed[n] {
                     wal_flushes.push(Arc::clone(writer));
                 }
             }
@@ -750,18 +729,17 @@ impl StarEngine {
             // The epoch's transactions were never released to clients: they
             // are discarded from every replica above, so they must vanish
             // from the recorded history too.
-            self.reverted_epochs.push(self.epoch);
+            self.reverted_epochs.push(self.clock.epoch());
         }
         if let Some(history) = &self.history {
-            history.finalize_epoch(self.epoch, !reverting);
+            history.finalize_epoch(self.clock.epoch(), !reverting);
         }
-        let drain = EpochDrain { epoch: self.epoch, applies: deferred, wal_flushes };
+        let drain = EpochDrain { epoch: self.clock.epoch(), applies: deferred, wal_flushes };
         if !drain.is_empty() {
             self.commit_queue.submit(drain);
         }
         self.drain_safe_for = next;
-        self.last_committed_epoch = self.epoch;
-        self.epoch += 1;
+        self.clock.close_fence();
         // star-lint: allow(determinism::instant-now) -- group-commit timestamp feeds latency telemetry, not simulation state
         let end = Instant::now();
         self.counters.add_fence(end - start);
@@ -785,7 +763,8 @@ impl StarEngine {
     /// schedule synthesizer and the chaos driver consult it before
     /// scheduling overlapping recoveries.
     pub fn can_recover(&self, node: NodeId) -> bool {
-        self.cluster.node(node).is_some() && self.cluster.config().can_recover(&self.failed, node)
+        self.cluster.node(node).is_some()
+            && self.cluster.config().can_recover(self.clock.failed(), node)
     }
 
     /// What both recoveries start with. Pending epoch drains land first: the
@@ -835,7 +814,7 @@ impl StarEngine {
         target: &Database,
         partition: usize,
     ) -> Result<(NodeId, usize)> {
-        let source = self.cluster.config().recovery_source(&self.failed, node, partition);
+        let source = self.cluster.config().recovery_source(self.clock.failed(), node, partition);
         let Some((source, source_db)) =
             source.and_then(|n| self.cluster.node(n).map(|replica| (n, &replica.db)))
         else {
@@ -875,9 +854,7 @@ impl StarEngine {
             copied += self.recover_partition(node, &target_db, partition)?.1;
         }
         self.cluster.network().heal_node(node);
-        if let Some(failed) = self.failed.get_mut(node) {
-            *failed = false;
-        }
+        self.clock.mark_recovered(node);
         if let Some(marker) = self.failed_at_committed_epoch.get_mut(node) {
             *marker = None;
         }
@@ -949,7 +926,7 @@ impl StarEngine {
             .iter()
             .enumerate()
             .map(|(n, node)| {
-                if self.failed[n] {
+                if self.is_failed(n) {
                     return None;
                 }
                 let mut map = BTreeMap::new();
@@ -962,7 +939,7 @@ impl StarEngine {
             .collect();
         for partition in 0..config.partitions {
             let holders: Vec<usize> = (0..config.num_nodes)
-                .filter(|&n| !self.failed[n] && self.cluster.nodes()[n].db.holds(partition))
+                .filter(|&n| !self.is_failed(n) && self.cluster.nodes()[n].db.holds(partition))
                 .collect();
             let Some(&reference) = holders.first() else { continue };
             let reference_map = snapshots[reference].as_ref().unwrap();
@@ -1274,6 +1251,38 @@ mod tests {
         // The log is an audit trail: initial appointment plus two changes.
         let masters: Vec<Option<NodeId>> = engine.elections().iter().map(|e| e.master).collect();
         assert_eq!(masters, vec![Some(0), Some(1), Some(0)]);
+    }
+
+    #[test]
+    fn epoch_state_replayed_over_a_recorded_run_reproduces_the_engines_clock() {
+        // What the fences of a crash/recover run observed, replayed through a
+        // bare `EpochState`, lands on the engine's epoch, last committed
+        // epoch, failure flags and election log.
+        let mut config = small_config();
+        config.full_replicas = 2;
+        let mut engine = StarEngine::new(config.clone(), workload(0.3)).unwrap();
+        let mut shadow = EpochState::new(&config);
+        let script: [(&[NodeId], &[NodeId]); 6] =
+            [(&[], &[]), (&[0], &[]), (&[2, 3], &[]), (&[], &[0, 3]), (&[1], &[2]), (&[], &[1])];
+        for (crashes, recoveries) in script {
+            crashes.iter().for_each(|&n| engine.inject_failure(n));
+            for &n in recoveries {
+                engine.recover_node(n).unwrap();
+                shadow.mark_recovered(n);
+            }
+            let network = engine.cluster().network();
+            let observed: Vec<bool> = (0..4).map(|n| network.is_failed(n)).collect();
+            engine.run_iteration_stepped(4, 2);
+            for _fence in 0..2 {
+                shadow.open_fence(&config, &observed);
+                shadow.close_fence();
+            }
+            assert_eq!(shadow.epoch(), engine.epoch());
+            assert_eq!(shadow.last_committed(), engine.last_committed_epoch());
+            assert_eq!(shadow.failed(), engine.failure_flags());
+            assert_eq!(shadow.elections(), engine.elections());
+        }
+        assert_eq!(engine.master_generation(), 2, "the script re-elects twice: 0 → 1 → 0");
     }
 
     #[test]

@@ -7,14 +7,14 @@
 //! running the phase-switching algorithm, must fall back to distributed
 //! concurrency control, or must stop and recover from disk.
 //!
-//! The two decisions every replication fence takes once the failure picture
-//! is current also live here, shared by the simulated engine's fence, the
-//! `star-serverd` node's fence and the wire-chaos supervisor's mirror: who is
-//! master now ([`hold_election`]) and which in-flight replication survives
-//! ([`fence_survivors`]).
+//! What a replication fence does to a participant's protocol state also
+//! lives here, once: [`EpochState`] is the epoch clock, failure picture and
+//! election log that the simulated engine, every `star-serverd` node and the
+//! cluster driver each hold one of and advance with the same two calls, and
+//! [`fence_replica`] is what the fence does to one surviving replica.
 
 use crate::messages::ReplicationBatch;
-use star_common::{ClusterConfig, Epoch, NodeId};
+use star_common::{ClusterConfig, Epoch, Error, NodeId};
 use star_replication::EncodedEntry;
 use star_storage::Database;
 
@@ -47,46 +47,147 @@ impl MasterElection {
     }
 }
 
-/// Holds the election of `epoch`'s fence over the election `log`, now that
-/// `failed` is current: a crashed coordinator is replaced by the next healthy
-/// full replica, and a recovered lower-id full replica takes the role back.
-/// A new entry — one generation up — is appended only when the winner
-/// differs from the last entry's.
-pub fn hold_election(
-    log: &mut Vec<MasterElection>,
-    config: &ClusterConfig,
-    failed: &[bool],
+/// The protocol state one participant carries from fence to fence — the four
+/// words a rejoining node is sent: the epoch in flight, the last epoch a
+/// fence closed, which nodes are known failed, and every election held.
+///
+/// A replication fence moves it — [`open_fence`](Self::open_fence) with the
+/// failure picture the fence observed, then, once the replicas have been
+/// fenced, [`close_fence`](Self::close_fence) — and so does a completed
+/// recovery ([`mark_recovered`](Self::mark_recovered)). Nothing else.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EpochState {
     epoch: Epoch,
-) {
-    let winner = config.elected_master(failed);
-    let (master, generation) = log.last().map_or((None, 0), |e| (e.master, e.generation));
-    if log.is_empty() || winner != master {
-        log.push(MasterElection { epoch, master: winner, generation: generation + 1 });
+    last_committed: Epoch,
+    failed: Vec<bool>,
+    elections: Vec<MasterElection>,
+}
+
+impl EpochState {
+    /// A freshly started, fully healthy cluster: epoch 1 in flight, nothing
+    /// committed, the initial appointment.
+    pub fn new(config: &ClusterConfig) -> EpochState {
+        EpochState {
+            epoch: 1,
+            last_committed: 0,
+            failed: vec![false; config.num_nodes],
+            elections: MasterElection::initial_log(config),
+        }
+    }
+
+    /// Adopts a running cluster's state (a rejoining node, a driver attaching
+    /// mid-life). The words come from outside the process, so a picture no
+    /// sequence of fences produces is a typed error.
+    pub fn resume(
+        epoch: Epoch,
+        last_committed: Epoch,
+        failed: Vec<bool>,
+        elections: Vec<MasterElection>,
+    ) -> star_common::Result<EpochState> {
+        if last_committed >= epoch {
+            return Err(Error::Config(format!(
+                "epoch {epoch} cannot be in flight when epoch {last_committed} was the last closed"
+            )));
+        }
+        if elections.is_empty() {
+            return Err(Error::Config("the election log cannot be empty".to_string()));
+        }
+        Ok(EpochState { epoch, last_committed, failed, elections })
+    }
+
+    /// The epoch in flight.
+    pub fn epoch(&self) -> Epoch {
+        self.epoch
+    }
+
+    /// The last epoch a fence closed.
+    pub fn last_committed(&self) -> Epoch {
+        self.last_committed
+    }
+
+    /// The known-failed flag of every node (index = node id).
+    pub fn failed(&self) -> &[bool] {
+        &self.failed
+    }
+
+    /// Every election held, in order; index 0 is the initial appointment.
+    pub fn elections(&self) -> &[MasterElection] {
+        &self.elections
+    }
+
+    /// The winner of the most recent election, while it is not known failed.
+    pub fn current_master(&self) -> Option<NodeId> {
+        let master = self.elections.last()?.master?;
+        (self.failed.get(master) == Some(&false)).then_some(master)
+    }
+
+    /// The fence's decision step, given the failure picture it `observed`
+    /// (one flag per node). A node observed failed that was not known failed
+    /// crashed inside the epoch in flight, so the cluster discards that epoch
+    /// (Figure 6): returns whether this fence is `reverting`. The picture
+    /// becomes current and the election is held over it: a crashed
+    /// coordinator is replaced by the next healthy full replica, a recovered
+    /// lower-id full replica takes the role back, and a new log entry — one
+    /// generation up — is appended only when the winner changes.
+    pub fn open_fence(&mut self, config: &ClusterConfig, observed: &[bool]) -> bool {
+        let reverting = self.failed.iter().zip(observed).any(|(known, seen)| *seen && !known);
+        for (known, seen) in self.failed.iter_mut().zip(observed) {
+            *known = *seen;
+        }
+        let winner = config.elected_master(&self.failed);
+        let (master, generation) =
+            self.elections.last().map_or((None, 0), |e| (e.master, e.generation + 1));
+        if winner != master {
+            self.elections.push(MasterElection { epoch: self.epoch, master: winner, generation });
+        }
+        reverting
+    }
+
+    /// The fence is done: the epoch in flight becomes the last committed one
+    /// — also past a reverted epoch, whose records the revert already
+    /// discarded, so the next epoch builds on the surviving state.
+    pub fn close_fence(&mut self) {
+        self.last_committed = self.epoch;
+        self.epoch += 1;
+    }
+
+    /// `node` has caught up and rejoined; unknown ids are ignored.
+    pub fn mark_recovered(&mut self, node: NodeId) {
+        if let Some(failed) = self.failed.get_mut(node) {
+            *failed = false;
+        }
     }
 }
 
-/// The fence's survivor rule: of the replication `batches` queued at a node
-/// holding `db`, the entries the fence may apply. Dropped are batches from
-/// senders in `failed`; when the fence is `reverting` (it just detected a
-/// failure, so the whole in-flight epoch is being discarded — Figure 6),
-/// batches of epochs after `last_committed`, whose application would
-/// resurrect writes the primaries just reverted; and entries of partitions
-/// the replica does not hold.
-pub fn fence_survivors<'a>(
-    batches: impl IntoIterator<Item = ReplicationBatch> + 'a,
-    db: &'a Database,
-    failed: &'a [bool],
+/// What a fence does to one surviving replica `db`, between
+/// [`EpochState::open_fence`] (whose verdict is `reverting`) and
+/// [`EpochState::close_fence`]. A reverting fence first rolls the replica back
+/// to the last committed epoch. Then every entry of the `arrived` batches that
+/// survives is handed to `sink`, in arrival order. Dropped are batches from
+/// senders known failed; when reverting, batches of the discarded epoch, whose
+/// application would resurrect writes the primaries just reverted; and entries
+/// of partitions the replica does not hold. The caller brings its own way of
+/// collecting what arrived (an endpoint drain, a TCP inbox) and of applying it
+/// (now, or deferred behind the fence).
+pub fn fence_replica(
+    state: &EpochState,
     reverting: bool,
-    last_committed: Epoch,
-) -> impl Iterator<Item = EncodedEntry> + 'a {
-    batches
+    db: &Database,
+    arrived: impl IntoIterator<Item = ReplicationBatch>,
+    sink: impl FnMut(EncodedEntry),
+) {
+    if reverting {
+        db.revert_to_epoch(state.last_committed);
+    }
+    arrived
         .into_iter()
-        .filter(move |batch| {
-            failed.get(batch.from_node) == Some(&false)
-                && !(reverting && batch.epoch > last_committed)
+        .filter(|batch| {
+            state.failed.get(batch.from_node) == Some(&false)
+                && !(reverting && batch.epoch > state.last_committed)
         })
         .flat_map(|batch| batch.entries)
         .filter(|entry| db.holds(entry.partition()))
+        .for_each(sink);
 }
 
 /// Error returned by [`FailureCase::classify`] when the failure vector does
@@ -432,6 +533,27 @@ mod tests {
                         | FailureCase::OnlyFullRemains
                 );
                 assert_eq!(c.elected_master(&failed).is_some(), full_remains, "mask {mask:b}");
+
+                // The epoch-state column: a participant that knows `failed`
+                // opens a fence that observes every other picture.
+                let mut known = EpochState::new(&c);
+                known.open_fence(&c, &failed);
+                known.close_fence();
+                for seen in 0u32..(1 << c.num_nodes) {
+                    let observed: Vec<bool> =
+                        (0..c.num_nodes).map(|n| seen & (1 << n) != 0).collect();
+                    let mut state = known.clone();
+                    let newly_failed = (0..c.num_nodes).any(|n| observed[n] && !failed[n]);
+                    assert_eq!(state.open_fence(&c, &observed), newly_failed, "{mask:b}→{seen:b}");
+                    assert_eq!(state.failed(), observed);
+                    let winner = c.elected_master(&observed);
+                    let elected = usize::from(winner != c.elected_master(&failed));
+                    assert_eq!(state.elections().len(), known.elections().len() + elected);
+                    assert_eq!(state.elections().last().unwrap().master, winner);
+                    assert_eq!(state.current_master(), winner);
+                    state.close_fence();
+                    assert_eq!((state.epoch(), state.last_committed()), (3, 2));
+                }
             }
         }
     }
@@ -455,12 +577,15 @@ mod tests {
             ReplicationBatch::from_entries(from_node, epoch, vec![entry])
         };
         // Sender 1 is failed; epoch 3 is in flight (2 committed last).
-        let failed = [false, true, false];
+        let log = MasterElection::initial_log(&ClusterConfig::with_nodes(3));
+        let state = EpochState::resume(3, 2, vec![false, true, false], log).unwrap();
         let queued = || vec![batch(0, 2, 0), batch(1, 2, 0), batch(2, 3, 0), batch(2, 2, 1)];
         let survivors = |reverting| -> Vec<(Epoch, usize)> {
-            fence_survivors(queued(), &db, &failed, reverting, 2)
-                .map(|e| (e.tid().epoch(), e.partition()))
-                .collect()
+            let mut seen = Vec::new();
+            fence_replica(&state, reverting, &db, queued(), |e| {
+                seen.push((e.tid().epoch(), e.partition()))
+            });
+            seen
         };
         assert_eq!(survivors(false), vec![(2, 0), (3, 0)]);
         assert_eq!(survivors(true), vec![(2, 0)]);

@@ -23,8 +23,10 @@
 //!   borrowed [`exec::NodeCtx`] until a [`exec::PhaseBudget`] is spent,
 //!   parameterized over the [`star_net::Transport`] seam.
 //! * [`failure`] — failure-scenario classification (the four recovery cases
-//!   of Section 4.5.3) and the two fence-time rules every deployment shares:
-//!   the master election and which in-flight replication survives.
+//!   of Section 4.5.3) and what a fence does to a participant, shared by
+//!   every deployment: [`failure::EpochState`] (epoch clock, failure picture,
+//!   election log) and [`failure::fence_replica`] (revert, then the in-flight
+//!   replication that survives).
 //! * [`history`] — optional committed-history recording (epoch-buffered, so
 //!   reverted epochs vanish exactly as their effects do); the `star-chaos`
 //!   serializability checker consumes these histories.

@@ -1,161 +1,307 @@
-//! The clustered run loop, executed by the node that receives a `Run`.
+//! The cluster driver: how a STAR cluster is driven over control
+//! connections, written once.
 //!
-//! The coordinator drives the deterministic stepped schedule the simulated
-//! engine's `run_iteration_stepped` performs, over control connections to
-//! every node (including itself, through its own listener — one uniform
-//! path):
+//! A [`ClusterDriver`] holds one [`Conn`] per live node, its own
+//! [`EpochState`] (advanced at every fence by the very calls the nodes make),
+//! the cluster-wide attempt baselines and the replication counts the nodes
+//! report. The node that receives a client's `Run` drives its cluster through
+//! one (`run_cluster`); so does the wire-chaos supervisor, which adds kills,
+//! restarts and fault-injecting proxies around the same calls.
 //!
-//! 1. `RunPhase(Partitioned, e)` to every node in parallel; each runs its
-//!    own partitions' seeded transaction streams and reports its cumulative
-//!    per-destination replication batch counts.
-//! 2. `Fence(e, expected)` to every node: `expected[s]` for receiver `r` is
-//!    the cumulative count sender `s` reported having shipped to `r`, so the
-//!    fence blocks exactly until the phase's replication has landed.
-//! 3. `RunPhase(SingleMaster, e+1)` to the elected master only.
-//! 4. `Fence(e+1, …)` to every node.
-//!
-//! Two fences per iteration, always — including when the single-master
-//! phase is empty — so epoch numbers stay aligned with the simulation twin.
+//! One iteration is the stepped schedule of the engine's
+//! `run_iteration_stepped`: `run_partitioned` (every live node, in parallel,
+//! runs the seeded streams of the partitions it is the effective primary of),
+//! `fence`, `run_single_master` (the elected master only), `fence`. Two
+//! fences per iteration, always — including when a phase is empty — so epoch
+//! numbers stay aligned with the simulation twin.
 
 use crate::node::NodeInner;
-use star_proto::{Conn, Request, Response, Role, WirePhase};
-use std::sync::Mutex;
+use star_common::ClusterConfig;
+use star_core::failure::EpochState;
+use star_core::{FailureCase, MasterElection};
+use star_proto::{AdminQuery, Conn, Request, Response, Role, WireElection, WirePhase};
 
-/// One node's answer to a phase: committed count and cumulative sent counts.
-fn expect_phase_done(response: Response) -> Result<(u64, Vec<u64>), String> {
-    match response {
-        Response::PhaseDone { committed, sent } => Ok((committed, sent)),
-        Response::Error(message) => Err(message),
-        other => Err(format!("expected PhaseDone, got {other:?}")),
+/// Drives one cluster over control connections (see the module docs).
+#[derive(Debug)]
+pub struct ClusterDriver {
+    config: ClusterConfig,
+    /// One control connection per node. The driver's failure picture is this
+    /// table: a node it holds no connection to is failed.
+    conns: Vec<Option<Conn>>,
+    state: EpochState,
+    /// Cumulative transaction attempts per partition / per master worker
+    /// since the driver attached — the fast-forward baselines of every
+    /// `RunPhase`. A node never rewinds to a baseline, so they are exact for
+    /// a driver attached at the cluster's birth and inert for a later one.
+    partition_baselines: Vec<u64>,
+    master_baselines: Vec<u64>,
+    /// `last_sent[s][r]`: cumulative batches node `s` reported shipping to
+    /// `r`. A restarted node counts from zero again; `sent_offsets` carries
+    /// its pre-restart totals.
+    last_sent: Vec<Vec<u64>>,
+    sent_offsets: Vec<Vec<u64>>,
+}
+
+fn failed_ids(failed: &[bool]) -> Vec<u32> {
+    failed.iter().enumerate().filter_map(|(n, &f)| f.then_some(n as u32)).collect()
+}
+
+impl ClusterDriver {
+    /// Dials every node of a fully live cluster as `role` (`from_node` is
+    /// the dialling node's id, 0 for tools) and adopts the cluster's epoch
+    /// state from that node's `Status`; the election log starts as the one
+    /// entry `Status` describes.
+    pub fn attach(
+        config: &ClusterConfig,
+        addrs: &[String],
+        role: Role,
+        from_node: u32,
+    ) -> Result<ClusterDriver, String> {
+        let connect = |addr: &String| match Conn::connect(addr, role, from_node) {
+            Ok(conn) => Ok(Some(conn)),
+            Err(e) => Err(format!("cannot reach {addr}: {e}")),
+        };
+        let n = config.num_nodes;
+        let mut driver = ClusterDriver {
+            config: config.clone(),
+            conns: addrs.iter().map(connect).collect::<Result<_, _>>()?,
+            state: EpochState::new(config),
+            partition_baselines: vec![0; config.partitions],
+            master_baselines: vec![0; config.workers_per_node],
+            last_sent: vec![vec![0; n]; n],
+            sent_offsets: vec![vec![0; n]; n],
+        };
+        let status = match driver.request(from_node as usize, Request::Admin(AdminQuery::Status))? {
+            Response::Status(status) => status,
+            other => return Err(format!("expected Status, got {other:?}")),
+        };
+        let elected = MasterElection {
+            epoch: status.last_committed,
+            master: usize::try_from(status.master).ok(),
+            generation: status.generation,
+        };
+        let healthy = vec![false; n];
+        driver.state =
+            EpochState::resume(status.epoch, status.last_committed, healthy, vec![elected])
+                .map_err(|e| format!("node {from_node} reports an impossible state: {e}"))?;
+        Ok(driver)
+    }
+
+    /// The configuration of the driven cluster.
+    pub fn config(&self) -> &ClusterConfig {
+        &self.config
+    }
+
+    /// The driver's epoch state — every live node's, between fences.
+    pub fn state(&self) -> &EpochState {
+        &self.state
+    }
+
+    /// `last_sent()[s][r]`: cumulative batches node `s` reported shipping to `r`.
+    pub fn last_sent(&self) -> &[Vec<u64>] {
+        &self.last_sent
+    }
+
+    /// The failure picture the driver observes (index = node id).
+    pub fn failed(&self) -> Vec<bool> {
+        self.conns.iter().map(Option::is_none).collect()
+    }
+
+    /// One request to one live node.
+    pub fn request(&mut self, node: usize, body: Request) -> Result<Response, String> {
+        let conn = self.conns.get_mut(node).and_then(Option::as_mut);
+        let conn = conn.ok_or_else(|| format!("no connection to node {node} (it is down)"))?;
+        conn.request(body).map_err(|e| format!("request to node {node} failed: {e}"))
+    }
+
+    /// Sends `make(node)` to every live node in parallel; the responses come
+    /// back in node order.
+    fn request_all(
+        &mut self,
+        make: impl Fn(usize) -> Request,
+    ) -> Result<Vec<(usize, Response)>, String> {
+        let live = self.conns.iter_mut().enumerate().filter_map(|(n, c)| Some((n, c.as_mut()?)));
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = live
+                .map(|(node, conn)| (node, conn, make(node)))
+                .map(|(node, conn, body)| (node, scope.spawn(move || conn.request(body))))
+                .collect();
+            let joined = handles.into_iter().map(|(node, handle)| match handle.join() {
+                Ok(Ok(response)) => Ok((node, response)),
+                Ok(Err(e)) => Err(format!("request to node {node} failed: {e}")),
+                Err(_) => Err(format!("control thread of node {node} panicked")),
+            });
+            joined.collect()
+        })
+    }
+
+    fn baselines(&mut self, phase: WirePhase) -> &mut Vec<u64> {
+        match phase {
+            WirePhase::Partitioned => &mut self.partition_baselines,
+            WirePhase::SingleMaster => &mut self.master_baselines,
+        }
+    }
+
+    /// One phase: `RunPhase` to `only` one node or to every live one, each
+    /// answer's cumulative sent counters folded into the rebased shipping
+    /// totals, the baselines advanced. Returns the commits.
+    fn run_phase(
+        &mut self,
+        phase: WirePhase,
+        txns: u64,
+        only: Option<usize>,
+    ) -> Result<u64, String> {
+        let request = Request::RunPhase {
+            phase,
+            epoch: self.state.epoch(),
+            txns,
+            baselines: self.baselines(phase).clone(),
+            failed: failed_ids(&self.failed()),
+        };
+        let answers = match only {
+            Some(node) => vec![(node, self.request(node, request)?)],
+            None => self.request_all(|_| request.clone())?,
+        };
+        let mut total = 0;
+        for (node, answer) in answers {
+            let Response::PhaseDone { committed, sent } = answer else {
+                return Err(format!("node {node}: expected PhaseDone, got {answer:?}"));
+            };
+            total += committed;
+            let rows = self.last_sent.get_mut(node).zip(self.sent_offsets.get(node));
+            let (sums, offsets) = rows.ok_or_else(|| format!("no such node {node}"))?;
+            for ((sum, offset), count) in sums.iter_mut().zip(offsets).zip(sent) {
+                *sum = offset + count;
+            }
+        }
+        self.baselines(phase).iter_mut().for_each(|baseline| *baseline += txns);
+        Ok(total)
+    }
+
+    /// Runs `txns` attempts per partition on the partitions' effective
+    /// primaries — unless the failure picture leaves the system unavailable,
+    /// the engine's gate. Every partition has an effective primary when the
+    /// system is available, so every partition's stream advances.
+    pub fn run_partitioned(&mut self, txns: u64) -> Result<u64, String> {
+        let available = FailureCase::classify(&self.config, &self.failed());
+        if txns == 0 || !available.is_ok_and(FailureCase::available) {
+            return Ok(0);
+        }
+        self.run_phase(WirePhase::Partitioned, txns, None)
+    }
+
+    /// Runs `txns` attempts per master worker on the elected master, if there
+    /// is one. (The other nodes ship nothing, so their `last_sent` rows stay
+    /// valid.)
+    pub fn run_single_master(&mut self, txns: u64) -> Result<u64, String> {
+        match self.state.current_master().filter(|_| txns > 0) {
+            Some(master) => self.run_phase(WirePhase::SingleMaster, txns, Some(master)),
+            None => Ok(0),
+        }
+    }
+
+    /// Closes the epoch in flight on every live node — receiver `r` first
+    /// waits until `arrivals[s][r]` batches from each sender `s` have arrived
+    /// — and on the driver's own state. A node marked failed since the last
+    /// fence is news to the survivors: they revert the epoch.
+    pub fn fence(&mut self, arrivals: &[Vec<u64>]) -> Result<(), String> {
+        let observed = self.failed();
+        let failed = failed_ids(&observed);
+        let epoch = self.state.epoch();
+        let answers = self.request_all(|receiver| Request::Fence {
+            epoch,
+            expected: arrivals
+                .iter()
+                .map(|sent| sent.get(receiver).copied().unwrap_or(0))
+                .collect(),
+            failed: failed.clone(),
+        })?;
+        for (node, answer) in answers {
+            if !matches!(answer, Response::FenceDone { epoch: fenced, .. } if fenced == epoch) {
+                return Err(format!("node {node}: expected FenceDone({epoch}), got {answer:?}"));
+            }
+        }
+        self.state.open_fence(&self.config, &observed);
+        self.state.close_fence();
+        Ok(())
+    }
+
+    /// [`fence`](Self::fence) on what the senders report — the arrivals of a
+    /// plain network, where every shipped batch arrives.
+    pub fn fence_on_last_sent(&mut self) -> Result<(), String> {
+        let sent = self.last_sent.clone();
+        self.fence(&sent)
+    }
+
+    /// Records that `node` died: phases route around it from now on and the
+    /// next fence carries it as failed.
+    pub fn mark_failed(&mut self, node: usize) {
+        if let Some(conn) = self.conns.get_mut(node) {
+            *conn = None;
+        }
+    }
+
+    /// Brings the restarted `node`, now listening on `addr`, back: dial it
+    /// (restarting nodes is a supervisor's act, so as `Role::Admin`), copy every partition it holds from the engine's recovery source (the
+    /// wire form of `recover_node`'s copy loop, Thomas write rule), and send
+    /// it the driver's epoch state — what every survivor knows — plus
+    /// `recv_base[s]`, the batches from each sender `s` that reached its
+    /// address before the restart.
+    pub fn rejoin(&mut self, node: usize, addr: &str, recv_base: &[u64]) -> Result<(), String> {
+        let conn = Conn::connect(addr, Role::Admin, 0)
+            .map_err(|e| format!("cannot reconnect to restarted node {node}: {e}"))?;
+        *self.conns.get_mut(node).ok_or_else(|| format!("no such node {node}"))? = Some(conn);
+        if let Some((offset, sent)) = self.sent_offsets.get_mut(node).zip(self.last_sent.get(node))
+        {
+            offset.clone_from(sent);
+        }
+        let failed = self.failed();
+        for partition in self.config.held_partitions(node) {
+            let source = self.config.recovery_source(&failed, node, partition);
+            let source = source.ok_or_else(|| format!("partition {partition} has no source"))?;
+            let fetch = Request::FetchPartition { partition: partition as u32 };
+            let records = match self.request(source, fetch)? {
+                Response::Records(records) => records,
+                other => return Err(format!("node {source}: expected Records, got {other:?}")),
+            };
+            match self.request(node, Request::InstallRecords { records })? {
+                Response::InstallDone { .. } => {}
+                other => return Err(format!("node {node}: expected InstallDone, got {other:?}")),
+            }
+        }
+        self.state.mark_recovered(node);
+        let rejoin = Request::Rejoin {
+            epoch: self.state.epoch(),
+            last_committed: self.state.last_committed(),
+            failed: failed_ids(self.state.failed()),
+            elections: self.state.elections().iter().map(WireElection::from_election).collect(),
+            recv_base: recv_base.to_vec(),
+        };
+        match self.request(node, rejoin)? {
+            Response::Ok => Ok(()),
+            other => Err(format!("node {node}: expected Ok to Rejoin, got {other:?}")),
+        }
     }
 }
 
-/// Runs `iterations` stepped iterations across the cluster. Returns total
-/// committed transactions and the number of epochs closed.
+/// What a node does with a client's `Run`: attaches a driver to its own
+/// cluster (itself included, through its own listener — one uniform path)
+/// and runs `iterations` stepped iterations, fencing on what the senders
+/// report. Returns total committed transactions and the epochs closed.
 pub(crate) fn run_cluster(
     inner: &NodeInner,
     iterations: u32,
     partitioned_txns: u64,
     single_master_txns: u64,
 ) -> Result<(u64, u32), String> {
-    let num_nodes = inner.config.num_nodes;
-    let master = inner.config.master_node();
-    let conns: Vec<Mutex<Conn>> = inner
-        .addrs
-        .iter()
-        .map(|addr| {
-            Conn::connect(addr, Role::Coordinator, inner.node as u32)
-                .map(Mutex::new)
-                .map_err(|e| format!("coordinator cannot reach {addr}: {e}"))
-        })
-        .collect::<Result<_, String>>()?;
-
-    // last_sent[s][r]: cumulative batches node s reported shipping to r.
-    let mut last_sent: Vec<Vec<u64>> = vec![vec![0; num_nodes]; num_nodes];
-    let mut epoch = {
-        // The coordinator's own epoch is the cluster's: every node starts at
-        // 1 and only fences advance it.
-        let status =
-            conn_request(&conns[inner.node], Request::Admin(star_proto::AdminQuery::Status))?;
-        match status {
-            Response::Status(status) => status.epoch,
-            other => return Err(format!("expected Status, got {other:?}")),
-        }
-    };
-    let mut committed_total = 0u64;
-    let mut epochs_closed = 0u32;
-
+    let mut driver =
+        ClusterDriver::attach(&inner.config, &inner.addrs, Role::Coordinator, inner.node as u32)?;
+    let mut committed = 0;
     for _ in 0..iterations {
-        // Partitioned phase, all nodes in parallel.
-        // Empty baselines and failure set: the healthy steady-state path —
-        // nodes skip fast-forwarding and route by configured primaries.
-        let phase_results = broadcast(&conns, |_node| Request::RunPhase {
-            phase: WirePhase::Partitioned,
-            epoch,
-            txns: partitioned_txns,
-            baselines: Vec::new(),
-            failed: Vec::new(),
-        })?;
-        for (node, response) in phase_results.into_iter().enumerate() {
-            let (committed, sent) = expect_phase_done(response)?;
-            committed_total += committed;
-            last_sent[node] = sent;
-        }
-        fence_all(&conns, &last_sent, epoch)?;
-        epoch += 1;
-        epochs_closed += 1;
-
-        // Single-master phase, master only (the other nodes' sent counts are
-        // unchanged, so their rows in `last_sent` stay valid).
-        if single_master_txns > 0 {
-            let response = conn_request(
-                &conns[master],
-                Request::RunPhase {
-                    phase: WirePhase::SingleMaster,
-                    epoch,
-                    txns: single_master_txns,
-                    baselines: Vec::new(),
-                    failed: Vec::new(),
-                },
-            )?;
-            let (committed, sent) = expect_phase_done(response)?;
-            committed_total += committed;
-            last_sent[master] = sent;
-        }
-        fence_all(&conns, &last_sent, epoch)?;
-        epoch += 1;
-        epochs_closed += 1;
+        committed += driver.run_partitioned(partitioned_txns)?;
+        driver.fence_on_last_sent()?;
+        committed += driver.run_single_master(single_master_txns)?;
+        driver.fence_on_last_sent()?;
     }
-
-    Ok((committed_total, epochs_closed))
-}
-
-fn conn_request(conn: &Mutex<Conn>, body: Request) -> Result<Response, String> {
-    let mut conn_guard = conn.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-    conn_guard.request(body).map_err(|e| format!("control request failed: {e}"))
-}
-
-/// Sends one request to every node in parallel and collects the responses in
-/// node order.
-fn broadcast(
-    conns: &[Mutex<Conn>],
-    make_request: impl Fn(usize) -> Request + Sync,
-) -> Result<Vec<Response>, String> {
-    let results: Vec<Result<Response, String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = conns
-            .iter()
-            .enumerate()
-            .map(|(node, conn)| {
-                let request = make_request(node);
-                scope.spawn(move || conn_request(conn, request))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| {
-                handle.join().unwrap_or_else(|_| Err("control thread panicked".to_string()))
-            })
-            .collect()
-    });
-    results.into_iter().collect()
-}
-
-/// Fences every node for `epoch`: receiver `r` waits for `last_sent[s][r]`
-/// batches from each sender `s`.
-fn fence_all(conns: &[Mutex<Conn>], last_sent: &[Vec<u64>], epoch: u32) -> Result<(), String> {
-    let responses = broadcast(conns, |receiver| Request::Fence {
-        epoch,
-        expected: last_sent.iter().map(|sent_by_s| sent_by_s[receiver]).collect(),
-        failed: Vec::new(),
-    })?;
-    for (node, response) in responses.into_iter().enumerate() {
-        match response {
-            Response::FenceDone { .. } => {}
-            Response::Error(message) => {
-                return Err(format!("fence failed on node {node}: {message}"))
-            }
-            other => return Err(format!("node {node}: expected FenceDone, got {other:?}")),
-        }
-    }
-    Ok(())
+    Ok((committed, iterations.saturating_mul(2)))
 }

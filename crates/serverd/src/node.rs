@@ -16,22 +16,23 @@
 //! * `Replication` → the batch is appended to the inbox and the per-sender
 //!   arrival counter bumps; no response (one-way stream);
 //! * `Request` → handled, and a `Response` with the same correlation id is
-//!   written back. `Run` turns the receiving node into the coordinator for a
-//!   whole clustered run (see [`crate::coordinator`]).
+//!   written back. `Run` makes the receiving node attach a
+//!   [`ClusterDriver`](crate::coordinator::ClusterDriver) to its own cluster
+//!   for a whole clustered run.
 //!
 //! ## The fence barrier
 //!
 //! A `Fence { epoch, expected, failed }` request carries, for every sender
 //! `s`, the cumulative number of batches `s` has shipped to this node, plus
 //! the coordinator's current failure picture. The fence waits until the
-//! arrival counters catch up, and then mirrors the simulated engine's
-//! fence exactly: a *newly* failed node makes it revert the in-flight epoch
-//! (the crash discarded it cluster-wide) and drop that epoch's queued
-//! batches, the deterministic master election re-runs (lowest-id healthy
-//! full replica), surviving batches are applied in arrival order (disjoint
+//! arrival counters catch up, and then runs the very calls the simulated
+//! engine's fence runs, over the node's own [`EpochState`] and replica:
+//! `open_fence` (a *newly* failed node makes the fence revert the in-flight
+//! epoch, and the deterministic master election re-runs), `fence_replica`
+//! over the inbox (surviving batches are applied in arrival order — disjoint
 //! partitions in the partitioned phase and the Thomas write rule in the
 //! single-master phase make cross-link ordering irrelevant), the epoch's
-//! history is finalized as committed or reverted, and the epoch advances.
+//! history is finalized as committed or reverted, `close_fence`.
 //!
 //! ## Failover and restart
 //!
@@ -39,10 +40,10 @@
 //! taking over a partition (or a restarted master) fast-forwards the
 //! worker's seeded RNG to the baseline, so the transaction stream continues
 //! exactly where the previous executor left it — the wire form of the
-//! engine's engine-global worker state. The supervisor drives recovery with
-//! `FetchPartition` / `InstallRecords` (a Thomas-rule catch-up copy between
-//! replicas) and `Rejoin` (epoch, failure set, election log and replication
-//! counter rebase for a freshly restarted process).
+//! engine's engine-global worker state. The cluster driver's `rejoin` brings
+//! a restarted process back with `FetchPartition` / `InstallRecords` (a
+//! Thomas-rule catch-up copy between replicas) and `Rejoin` (the driver's
+//! [`EpochState`] plus the replication counter rebase).
 
 use crate::bootstrap::Bootstrap;
 use crate::transport::TcpMesh;
@@ -55,11 +56,10 @@ use star_core::exec::{
     run_master_worker, run_partition_worker, MasterWorkerState, NodeCtx, PartitionWorkerState,
     PhaseBudget,
 };
-use star_core::failure::{fence_survivors, hold_election};
+use star_core::failure::{fence_replica, EpochState};
 use star_core::history::HistoryRecorder;
 use star_core::messages::ReplicationBatch;
 use star_core::workload::Workload;
-use star_core::MasterElection;
 use star_proto::{
     write_message, AdminQuery, FrameBuffer, Request, Response, WireElection, WireMessage,
     WirePhase, WireRecord, WireStatus, WireTxn,
@@ -79,12 +79,10 @@ const FENCE_TIMEOUT: Duration = Duration::from_secs(60);
 /// Per-worker execution state behind one mutex: the stepped phases are
 /// single-threaded per node, exactly like the engine's stepped driver.
 struct EngineState {
-    epoch: Epoch,
-    last_committed: Epoch,
+    /// Epoch, failure picture (as told by fences) and election log.
+    clock: EpochState,
     partition_workers: BTreeMap<PartitionId, PartitionWorkerState>,
     master_workers: Vec<MasterWorkerState>,
-    /// The node's view of which peers are failed, as told by fences.
-    failed: Vec<bool>,
     /// Cumulative transaction attempts this node's partition workers have
     /// actually executed (== RNG generations consumed). Compared against the
     /// supervisor's cluster-wide baselines to fast-forward on takeover.
@@ -107,7 +105,6 @@ pub(crate) struct NodeInner {
     engine: Mutex<EngineState>,
     inbox: Mutex<Vec<ReplicationBatch>>,
     recv_counts: Vec<AtomicU64>,
-    elections: Mutex<Vec<MasterElection>>,
     shutdown: AtomicBool,
 }
 
@@ -200,19 +197,16 @@ impl NodeServer {
             counters: RunCounters::new(),
             history: Arc::new(HistoryRecorder::new()),
             engine: Mutex::new(EngineState {
-                epoch: 1,
-                last_committed: 0,
+                clock: EpochState::new(&config),
                 partition_workers: BTreeMap::new(),
                 master_workers: (0..config.workers_per_node)
                     .map(|w| MasterWorkerState::new(&config, w))
                     .collect(),
-                failed: vec![false; config.num_nodes],
                 partition_attempts: BTreeMap::new(),
                 master_attempts: vec![0; config.workers_per_node],
             }),
             inbox: Mutex::new(Vec::new()),
             recv_counts: (0..config.num_nodes).map(|_| AtomicU64::new(0)).collect(),
-            elections: Mutex::new(MasterElection::initial_log(&config)),
             shutdown: AtomicBool::new(false),
         });
         let addr = listener.local_addr().map(|a| a.to_string()).unwrap_or(fallback_addr);
@@ -374,9 +368,10 @@ fn handle_request(inner: &Arc<NodeInner>, request: Request) -> Response {
         }
         Request::RunPhase { phase, epoch, txns, baselines, failed } => {
             handle_run_phase(inner, phase, epoch, txns, &baselines, &failed)
+                .unwrap_or_else(Response::Error)
         }
         Request::Fence { epoch, expected, failed } => {
-            handle_fence(inner, epoch, &expected, &failed)
+            handle_fence(inner, epoch, &expected, &failed).unwrap_or_else(Response::Error)
         }
         Request::FetchPartition { partition } => {
             handle_fetch_partition(inner, partition as PartitionId)
@@ -384,6 +379,7 @@ fn handle_request(inner: &Arc<NodeInner>, request: Request) -> Response {
         Request::InstallRecords { records } => handle_install_records(inner, records),
         Request::Rejoin { epoch, last_committed, failed, elections, recv_base } => {
             handle_rejoin(inner, epoch, last_committed, &failed, elections, &recv_base)
+                .unwrap_or_else(Response::Error)
         }
         Request::Admin(query) => handle_admin(inner, query),
         Request::Shutdown => {
@@ -409,15 +405,28 @@ fn handle_get(inner: &NodeInner, table: u32, partition: PartitionId, key: u64) -
     }
 }
 
-/// Expands the wire's failed-node-id list into per-node flags.
-fn failed_flags(num_nodes: usize, failed_ids: &[u32]) -> Vec<bool> {
+/// What checking a request's input yields; the `Err` is answered as
+/// [`Response::Error`].
+type Checked<T> = std::result::Result<T, String>;
+
+/// Expands the wire's failed-node-id list into per-node flags. An id the
+/// cluster does not have is the sender's mistake, not a node to ignore.
+fn failed_flags(num_nodes: usize, failed_ids: &[u32]) -> Checked<Vec<bool>> {
     let mut flags = vec![false; num_nodes];
     for &id in failed_ids {
-        if let Some(flag) = flags.get_mut(id as usize) {
-            *flag = true;
-        }
+        *flags.get_mut(id as usize).ok_or_else(|| {
+            format!("failed node {id} does not exist in a cluster of {num_nodes}")
+        })? = true;
     }
-    flags
+    Ok(flags)
+}
+
+/// Refuses a `what` request for `epoch` at a node whose clock reads `current`.
+fn check_epoch(node: NodeId, what: &str, epoch: Epoch, current: Epoch) -> Checked<()> {
+    if epoch == current {
+        return Ok(());
+    }
+    Err(format!("{what} for epoch {epoch} but node {node} is at epoch {current}"))
 }
 
 fn handle_run_phase(
@@ -427,15 +436,10 @@ fn handle_run_phase(
     txns: u64,
     baselines: &[u64],
     failed_ids: &[u32],
-) -> Response {
-    let mut engine_guard = inner.engine.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-    if engine_guard.epoch != epoch {
-        return Response::Error(format!(
-            "phase for epoch {epoch} but node {} is at epoch {}",
-            inner.node, engine_guard.epoch
-        ));
-    }
-    let failed = failed_flags(inner.config.num_nodes, failed_ids);
+) -> Checked<Response> {
+    let failed = failed_flags(inner.config.num_nodes, failed_ids)?;
+    let mut engine_guard = inner.lock_engine();
+    check_epoch(inner.node, "phase", epoch, engine_guard.clock.epoch())?;
     let committed = match phase {
         WirePhase::Partitioned => {
             run_partitioned(inner, &mut engine_guard, epoch, txns, baselines, &failed)
@@ -444,10 +448,14 @@ fn handle_run_phase(
             run_single_master(inner, &mut engine_guard, epoch, txns, baselines, &failed)
         }
     };
-    Response::PhaseDone { committed, sent: inner.mesh.sent_counts() }
+    Ok(Response::PhaseDone { committed, sent: inner.mesh.sent_counts() })
 }
 
 impl NodeInner {
+    fn lock_engine(&self) -> std::sync::MutexGuard<'_, EngineState> {
+        self.engine.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     /// What this node lends its phase workers for `epoch`: the wire has no
     /// WAL yet and always records history (parity and chaos read it back).
     fn ctx(&self, epoch: Epoch) -> NodeCtx<'_> {
@@ -516,12 +524,7 @@ fn run_single_master(
     baselines: &[u64],
     failed: &[bool],
 ) -> u64 {
-    let elected = {
-        let elections_guard =
-            inner.elections.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        elections_guard.last().and_then(|e| e.master)
-    };
-    if elected != Some(inner.node) {
+    if engine_state.clock.current_master() != Some(inner.node) {
         return 0;
     }
     let config = &inner.config;
@@ -544,73 +547,54 @@ fn run_single_master(
     committed
 }
 
-fn handle_fence(inner: &NodeInner, epoch: Epoch, expected: &[u64], failed_ids: &[u32]) -> Response {
-    if expected.len() != inner.config.num_nodes {
-        return Response::Error(format!(
-            "fence expects {} sender counts, got {}",
-            inner.config.num_nodes,
-            expected.len()
-        ));
+fn handle_fence(
+    inner: &NodeInner,
+    epoch: Epoch,
+    expected: &[u64],
+    failed_ids: &[u32],
+) -> Checked<Response> {
+    let num_nodes = inner.config.num_nodes;
+    if expected.len() != num_nodes {
+        return Err(format!("fence expects {num_nodes} sender counts, got {}", expected.len()));
     }
+    let failed = failed_flags(num_nodes, failed_ids)?;
+    // A fence for another epoch must be refused before the barrier: its
+    // counts may never arrive, and the wait would pin this thread.
+    let current = inner.lock_engine().clock.epoch();
+    check_epoch(inner.node, "fence", epoch, current)?;
     // Barrier: wait until everything the senders shipped before the fence
     // has arrived. Counters are cumulative, so a stale fence can never block
     // on traffic that already passed.
     let deadline = Instant::now() + FENCE_TIMEOUT;
     loop {
-        let caught_up = (0..inner.config.num_nodes)
+        let caught_up = (0..num_nodes)
             .all(|s| s == inner.node || inner.recv_counts[s].load(Ordering::SeqCst) >= expected[s]);
         if caught_up {
             break;
         }
         if Instant::now() >= deadline {
-            return Response::Error(format!(
-                "fence for epoch {epoch} timed out waiting for replication"
-            ));
+            return Err(format!("fence for epoch {epoch} timed out waiting for replication"));
         }
         std::thread::sleep(Duration::from_millis(1));
     }
 
-    let mut engine_guard = inner.engine.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-    if engine_guard.epoch != epoch {
-        return Response::Error(format!(
-            "fence for epoch {epoch} but node {} is at epoch {}",
-            inner.node, engine_guard.epoch
-        ));
-    }
-    let failed = failed_flags(inner.config.num_nodes, failed_ids);
-    // A node that newly appears in the failure picture crashed inside this
-    // epoch: the cluster discards the in-flight epoch, exactly like the
-    // engine's replication fence.
-    let reverting = (0..inner.config.num_nodes).any(|n| failed[n] && !engine_guard.failed[n]);
-    if reverting {
-        inner.db.revert_to_epoch(engine_guard.last_committed);
-    }
-    engine_guard.failed = failed.clone();
-
-    {
-        let mut elections_guard =
-            inner.elections.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        hold_election(&mut elections_guard, &inner.config, &failed, epoch);
-    }
-
+    let mut engine_guard = inner.lock_engine();
+    // Again under the lock: another fence may have closed the epoch meanwhile.
+    check_epoch(inner.node, "fence", epoch, engine_guard.clock.epoch())?;
+    let clock = &mut engine_guard.clock;
+    let reverting = clock.open_fence(&inner.config, &failed);
     let batches = {
         let mut inbox_guard = inner.inbox.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
         std::mem::take(&mut *inbox_guard)
     };
     let mut applied = 0u64;
-    for entry in
-        fence_survivors(batches, &inner.db, &failed, reverting, engine_guard.last_committed)
-    {
+    fence_replica(clock, reverting, &inner.db, batches, |entry| {
         let _ = entry.apply(&inner.db);
         applied += 1;
-    }
+    });
     inner.history.finalize_epoch(epoch, !reverting);
-    // The engine advances `last_committed` even past a reverted epoch — the
-    // revert already discarded its records, and the next epoch builds on the
-    // surviving state. Matched here so digests and rebases line up.
-    engine_guard.last_committed = epoch;
-    engine_guard.epoch = epoch + 1;
-    Response::FenceDone { epoch, applied }
+    clock.close_fence();
+    Ok(Response::FenceDone { epoch, applied })
 }
 
 /// Serves one held partition's records for a supervisor-mediated catch-up
@@ -680,67 +664,46 @@ fn handle_rejoin(
     failed_ids: &[u32],
     elections: Vec<WireElection>,
     recv_base: &[u64],
-) -> Response {
-    if recv_base.len() != inner.config.num_nodes {
-        return Response::Error(format!(
-            "rejoin expects {} receive counters, got {}",
-            inner.config.num_nodes,
+) -> Checked<Response> {
+    let num_nodes = inner.config.num_nodes;
+    if recv_base.len() != num_nodes {
+        return Err(format!(
+            "rejoin expects {num_nodes} receive counters, got {}",
             recv_base.len()
         ));
     }
-    if elections.is_empty() {
-        return Response::Error("rejoin needs a non-empty election log".to_string());
-    }
-    {
-        let mut engine_guard = inner.engine.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        engine_guard.epoch = epoch;
-        engine_guard.last_committed = last_committed;
-        engine_guard.failed = failed_flags(inner.config.num_nodes, failed_ids);
-    }
-    {
-        let mut elections_guard =
-            inner.elections.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        *elections_guard = elections.into_iter().map(WireElection::to_election).collect();
-    }
+    let failed = failed_flags(num_nodes, failed_ids)?;
+    let elections = elections.into_iter().map(WireElection::to_election).collect();
+    inner.lock_engine().clock = EpochState::resume(epoch, last_committed, failed, elections)
+        .map_err(|e| format!("rejoin refused: {e}"))?;
     for (sender, &count) in recv_base.iter().enumerate() {
         inner.recv_counts[sender].store(count, Ordering::SeqCst);
     }
     let mut inbox_guard = inner.inbox.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     inbox_guard.clear();
-    Response::Ok
+    Ok(Response::Ok)
 }
 
 fn handle_admin(inner: &NodeInner, query: AdminQuery) -> Response {
     match query {
         AdminQuery::Status => {
-            let (epoch, last_committed) = {
-                let engine_guard =
-                    inner.engine.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-                (engine_guard.epoch, engine_guard.last_committed)
-            };
-            let (elected, generation) = {
-                let elections_guard =
-                    inner.elections.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-                match elections_guard.last() {
-                    Some(e) => (e.master, e.generation),
-                    None => (None, 0),
-                }
-            };
+            let engine_guard = inner.lock_engine();
+            let clock = &engine_guard.clock;
+            let (elected, generation) =
+                clock.elections().last().map_or((None, 0), |e| (e.master, e.generation));
             Response::Status(WireStatus {
                 node: inner.node as u32,
-                epoch,
-                last_committed,
+                epoch: clock.epoch(),
+                last_committed: clock.last_committed(),
                 master: elected.map(|m| m as i64).unwrap_or(-1),
                 generation,
                 committed: inner.counters.snapshot().committed,
                 full_replica: inner.db.is_full_replica(),
             })
         }
-        AdminQuery::Elections => {
-            let elections_guard =
-                inner.elections.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-            Response::Elections(elections_guard.iter().map(WireElection::from_election).collect())
-        }
+        AdminQuery::Elections => Response::Elections(
+            inner.lock_engine().clock.elections().iter().map(WireElection::from_election).collect(),
+        ),
         AdminQuery::History => {
             let committed = inner.history.committed();
             Response::History(committed.iter().map(WireTxn::from_committed).collect())
@@ -821,6 +784,60 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         server.shutdown();
+    }
+
+    /// Node 0 of a two-node cluster (the peer is never started), one request.
+    fn node_zero_of_two() -> (NodeServer, Conn) {
+        let (mut listeners, boot) = test_bootstrap(2);
+        let server = NodeServer::start_on(listeners.remove(0), &boot, 0).expect("start");
+        let conn = Conn::connect(server.local_addr(), Role::Coordinator, 0).expect("connect");
+        (server, conn)
+    }
+
+    fn epoch_of(conn: &mut Conn) -> Epoch {
+        match conn.request(Request::Admin(AdminQuery::Status)).expect("status") {
+            Response::Status(status) => status.epoch,
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn fence_for_the_wrong_epoch_is_refused_before_the_barrier() {
+        let (_server, mut conn) = node_zero_of_two();
+        let started = Instant::now();
+        let fence = Request::Fence { epoch: 2, expected: vec![u64::MAX; 2], failed: Vec::new() };
+        assert!(matches!(conn.request(fence), Ok(Response::Error(_))));
+        assert!(started.elapsed() < Duration::from_secs(1), "the fence waited for the barrier");
+    }
+
+    #[test]
+    fn failed_node_ids_the_cluster_does_not_have_are_refused() {
+        let (_server, mut conn) = node_zero_of_two();
+        let fence = Request::Fence { epoch: 1, expected: vec![0; 2], failed: vec![99] };
+        assert!(matches!(conn.request(fence), Ok(Response::Error(_))));
+        let phase = Request::RunPhase {
+            phase: WirePhase::Partitioned,
+            epoch: 1,
+            txns: 1,
+            baselines: Vec::new(),
+            failed: vec![2],
+        };
+        assert!(matches!(conn.request(phase), Ok(Response::Error(_))));
+        assert_eq!(epoch_of(&mut conn), 1, "a refused fence must not close the epoch");
+    }
+
+    #[test]
+    fn rejoin_with_an_impossible_clock_is_refused() {
+        let (_server, mut conn) = node_zero_of_two();
+        let rejoin = Request::Rejoin {
+            epoch: 3,
+            last_committed: 3,
+            failed: Vec::new(),
+            elections: vec![WireElection { epoch: 0, master: 0, generation: 0 }],
+            recv_base: vec![0; 2],
+        };
+        assert!(matches!(conn.request(rejoin), Ok(Response::Error(_))));
+        assert_eq!(epoch_of(&mut conn), 1, "a refused rejoin must leave the clock alone");
     }
 
     #[test]

@@ -22,12 +22,13 @@
 //!   a killed process cannot), so `Crash` ops are lowered to the next
 //!   fence point; the lowered schedule drives the wire run *and* its
 //!   simulation twin, keeping the two trajectories identical.
-//! * [`runner`] — the supervisor: drives stepped phases and
-//!   failure-aware fences over control connections, SIGKILLs and restarts
-//!   nodes, mediates catch-up copies (`FetchPartition` →
-//!   `InstallRecords` → `Rejoin`), then compares merged histories,
-//!   election logs and replica digests byte-for-byte against the stepped
-//!   simulation twin and runs the serializability checker.
+//! * [`runner`] — the supervisor around `star_serverd`'s `ClusterDriver`
+//!   (which drives the stepped phases, failure-aware fences, catch-up
+//!   copies and `Rejoin` for `star-serverd`'s own `Run` too): SIGKILLs and
+//!   restarts nodes, fences on what the proxies delivered, then compares
+//!   merged histories, election logs and replica digests byte-for-byte
+//!   against the stepped simulation twin and runs the serializability
+//!   checker ([`twin_violations`]).
 //!
 //! The committed regression corpus (`tests/chaos_corpus/`) replays
 //! unmodified through [`runner::replay_plan_in_process`]; the CI
@@ -46,4 +47,6 @@ pub mod runner;
 pub use cluster::{InProcessCluster, ProcessCluster, WireCluster};
 pub use lower::lower_schedule;
 pub use proxy::ProxyMesh;
-pub use runner::{replay_plan, replay_plan_in_process, replay_plan_with_processes, WireReport};
+pub use runner::{
+    replay_plan, replay_plan_in_process, replay_plan_with_processes, twin_violations, WireReport,
+};

@@ -4,21 +4,24 @@
 //! trajectories byte-for-byte.
 //!
 //! The runner is the wire-side [`ChaosTarget`] of `star_chaos::walk` (the
-//! twin is the same walk over an [`EngineTarget`]): it owns the epoch
-//! counter, the failure picture, the deterministic election mirror and the
-//! cumulative per-executor transaction baselines, and lowers every schedule
+//! twin is the same walk over an [`EngineTarget`]). How the cluster is
+//! driven — phases, fences, epoch state, baselines, catch-up and rejoin — is
+//! `star_serverd`'s [`ClusterDriver`], the one `star-serverd`'s own `Run`
+//! uses; the runner is the *supervisor* around it: it lowers every schedule
 //! op to wire actions — `Crash` becomes a real process/server kill at the
 //! detecting fence (see [`crate::lower`]), `Recover` becomes a restart plus
-//! a catch-up copy over `FetchPartition`/`InstallRecords` plus a `Rejoin`,
-//! and link ops program the proxy fault plane.
+//! the driver's `rejoin`, link ops program the proxy fault plane — and it
+//! fences on what the proxies *delivered* rather than on what the senders
+//! report.
 //!
-//! Verification at the end of a run, mirroring the transport-parity tests:
+//! [`twin_violations`] is the comparison every wire-vs-twin check in the
+//! workspace makes:
 //!
 //! * merged committed histories (kill-time archives + live nodes), stable
 //!   sorted by `(epoch, executor)`, must be byte-identical to the twin's
 //!   under `encode_history`;
 //! * every live node's election log must be byte-identical to the twin's
-//!   under `encode_elections` (and to the runner's own mirror);
+//!   under `encode_elections`;
 //! * every live node's replica digest must equal the twin's replica of the
 //!   same node id;
 //! * the merged wire history must pass the serializability checker.
@@ -30,15 +33,10 @@ use star_chaos::{
     build_workload, check_history, walk, ChaosPlan, ChaosTarget, EngineTarget, FaultOp,
     InjectionPoint, WorkloadSpec,
 };
-use star_common::{ClusterConfig, Epoch};
-use star_core::failure::hold_election;
-use star_core::history::CommittedTxn;
-use star_core::{FailureCase, MasterElection, RecoveryFault};
-use star_proto::{
-    encode_elections, encode_history, AdminQuery, Conn, Request, Response, Role, WireElection,
-    WirePhase,
-};
-use star_serverd::replica_digest;
+use star_core::history::{CommittedTxn, HistoryRecorder};
+use star_core::{RecoveryFault, StarEngine};
+use star_proto::{encode_elections, encode_history, AdminQuery, Request, Response, Role};
+use star_serverd::{replica_digest, ClusterDriver};
 use std::time::Duration;
 
 /// How long the runner waits for in-flight frames to settle in the proxy
@@ -66,6 +64,79 @@ impl WireReport {
     }
 }
 
+/// Compares a wire cluster with its simulation twin (see the module docs)
+/// and returns the size of the merged wire history and every divergence.
+/// The wire side is read through `driver` — history, election log and
+/// replica digest of every node it holds live — plus the histories
+/// `archived` from nodes before they were killed; the twin side is the
+/// `twin` engine that ran the same schedule and its `recorder`.
+pub fn twin_violations(
+    driver: &mut ClusterDriver,
+    archived: Vec<CommittedTxn>,
+    twin: &StarEngine,
+    recorder: &HistoryRecorder,
+) -> Result<(u64, Vec<String>), String> {
+    twin.quiesce();
+    let twin_elections = encode_elections(twin.elections());
+    let mut violations = Vec::new();
+    let mut wire_history = archived;
+    for (node, _) in driver.failed().into_iter().enumerate().filter(|(_, failed)| !failed) {
+        match driver.request(node, Request::Admin(AdminQuery::History))? {
+            Response::History(txns) => wire_history.extend(txns.iter().map(|t| t.to_committed())),
+            other => return Err(format!("node {node}: expected History, got {other:?}")),
+        }
+        match driver.request(node, Request::Admin(AdminQuery::Elections))? {
+            Response::Elections(log) => {
+                let log: Vec<_> = log.into_iter().map(|e| e.to_election()).collect();
+                if encode_elections(&log) != twin_elections {
+                    violations.push(format!("node {node} election log diverges from the twin"));
+                }
+            }
+            other => return Err(format!("node {node}: expected Elections, got {other:?}")),
+        }
+        let digest = match driver.request(node, Request::Admin(AdminQuery::ReplicaDigest))? {
+            Response::Digest { records, digest } => (records, digest),
+            other => return Err(format!("node {node}: expected Digest, got {other:?}")),
+        };
+        match twin.cluster().nodes().get(node).map(|twin_node| replica_digest(&twin_node.db)) {
+            Some(twin_digest) if twin_digest == digest => {}
+            Some(twin_digest) => violations.push(format!(
+                "node {node} replica diverges: wire {digest:?} vs twin {twin_digest:?}"
+            )),
+            None => violations.push(format!("node {node} has no twin counterpart")),
+        }
+    }
+    // Per-node wire histories are in execution order and grouped per
+    // executor; the twin records stepped half-phases interleaved across
+    // executors. The same stable sort puts both in (epoch, executor) order
+    // without disturbing per-executor program order, so the byte comparison
+    // sees canonical forms.
+    let mut twin_history = recorder.committed();
+    wire_history.sort_by_key(|t| (t.epoch, t.executor));
+    twin_history.sort_by_key(|t| (t.epoch, t.executor));
+    if encode_history(&wire_history) != encode_history(&twin_history) {
+        let first_diff = wire_history
+            .iter()
+            .zip(twin_history.iter())
+            .enumerate()
+            .find(|(_, (w, t))| {
+                encode_history(std::slice::from_ref(w)) != encode_history(std::slice::from_ref(t))
+            })
+            .map(|(i, (w, t))| format!("; first divergence at txn {i}: wire {w:?} vs twin {t:?}"))
+            .unwrap_or_default();
+        violations.push(format!(
+            "wire and twin histories diverge ({} wire txns vs {} twin txns){first_diff}",
+            wire_history.len(),
+            twin_history.len()
+        ));
+    }
+    let report = check_history(&wire_history);
+    if !report.is_serializable() {
+        violations.push(format!("wire history is not serializable: {:?}", report.violation));
+    }
+    Ok((wire_history.len() as u64, violations))
+}
+
 /// Replays `plan` against a cluster the caller booted behind `proxies`,
 /// plus the simulation twin, and returns the comparison. The schedule is
 /// lowered internally; plans carrying disk-simulation ops are an error.
@@ -83,84 +154,35 @@ pub fn replay_plan(
     let schedule = lower_schedule(&plan.schedule)?;
     proxies.seed(plan.seed);
 
-    let mut runner = WireRunner::new(plan, cluster, proxies)?;
+    let addrs: Vec<String> = (0..plan.config.num_nodes).map(|n| cluster.control_addr(n)).collect();
+    let driver = ClusterDriver::attach(&plan.config, &addrs, Role::Admin, 0)?;
+    let mut runner = WireRunner {
+        cluster,
+        proxies,
+        driver,
+        archived_history: Vec::new(),
+        pending_kills: Vec::new(),
+        violations: Vec::new(),
+    };
     walk(plan, &schedule, &mut runner)?;
-    let WireOutcome {
-        history: wire_history,
-        elections: wire_elections,
-        digests: wire_digests,
-        mirror,
-        mut violations,
-    } = runner.finish()?;
+    let WireRunner { mut driver, archived_history, mut violations, .. } = runner;
 
     // The simulation twin: the same walk over the same lowered schedule.
     let mut twin = EngineTarget::new(plan).map_err(|e| format!("twin engine: {e}"))?;
     walk(plan, &schedule, &mut twin)?;
-    let EngineTarget { engine: twin, recorder, violations: twin_violations, .. } = twin;
-    twin.quiesce();
-    let mut twin_history = recorder.committed();
-    violations.extend(twin_violations.into_iter().map(|v| format!("twin: {v}")));
-    // The twin records stepped half-phases interleaved across executors;
-    // the wire merge is grouped per executor. The same stable sort puts
-    // both in (epoch, executor) order without disturbing per-executor
-    // program order, so the byte comparison sees canonical forms.
-    twin_history.sort_by_key(|t| (t.epoch, t.executor));
+    let EngineTarget { engine: twin, recorder, violations: twin_violations_seen, .. } = twin;
+    violations.extend(twin_violations_seen.into_iter().map(|v| format!("twin: {v}")));
 
-    if encode_history(&wire_history) != encode_history(&twin_history) {
-        let first_diff = wire_history
-            .iter()
-            .zip(twin_history.iter())
-            .enumerate()
-            .find(|(_, (w, t))| {
-                encode_history(std::slice::from_ref(w)) != encode_history(std::slice::from_ref(t))
-            })
-            .map(|(i, (w, t))| format!("; first divergence at txn {i}: wire {w:?} vs twin {t:?}"))
-            .unwrap_or_default();
+    let mirror = driver.state().elections();
+    if encode_elections(mirror) != encode_elections(twin.elections()) {
         violations.push(format!(
-            "wire and twin histories diverge ({} wire txns vs {} twin txns){first_diff}",
-            wire_history.len(),
-            twin_history.len()
-        ));
-    }
-
-    let twin_elections = encode_elections(twin.elections());
-    if encode_elections(&mirror) != twin_elections {
-        violations.push(format!(
-            "runner election mirror diverges from the twin: {mirror:?} vs {:?}",
+            "driver election mirror diverges from the twin: {mirror:?} vs {:?}",
             twin.elections()
         ));
     }
-    for (node, log) in &wire_elections {
-        let encoded = encode_elections(&log.iter().map(|e| (*e).to_election()).collect::<Vec<_>>());
-        if encoded != twin_elections {
-            violations.push(format!("node {node} election log diverges from the twin"));
-        }
-    }
-
-    for (node, digest) in &wire_digests {
-        let Some(twin_node) = twin.cluster().nodes().get(*node) else {
-            violations.push(format!("node {node} has no twin counterpart"));
-            continue;
-        };
-        let twin_digest = replica_digest(&twin_node.db);
-        if *digest != twin_digest {
-            violations.push(format!(
-                "node {node} replica diverges: wire {digest:?} vs twin {twin_digest:?}"
-            ));
-        }
-    }
-
-    let report = check_history(&wire_history);
-    if !report.is_serializable() {
-        violations.push(format!("wire history is not serializable: {:?}", report.violation));
-    }
-
-    Ok(WireReport {
-        label: plan.label.clone(),
-        seed: plan.seed,
-        committed: wire_history.len() as u64,
-        violations,
-    })
+    let (committed, diverged) = twin_violations(&mut driver, archived_history, &twin, &recorder)?;
+    violations.extend(diverged);
+    Ok(WireReport { label: plan.label.clone(), seed: plan.seed, committed, violations })
 }
 
 /// Convenience wrapper: boots an in-process cluster behind a fresh proxy
@@ -230,35 +252,11 @@ pub fn replay_plan_with_processes(
     report
 }
 
-/// Everything the wire side hands to the comparison phase.
-struct WireOutcome {
-    history: Vec<CommittedTxn>,
-    elections: Vec<(usize, Vec<WireElection>)>,
-    digests: Vec<(usize, (u64, u64))>,
-    mirror: Vec<MasterElection>,
-    violations: Vec<String>,
-}
-
-/// The wire-side control loop (see module docs).
+/// The supervisor around a [`ClusterDriver`] (see module docs).
 struct WireRunner<'a> {
     cluster: &'a mut dyn WireCluster,
     proxies: &'a ProxyMesh,
-    config: ClusterConfig,
-    epoch: Epoch,
-    last_committed: Epoch,
-    failed: Vec<bool>,
-    /// The runner's deterministic election mirror (`hold_election`, the
-    /// rule the engine and every node apply at the same fences).
-    elections: Vec<MasterElection>,
-    /// Cumulative transaction attempts per partition / per master worker —
-    /// the fast-forward baselines shipped with every `RunPhase`.
-    partition_baselines: Vec<u64>,
-    master_baselines: Vec<u64>,
-    /// `last_sent[s][t]`: cumulative frames node `s` has shipped towards
-    /// `t`, rebased across restarts (a restarted node's mesh counters reset
-    /// to zero; `sent_offsets` carries the pre-restart totals).
-    last_sent: Vec<Vec<u64>>,
-    sent_offsets: Vec<Vec<u64>>,
+    driver: ClusterDriver,
     /// Committed histories snapshotted from nodes at kill time (their
     /// recorders are volatile and die with the process).
     archived_history: Vec<CommittedTxn>,
@@ -266,173 +264,62 @@ struct WireRunner<'a> {
     /// executed at the next fence point, where the lowered schedule would
     /// place them.
     pending_kills: Vec<usize>,
-    conns: Vec<Option<Conn>>,
     violations: Vec<String>,
 }
 
-impl<'a> WireRunner<'a> {
-    fn new(
-        plan: &ChaosPlan,
-        cluster: &'a mut dyn WireCluster,
-        proxies: &'a ProxyMesh,
-    ) -> Result<WireRunner<'a>, String> {
-        let config = plan.config.clone();
-        let n = config.num_nodes;
-        let mut conns = Vec::with_capacity(n);
-        for node in 0..n {
-            let addr = cluster.control_addr(node);
-            let conn = Conn::connect(&addr, Role::Admin, 0)
-                .map_err(|e| format!("cannot connect to node {node} at {addr}: {e}"))?;
-            conns.push(Some(conn));
-        }
-        Ok(WireRunner {
-            cluster,
-            proxies,
-            epoch: 1,
-            last_committed: 0,
-            failed: vec![false; n],
-            elections: MasterElection::initial_log(&config),
-            partition_baselines: vec![0; config.partitions],
-            master_baselines: vec![0; config.workers_per_node],
-            last_sent: vec![vec![0; n]; n],
-            sent_offsets: vec![vec![0; n]; n],
-            archived_history: Vec::new(),
-            pending_kills: Vec::new(),
-            conns,
-            violations: Vec::new(),
-            config,
-        })
-    }
-
-    fn failed_ids(&self) -> Vec<u32> {
-        self.failed.iter().enumerate().filter_map(|(n, &f)| f.then_some(n as u32)).collect()
-    }
-
-    /// Whether the partitioned phase runs at all in the current failure
-    /// picture — same gate as the engine (`FailureCase::available`).
-    fn partitioned_available(&self) -> bool {
-        FailureCase::classify(&self.config, &self.failed).map(|c| c.available()).unwrap_or(false)
-    }
-
-    fn current_master(&self) -> Option<usize> {
-        self.elections.last().and_then(|e| e.master)
-    }
-
-    fn request(&mut self, node: usize, body: Request) -> Result<Response, String> {
-        let conn = self.conns[node]
-            .as_mut()
-            .ok_or_else(|| format!("no connection to node {node} (it is down)"))?;
-        conn.request(body).map_err(|e| format!("request to node {node} failed: {e}"))
-    }
-
-    /// Folds a node's cumulative `PhaseDone.sent` counters (which reset to
-    /// zero across restarts) into the runner's rebased shipping totals.
-    fn note_sent(&mut self, node: usize, sent: &[u64]) {
-        for (t, &count) in sent.iter().enumerate() {
-            self.last_sent[node][t] = self.sent_offsets[node][t] + count;
-        }
-    }
-
+impl WireRunner<'_> {
     fn apply_op(&mut self, op: &FaultOp) -> Result<(), String> {
         match op {
-            FaultOp::Crash(node) => self.do_kill(*node),
-            FaultOp::Recover(node) => self.do_recover(*node),
+            FaultOp::Crash(node) => return self.do_kill(*node),
+            FaultOp::Recover(node) => return self.do_recover(*node),
             FaultOp::RecoverInterrupted(node, fault) => self.do_recover_interrupted(*node, *fault),
-            FaultOp::CutLink(a, b) => {
-                self.proxies.cut_link(*a, *b);
-                Ok(())
-            }
-            FaultOp::HealLink(a, b) => {
-                self.proxies.heal_link(*a, *b);
-                Ok(())
-            }
+            FaultOp::CutLink(a, b) => self.proxies.cut_link(*a, *b),
+            FaultOp::HealLink(a, b) => self.proxies.heal_link(*a, *b),
             FaultOp::SetLinkFaults(from, to, faults) => {
-                self.proxies.set_link_faults(*from, *to, *faults);
-                Ok(())
+                self.proxies.set_link_faults(*from, *to, *faults)
             }
-            FaultOp::SetDefaultFaults(faults) => {
-                self.proxies.set_default_faults(*faults);
-                Ok(())
-            }
-            FaultOp::ClearFaults => {
-                self.proxies.clear_faults();
-                Ok(())
-            }
+            FaultOp::SetDefaultFaults(faults) => self.proxies.set_default_faults(*faults),
+            FaultOp::ClearFaults => self.proxies.clear_faults(),
             // `lower_schedule` rejects these before the run starts.
             FaultOp::Checkpoint | FaultOp::TruncateWal(..) => {
-                Err(format!("unlowerable op {op:?} reached the wire runner"))
+                return Err(format!("unlowerable op {op:?} reached the wire runner"))
             }
         }
+        Ok(())
     }
 
     /// Archives the node's committed history, then kills it for real. The
-    /// next fence carries the node in its `failed` list, which is what
-    /// makes the survivors revert the in-flight epoch.
+    /// driver's next fence carries the node as failed.
     fn do_kill(&mut self, node: usize) -> Result<(), String> {
-        if self.failed[node] {
+        if self.driver.failed().get(node) != Some(&false) {
             return Ok(());
         }
-        match self.request(node, Request::Admin(AdminQuery::History))? {
+        match self.driver.request(node, Request::Admin(AdminQuery::History))? {
             Response::History(txns) => {
                 self.archived_history.extend(txns.iter().map(|t| t.to_committed()));
             }
             other => return Err(format!("node {node}: expected History, got {other:?}")),
         }
-        self.conns[node] = None;
+        self.driver.mark_failed(node);
         self.cluster.kill(node)?;
         self.proxies.set_node_failed(node, true);
-        self.failed[node] = true;
         Ok(())
     }
 
-    /// Restarts `node`, catches its fresh replica up from healthy holders
-    /// (the wire form of the engine's `recover_node` copy loop) and rejoins
-    /// it to the cluster's epoch/election/counter state.
+    /// Restarts `node` and has the driver catch it up and rejoin it; its
+    /// receive counters restart from what the proxies delivered to its
+    /// address before the restart.
     fn do_recover(&mut self, node: usize) -> Result<(), String> {
-        let Some(copies) = self.recovery_copies(node) else { return Ok(()) };
+        if !self.recoverable(node) {
+            return Ok(());
+        }
         let addr = self.cluster.restart(node)?;
         self.proxies.set_target(node, &addr);
-        if let (Some(offset), Some(sent)) =
-            (self.sent_offsets.get_mut(node), self.last_sent.get(node))
-        {
-            *offset = sent.clone();
-        }
-        let conn = Conn::connect(&addr, Role::Admin, 0)
-            .map_err(|e| format!("cannot reconnect to restarted node {node}: {e}"))?;
-        if let Some(slot) = self.conns.get_mut(node) {
-            *slot = Some(conn);
-        }
-
-        for (partition, source) in copies {
-            let records = match self
-                .request(source, Request::FetchPartition { partition: partition as u32 })?
-            {
-                Response::Records(records) => records,
-                other => return Err(format!("node {source}: expected Records, got {other:?}")),
-            };
-            match self.request(node, Request::InstallRecords { records })? {
-                Response::InstallDone { .. } => {}
-                other => return Err(format!("node {node}: expected InstallDone, got {other:?}")),
-            }
-        }
-
-        if let Some(failed) = self.failed.get_mut(node) {
-            *failed = false;
-        }
+        let senders = 0..self.driver.config().num_nodes;
+        let recv_base: Vec<u64> = senders.map(|s| self.proxies.delivered(s, node)).collect();
+        self.driver.rejoin(node, &addr, &recv_base)?;
         self.proxies.set_node_failed(node, false);
-        let rejoin = Request::Rejoin {
-            epoch: self.epoch,
-            last_committed: self.last_committed,
-            failed: self.failed_ids(),
-            elections: self.elections.iter().map(WireElection::from_election).collect(),
-            recv_base: (0..self.config.num_nodes)
-                .map(|s| self.proxies.delivered(s, node))
-                .collect(),
-        };
-        match self.request(node, rejoin)? {
-            Response::Ok => Ok(()),
-            other => Err(format!("node {node}: expected Ok to Rejoin, got {other:?}")),
-        }
+        Ok(())
     }
 
     /// The wire form of the engine's interrupted recovery: the target stays
@@ -440,141 +327,56 @@ impl<'a> WireRunner<'a> {
     /// side effect lands — a doomed source, or a cut source→target link.
     /// The state the engine's partial copy would leave behind is erased by
     /// the eventual full recovery, so omitting the copy is unobservable.
-    fn do_recover_interrupted(&mut self, node: usize, fault: RecoveryFault) -> Result<(), String> {
-        let Some(copies) = self.recovery_copies(node) else { return Ok(()) };
-        let Some(&(_, source)) = copies.first() else { return Ok(()) };
-        match fault {
-            RecoveryFault::SourceCrash => self.pending_kills.push(source),
-            RecoveryFault::TargetCrash => {}
-            RecoveryFault::LinkCut => self.proxies.cut_link(source, node),
+    fn do_recover_interrupted(&mut self, node: usize, fault: RecoveryFault) {
+        if !self.recoverable(node) {
+            return;
         }
-        Ok(())
+        // The engine interrupts the copy of the first partition the node holds.
+        let config = self.driver.config();
+        let first = config.held_partitions(node).into_iter().next();
+        let source = first.and_then(|p| config.recovery_source(&self.driver.failed(), node, p));
+        match (fault, source) {
+            (RecoveryFault::SourceCrash, Some(source)) => self.pending_kills.push(source),
+            (RecoveryFault::LinkCut, Some(source)) => self.proxies.cut_link(source, node),
+            (RecoveryFault::TargetCrash, _) | (_, None) => {}
+        }
     }
 
-    /// The `(partition, recovery source)` copies a recovery of the crashed
-    /// `node` makes, in partition order. `None` — nothing to do — for a node
-    /// that is not down, and for one holding a partition no healthy replica
+    /// Whether a recovery of `node` has anything to do: not for a node that
+    /// is not down, and not for one holding a partition no healthy replica
     /// can source, which is reported with the simulator driver's violation
     /// phrasing.
-    fn recovery_copies(&mut self, node: usize) -> Option<Vec<(usize, usize)>> {
-        if self.failed.get(node) != Some(&true) {
-            return None;
+    fn recoverable(&mut self, node: usize) -> bool {
+        let failed = self.driver.failed();
+        if failed.get(node) != Some(&true) {
+            return false;
         }
-        let held = self.config.held_partitions(node);
-        let copies: Option<Vec<_>> = held
-            .into_iter()
-            .map(|p| Some((p, self.config.recovery_source(&self.failed, node, p)?)))
-            .collect();
-        if copies.is_none() {
+        let feasible = self.driver.config().can_recover(&failed, node);
+        if !feasible {
             self.violations.push(format!(
                 "scheduled recovery of node {node} failed: no healthy replica holds every \
                  partition it needs"
             ));
         }
-        copies
+        feasible
     }
 
     /// Waits until the proxies have verdicted every frame the nodes report
     /// having shipped, then releases any reorder stashes.
     fn settle(&mut self) -> Result<(), String> {
-        self.proxies.wait_settled(&self.last_sent, SETTLE_TIMEOUT)?;
+        self.proxies.wait_settled(self.driver.last_sent(), SETTLE_TIMEOUT)?;
         self.proxies.flush_all();
         Ok(())
-    }
-
-    /// Collects the merged history, per-live-node election logs and
-    /// digests after the run.
-    fn finish(mut self) -> Result<WireOutcome, String> {
-        let mut history = std::mem::take(&mut self.archived_history);
-        let mut elections = Vec::new();
-        let mut digests = Vec::new();
-        for node in 0..self.config.num_nodes {
-            if self.failed[node] {
-                continue;
-            }
-            match self.request(node, Request::Admin(AdminQuery::History))? {
-                Response::History(txns) => history.extend(txns.iter().map(|t| t.to_committed())),
-                other => return Err(format!("node {node}: expected History, got {other:?}")),
-            }
-            match self.request(node, Request::Admin(AdminQuery::Elections))? {
-                Response::Elections(log) => elections.push((node, log)),
-                other => return Err(format!("node {node}: expected Elections, got {other:?}")),
-            }
-            match self.request(node, Request::Admin(AdminQuery::ReplicaDigest))? {
-                Response::Digest { records, digest } => digests.push((node, (records, digest))),
-                other => return Err(format!("node {node}: expected Digest, got {other:?}")),
-            }
-        }
-        // Per-node histories are in execution order; the stable sort by
-        // (epoch, executor) interleaves them into the twin's global order.
-        history.sort_by_key(|t| (t.epoch, t.executor));
-        Ok(WireOutcome {
-            history,
-            elections,
-            digests,
-            mirror: self.elections,
-            violations: self.violations,
-        })
     }
 }
 
 impl ChaosTarget for WireRunner<'_> {
     fn run_partitioned(&mut self, txns: u64) -> Result<(), String> {
-        if txns == 0 || !self.partitioned_available() {
-            return Ok(());
-        }
-        let failed = self.failed_ids();
-        let baselines = self.partition_baselines.clone();
-        for node in 0..self.config.num_nodes {
-            if self.failed[node] {
-                continue;
-            }
-            let response = self.request(
-                node,
-                Request::RunPhase {
-                    phase: WirePhase::Partitioned,
-                    epoch: self.epoch,
-                    txns,
-                    baselines: baselines.clone(),
-                    failed: failed.clone(),
-                },
-            )?;
-            match response {
-                Response::PhaseDone { sent, .. } => self.note_sent(node, &sent),
-                other => return Err(format!("node {node}: expected PhaseDone, got {other:?}")),
-            }
-        }
-        // Every partition has an effective primary when the system is
-        // available, so every partition's stream advanced.
-        for baseline in &mut self.partition_baselines {
-            *baseline += txns;
-        }
-        Ok(())
+        self.driver.run_partitioned(txns).map(|_| ())
     }
 
     fn run_single_master(&mut self, txns: u64) -> Result<(), String> {
-        let Some(master) = self.current_master() else { return Ok(()) };
-        if txns == 0 {
-            return Ok(());
-        }
-        let response = self.request(
-            master,
-            Request::RunPhase {
-                phase: WirePhase::SingleMaster,
-                epoch: self.epoch,
-                txns,
-                baselines: self.master_baselines.clone(),
-                failed: self.failed_ids(),
-            },
-        )?;
-        match response {
-            Response::PhaseDone { sent, .. } => self.note_sent(master, &sent),
-            other => return Err(format!("node {master}: expected PhaseDone, got {other:?}")),
-        }
-        for baseline in &mut self.master_baselines {
-            *baseline += txns;
-        }
-        Ok(())
+        self.driver.run_single_master(txns).map(|_| ())
     }
 
     /// Applies the ops scheduled at `point`, plus any pending kills when the
@@ -600,33 +402,10 @@ impl ChaosTarget for WireRunner<'_> {
         Ok(())
     }
 
-    /// Closes the current epoch on every live node, mirrors the engine's
-    /// fence-time election rule, and advances the epoch.
+    /// Closes the current epoch: once the mesh has settled, every live node
+    /// waits for exactly what the proxies delivered to it.
     fn fence(&mut self) -> Result<(), String> {
         self.settle()?;
-        let delivered = self.proxies.delivered_matrix();
-        let failed = self.failed_ids();
-        let live: Vec<usize> = (0..self.config.num_nodes).filter(|&n| !self.failed[n]).collect();
-        for node in live {
-            let expected: Vec<u64> =
-                (0..self.config.num_nodes).map(|s| delivered[s][node]).collect();
-            match self.request(
-                node,
-                Request::Fence { epoch: self.epoch, expected, failed: failed.clone() },
-            )? {
-                Response::FenceDone { epoch, .. } if epoch == self.epoch => {}
-                Response::FenceDone { epoch, .. } => {
-                    return Err(format!(
-                        "node {node} fenced epoch {epoch}, supervisor expected {}",
-                        self.epoch
-                    ))
-                }
-                other => return Err(format!("node {node}: expected FenceDone, got {other:?}")),
-            }
-        }
-        hold_election(&mut self.elections, &self.config, &self.failed, self.epoch);
-        self.last_committed = self.epoch;
-        self.epoch += 1;
-        Ok(())
+        self.driver.fence(&self.proxies.delivered_matrix())
     }
 }

@@ -52,6 +52,24 @@ fn seeded_wire_fault_sweep_matches_the_twin() {
     }
 }
 
+/// The driver sends every phase and fence to all nodes in parallel, so
+/// frames of different links reach the proxies in any order. Verdicts are
+/// rolled per link and histories merged by a stable sort, so one plan must
+/// replay to the same passing report every time.
+#[test]
+fn one_sweep_plan_replays_identically_ten_times() {
+    let plan = sweep_plan(3);
+    let committed: Vec<u64> = (0..10)
+        .map(|run| {
+            let report =
+                replay_plan_in_process(&plan).unwrap_or_else(|e| panic!("run {run} errored: {e}"));
+            assert!(report.passed(), "run {run} diverged: {:?}", report.violations);
+            report.committed
+        })
+        .collect();
+    assert!(committed[0] > 0 && committed.iter().all(|&c| c == committed[0]), "{committed:?}");
+}
+
 /// The full kill/recover cycle in-process: a partial node dies mid-epoch
 /// and catches back up, then the master dies, is recovered and
 /// deterministically re-elected — all matching the twin.
