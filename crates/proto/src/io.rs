@@ -11,12 +11,20 @@
 //! wire-chaos supervisor, `star-client`, `star-admin`, the parity tests —
 //! and [`connect_with_retry`] is the only place a socket is opened (the
 //! replication mesh dials through it too), so the boot-friendly retry
-//! policy and the request timeout exist once.
+//! policy and the request timeout exist once. Only errors a booting or
+//! restarting peer produces are retried; anything else (an address that does
+//! not parse) fails at once.
+//!
+//! A request is two halves — [`Conn::send`] writes it, [`Conn::recv`] blocks
+//! for its answer — so a caller holding connections to several nodes can
+//! write to all of them before reading from any: the nodes then work in
+//! parallel without the caller spawning a thread per node.
 
 use crate::frame::{decode_frame_header, FRAME_HEADER_LEN};
 use crate::message::{Request, Response, Role, WireMessage};
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// How long [`Conn::connect`] keeps retrying while the target node boots
@@ -30,10 +38,23 @@ const CONNECT_RETRY_INTERVAL: Duration = Duration::from_millis(10);
 /// replication, so this is generous.
 const REQUEST_TIMEOUT: Duration = Duration::from_secs(120);
 
+/// Whether a connect error is what a peer that is still booting, or being
+/// restarted, produces — the only errors worth dialling again for.
+fn peer_may_come_up(kind: io::ErrorKind) -> bool {
+    use io::ErrorKind::{
+        AddrNotAvailable, ConnectionAborted, ConnectionRefused, ConnectionReset, TimedOut,
+    };
+    matches!(
+        kind,
+        ConnectionRefused | ConnectionReset | ConnectionAborted | TimedOut | AddrNotAvailable
+    )
+}
+
 /// Dials `addr`, retrying every 10 ms until `timeout` has passed: a node
 /// that is still booting, or being restarted, is not listening yet. Returns
-/// the last connect error once the deadline is reached. The stream comes
-/// back with `TCP_NODELAY` set.
+/// the last connect error once the deadline is reached, and any error a
+/// retry cannot cure (an unparsable address, an unroutable one) at once. The
+/// stream comes back with `TCP_NODELAY` set.
 pub fn connect_with_retry(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
     let deadline = Instant::now() + timeout;
     loop {
@@ -42,7 +63,7 @@ pub fn connect_with_retry(addr: &str, timeout: Duration) -> io::Result<TcpStream
                 stream.set_nodelay(true)?;
                 return Ok(stream);
             }
-            Err(e) if Instant::now() >= deadline => return Err(e),
+            Err(e) if !peer_may_come_up(e.kind()) || Instant::now() >= deadline => return Err(e),
             Err(_) => std::thread::sleep(CONNECT_RETRY_INTERVAL),
         }
     }
@@ -55,8 +76,9 @@ fn unexpected(expected: &str, got: &WireMessage) -> io::Error {
 /// One handshaken request/response connection to one node.
 ///
 /// Requests carry correlation ids, so many can be written before any
-/// response is read: [`pipeline`](Self::pipeline) ships a whole batch in one
-/// write burst and then collects the responses.
+/// response is read: [`send`](Self::send) ships a whole batch in one write
+/// burst, [`recv`](Self::recv) collects its responses, and
+/// [`pipeline`](Self::pipeline) is the two back to back.
 #[derive(Debug)]
 pub struct Conn {
     stream: TcpStream,
@@ -98,26 +120,38 @@ impl Conn {
         responses.pop().ok_or_else(|| io::ErrorKind::UnexpectedEof.into())
     }
 
-    /// Pipelines a batch: writes every request back-to-back in one burst,
-    /// flushes once, then reads until every response has arrived. Responses
-    /// are returned in request order regardless of arrival order. A response
-    /// whose id this batch did not issue (the late answer to a request an
-    /// earlier caller gave up on) is skipped; any other frame kind is
-    /// [`io::ErrorKind::InvalidData`].
+    /// Pipelines a batch: [`send`](Self::send), then [`recv`](Self::recv).
     pub fn pipeline(&mut self, bodies: Vec<Request>) -> io::Result<Vec<Response>> {
+        let ids = self.send(bodies)?;
+        self.recv(ids)
+    }
+
+    /// The sending half of [`pipeline`](Self::pipeline): writes every
+    /// request back-to-back in one burst and flushes once. Returns the
+    /// correlation ids it issued, to be handed to [`recv`](Self::recv).
+    pub fn send(&mut self, bodies: Vec<Request>) -> io::Result<Range<u64>> {
         let first_id = self.next_id + 1;
-        let mut responses: Vec<Option<Response>> = Vec::with_capacity(bodies.len());
         for body in bodies {
             self.next_id += 1;
             write_message(&mut self.stream, &WireMessage::Request { id: self.next_id, body })?;
-            responses.push(None);
         }
         self.stream.flush()?;
+        Ok(first_id..self.next_id + 1)
+    }
+
+    /// The receiving half: reads until every response to the requests `ids`
+    /// has arrived. Responses are returned in request order regardless of
+    /// arrival order. A response whose id is not in `ids` (the late answer
+    /// to a request an earlier caller gave up on) is skipped; any other
+    /// frame kind is [`io::ErrorKind::InvalidData`].
+    pub fn recv(&mut self, ids: Range<u64>) -> io::Result<Vec<Response>> {
+        let mut responses: Vec<Option<Response>> = ids.clone().map(|_| None).collect();
         let mut missing = responses.len();
         while missing > 0 {
             match read_message(&mut self.stream)? {
                 WireMessage::Response { id, body } => {
-                    let slot = id.checked_sub(first_id).and_then(|i| responses.get_mut(i as usize));
+                    let slot =
+                        id.checked_sub(ids.start).and_then(|i| responses.get_mut(i as usize));
                     if let Some(slot) = slot {
                         if slot.replace(body).is_none() {
                             missing -= 1;
@@ -230,6 +264,14 @@ mod tests {
         let err = conn.request(Request::Ping).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         node.join().unwrap();
+    }
+
+    #[test]
+    fn an_address_no_retry_can_cure_fails_at_once() {
+        let started = Instant::now();
+        assert!(connect_with_retry("not-an-address", CONNECT_TIMEOUT).is_err());
+        let waited = started.elapsed();
+        assert!(waited < Duration::from_millis(100), "retried a hopeless address for {waited:?}");
     }
 
     #[test]

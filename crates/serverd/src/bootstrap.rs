@@ -10,6 +10,7 @@
 //! workers_per_node = 1
 //! partitions = 6
 //! seed = 42
+//! record_history = false   # optional; see below
 //!
 //! [workload]
 //! rows_per_partition = 200
@@ -22,8 +23,13 @@
 //! only ever produce a topology the engine itself would accept; everything
 //! file-specific (node addresses, the workload shape) is validated here.
 //! The supported grammar is the obvious subset of TOML: `[section]` headers,
-//! `key = value` pairs, `#` comments, string/integer/float values and arrays
+//! `key = value` pairs, `#` comments, integer/float/boolean values and arrays
 //! of strings.
+//!
+//! `record_history = true` attaches a committed-transaction recorder to the
+//! node (≈2 KB per transaction, kept for the life of the process) so that
+//! `AdminQuery::History` can answer; the parity and wire-chaos harnesses set
+//! it, a serving deployment leaves it off.
 
 use star_common::{ClusterConfig, Error, Result};
 use star_workloads::{YcsbConfig, YcsbWorkload};
@@ -40,6 +46,9 @@ pub struct Bootstrap {
     pub addrs: Vec<String>,
     /// The YCSB workload every node instantiates.
     pub workload: YcsbConfig,
+    /// Whether nodes record their committed transactions for
+    /// `AdminQuery::History` (`[cluster] record_history`, default off).
+    pub record_history: bool,
 }
 
 impl Bootstrap {
@@ -56,10 +65,10 @@ impl Bootstrap {
         let empty = BTreeMap::new();
         let workload = sections.get("workload").unwrap_or(&empty);
 
+        const CLUSTER_KEYS: [&str; 6] =
+            ["nodes", "full_replicas", "workers_per_node", "partitions", "seed", "record_history"];
         for key in cluster.keys() {
-            if !["nodes", "full_replicas", "workers_per_node", "partitions", "seed"]
-                .contains(&key.as_str())
-            {
+            if !CLUSTER_KEYS.contains(&key.as_str()) {
                 return Err(Error::Config(format!("unknown [cluster] key `{key}`")));
             }
         }
@@ -101,6 +110,10 @@ impl Bootstrap {
             builder = builder.seed(value.as_u64("seed")?);
         }
         let config = builder.build()?;
+        let record_history = match cluster.get("record_history") {
+            Some(value) => value.as_bool("record_history")?,
+            None => false,
+        };
 
         for key in workload.keys() {
             if !["rows_per_partition", "ops_per_transaction", "read_pct", "cross_partition_pct"]
@@ -123,7 +136,7 @@ impl Bootstrap {
             ycsb.cross_partition_fraction = value.as_pct("cross_partition_pct")? / 100.0;
         }
 
-        Ok(Bootstrap { config, addrs, workload: ycsb })
+        Ok(Bootstrap { config, addrs, workload: ycsb, record_history })
     }
 
     /// Reads and parses a bootstrap file.
@@ -145,6 +158,7 @@ impl Bootstrap {
              workers_per_node = {}\n\
              partitions = {}\n\
              seed = {}\n\
+             record_history = {}\n\
              \n\
              [workload]\n\
              rows_per_partition = {}\n\
@@ -156,6 +170,7 @@ impl Bootstrap {
             self.config.workers_per_node,
             self.config.partitions,
             self.config.seed,
+            self.record_history,
             self.workload.rows_per_partition,
             self.workload.ops_per_transaction,
             self.workload.read_fraction * 100.0,
@@ -178,6 +193,7 @@ fn config_err(message: &str) -> Error {
 enum Value {
     Integer(u64),
     Float(f64),
+    Bool(bool),
     Array(Vec<String>),
 }
 
@@ -195,6 +211,13 @@ impl Value {
         match self {
             Value::Integer(n) => Ok(*n),
             _ => Err(Error::Config(format!("`{key}` must be an integer"))),
+        }
+    }
+
+    fn as_bool(&self, key: &str) -> Result<bool> {
+        match self {
+            Value::Bool(b) => Ok(*b),
+            _ => Err(Error::Config(format!("`{key}` must be true or false"))),
         }
     }
 
@@ -268,6 +291,9 @@ fn parse_value(text: &str, line_no: usize) -> Result<Value> {
         }
         return Ok(Value::Array(items));
     }
+    if let Ok(b) = text.parse::<bool>() {
+        return Ok(Value::Bool(b));
+    }
     if let Ok(n) = text.parse::<u64>() {
         return Ok(Value::Integer(n));
     }
@@ -313,5 +339,16 @@ mod tests {
     fn render_round_trips() {
         let boot = Bootstrap::parse(VALID).unwrap();
         assert_eq!(Bootstrap::parse(&boot.render()).unwrap(), boot);
+    }
+
+    #[test]
+    fn record_history_is_off_unless_the_file_says_true() {
+        assert!(!Bootstrap::parse(VALID).unwrap().record_history);
+        let on = VALID.replace("seed = 42", "seed = 42\nrecord_history = true");
+        let boot = Bootstrap::parse(&on).unwrap();
+        assert!(boot.record_history);
+        assert_eq!(Bootstrap::parse(&boot.render()).unwrap(), boot);
+        let not_a_bool = VALID.replace("seed = 42", "seed = 42\nrecord_history = 1");
+        assert!(Bootstrap::parse(&not_a_bool).is_err());
     }
 }

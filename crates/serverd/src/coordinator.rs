@@ -13,9 +13,11 @@
 //! runs the seeded streams of the partitions it is the effective primary of),
 //! `fence`, `run_single_master` (the elected master only), `fence`. Two
 //! fences per iteration, always — including when a phase is empty — so epoch
-//! numbers stay aligned with the simulation twin.
+//! numbers stay aligned with the simulation twin. A broadcast writes the
+//! request to every live node's connection and only then reads the answers,
+//! so the nodes work in parallel and the driver spawns no thread.
 
-use crate::node::NodeInner;
+use crate::node::{lock, NodeInner};
 use star_common::ClusterConfig;
 use star_core::failure::EpochState;
 use star_core::{FailureCase, MasterElection};
@@ -114,25 +116,25 @@ impl ClusterDriver {
         conn.request(body).map_err(|e| format!("request to node {node} failed: {e}"))
     }
 
-    /// Sends `make(node)` to every live node in parallel; the responses come
-    /// back in node order.
+    /// Sends `make(node)` to every live node — all requests are written
+    /// before any answer is read, so the nodes work on them in parallel; the
+    /// responses come back in node order.
     fn request_all(
         &mut self,
         make: impl Fn(usize) -> Request,
     ) -> Result<Vec<(usize, Response)>, String> {
+        let failed = |node: usize, e: std::io::Error| format!("request to node {node} failed: {e}");
         let live = self.conns.iter_mut().enumerate().filter_map(|(n, c)| Some((n, c.as_mut()?)));
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = live
-                .map(|(node, conn)| (node, conn, make(node)))
-                .map(|(node, conn, body)| (node, scope.spawn(move || conn.request(body))))
-                .collect();
-            let joined = handles.into_iter().map(|(node, handle)| match handle.join() {
-                Ok(Ok(response)) => Ok((node, response)),
-                Ok(Err(e)) => Err(format!("request to node {node} failed: {e}")),
-                Err(_) => Err(format!("control thread of node {node} panicked")),
-            });
-            joined.collect()
-        })
+        let mut sent = Vec::new();
+        for (node, conn) in live {
+            let ids = conn.send(vec![make(node)]).map_err(|e| failed(node, e))?;
+            sent.push((node, conn, ids));
+        }
+        let answers = sent.into_iter().map(|(node, conn, ids)| {
+            let answer = conn.recv(ids).map_err(|e| failed(node, e))?.pop();
+            Ok((node, answer.ok_or_else(|| format!("node {node} answered nothing"))?))
+        });
+        answers.collect()
     }
 
     fn baselines(&mut self, phase: WirePhase) -> &mut Vec<u64> {
@@ -288,12 +290,16 @@ impl ClusterDriver {
 /// cluster (itself included, through its own listener — one uniform path)
 /// and runs `iterations` stepped iterations, fencing on what the senders
 /// report. Returns total committed transactions and the epochs closed.
+///
+/// The node's `runs` lock is held for the whole `Run`, so concurrent `Run`s
+/// take turns instead of interleaving phases of one epoch.
 pub(crate) fn run_cluster(
     inner: &NodeInner,
     iterations: u32,
     partitioned_txns: u64,
     single_master_txns: u64,
 ) -> Result<(u64, u32), String> {
+    let _turn = lock(&inner.runs);
     let mut driver =
         ClusterDriver::attach(&inner.config, &inner.addrs, Role::Coordinator, inner.node as u32)?;
     let mut committed = 0;

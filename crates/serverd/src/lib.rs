@@ -17,6 +17,10 @@
 //! two-fences-per-iteration stepped schedule as the engine's
 //! `run_iteration_stepped`; the wire-chaos supervisor attaches one and adds
 //! kills, restarts and fault-injecting proxies around the same calls.
+//!
+//! A serving node ([`node`]) records committed history only when the
+//! bootstrap says `record_history = true`, its fences block on the
+//! replication they wait for, and concurrent `Run`s take turns.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -8,24 +8,34 @@
 //! listener, one thread per connection, an inbox of replication batches and
 //! the fence barrier that drains it.
 //!
+//! A serving node keeps nothing per transaction that nobody asked for: the
+//! committed-history recorder is attached only when the bootstrap says
+//! `record_history = true` (or through [`NodeServer::start_with_history`]),
+//! exactly like the engine's own `Option<Arc<HistoryRecorder>>`. And what
+//! waits, blocks on what it waits for: a fence on the condition variable the
+//! arriving replication signals, [`NodeServer::wait`] on the shutdown latch.
+//! The one poll left is the listener's (a non-blocking `accept()` every
+//! 2 ms); ROADMAP item 4 says why it is still there.
+//!
 //! ## The connection state machine
 //!
 //! Every connection speaks frames. Three frame kinds drive a connection:
 //!
 //! * `Hello` → the node replies `HelloAck` (role is informational);
-//! * `Replication` → the batch is appended to the inbox and the per-sender
-//!   arrival counter bumps; no response (one-way stream);
+//! * `Replication` → the batch is appended to the inbox, the per-sender
+//!   arrival count bumps and waiting fences are woken; no response (one-way
+//!   stream);
 //! * `Request` → handled, and a `Response` with the same correlation id is
 //!   written back. `Run` makes the receiving node attach a
 //!   [`ClusterDriver`](crate::coordinator::ClusterDriver) to its own cluster
-//!   for a whole clustered run.
+//!   for a whole clustered run; concurrent `Run`s take turns.
 //!
 //! ## The fence barrier
 //!
 //! A `Fence { epoch, expected, failed }` request carries, for every sender
 //! `s`, the cumulative number of batches `s` has shipped to this node, plus
 //! the coordinator's current failure picture. The fence waits until the
-//! arrival counters catch up, and then runs the very calls the simulated
+//! arrival counts catch up, and then runs the very calls the simulated
 //! engine's fence runs, over the node's own [`EpochState`] and replica:
 //! `open_fence` (a *newly* failed node makes the fence revert the in-flight
 //! epoch, and the deterministic master election re-runs), `fence_replica`
@@ -69,9 +79,8 @@ use star_storage::Database;
 use std::collections::BTreeMap;
 use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 /// How long a fence waits for in-flight replication before giving up.
 const FENCE_TIMEOUT: Duration = Duration::from_secs(60);
@@ -91,8 +100,17 @@ struct EngineState {
     master_attempts: Vec<u64>,
 }
 
+/// Replication that arrived and has not been fenced yet, together with what
+/// the fence barrier waits on — under one mutex, so a fence can sleep on
+/// [`NodeInner::arrived`] until a count moves.
+struct Inbox {
+    batches: Vec<ReplicationBatch>,
+    /// Cumulative batches received from each sender (index = node id).
+    received: Vec<u64>,
+}
+
 /// Shared state of one node, owned by the listener and every connection
-/// thread.
+/// thread. Locks nest `runs` → `engine` → `inbox` (lock-order.manifest).
 pub(crate) struct NodeInner {
     pub(crate) node: NodeId,
     pub(crate) config: ClusterConfig,
@@ -101,11 +119,18 @@ pub(crate) struct NodeInner {
     workload: Arc<dyn Workload>,
     mesh: TcpMesh,
     counters: RunCounters,
-    pub(crate) history: Arc<HistoryRecorder>,
+    /// Attached only when the node was started with history recording on.
+    history: Option<Arc<HistoryRecorder>>,
     engine: Mutex<EngineState>,
-    inbox: Mutex<Vec<ReplicationBatch>>,
-    recv_counts: Vec<AtomicU64>,
-    shutdown: AtomicBool,
+    /// Held for a whole `Run` (see `coordinator::run_cluster`): concurrent
+    /// `Run`s take turns instead of interleaving phases of one epoch.
+    pub(crate) runs: Mutex<()>,
+    inbox: Mutex<Inbox>,
+    /// Signalled, under the inbox lock, whenever a batch arrives.
+    arrived: Condvar,
+    /// The shutdown latch: set once, and what [`NodeServer::wait`] parks on.
+    stopped: Mutex<bool>,
+    stopped_signal: Condvar,
 }
 
 /// A running node: its listener thread plus shared state.
@@ -165,24 +190,44 @@ impl NodeServer {
     /// Starts serving on an already-bound listener (tests bind ephemeral
     /// ports first, then pass the real addresses in via `boot.addrs`).
     pub fn start_on(listener: TcpListener, boot: &Bootstrap, id: NodeId) -> Result<NodeServer> {
-        Self::start_with(
-            listener,
-            boot.config.clone(),
-            boot.addrs.clone(),
-            Arc::new(boot.ycsb()),
-            id,
-        )
+        let (config, addrs) = (boot.config.clone(), boot.addrs.clone());
+        Self::start_node(listener, config, addrs, Arc::new(boot.ycsb()), id, boot.record_history)
     }
 
     /// Starts serving with an explicit config, address book and workload —
-    /// the general constructor the wire-chaos harness uses to replay corpus
-    /// plans whose cluster shapes the bootstrap grammar cannot express.
+    /// the general constructor for cluster shapes the bootstrap grammar
+    /// cannot express. No history is recorded: `AdminQuery::History` is
+    /// refused with a typed error.
     pub fn start_with(
         listener: TcpListener,
         config: ClusterConfig,
         addrs: Vec<String>,
         workload: Arc<dyn Workload>,
         id: NodeId,
+    ) -> Result<NodeServer> {
+        Self::start_node(listener, config, addrs, workload, id, false)
+    }
+
+    /// [`start_with`](Self::start_with), with a committed-history recorder
+    /// attached — what `record_history = true` does for a bootstrap file, for
+    /// the harnesses (wire-chaos) that read every node's history back.
+    pub fn start_with_history(
+        listener: TcpListener,
+        config: ClusterConfig,
+        addrs: Vec<String>,
+        workload: Arc<dyn Workload>,
+        id: NodeId,
+    ) -> Result<NodeServer> {
+        Self::start_node(listener, config, addrs, workload, id, true)
+    }
+
+    fn start_node(
+        listener: TcpListener,
+        config: ClusterConfig,
+        addrs: Vec<String>,
+        workload: Arc<dyn Workload>,
+        id: NodeId,
+        record_history: bool,
     ) -> Result<NodeServer> {
         config.validate().map_err(star_common::Error::Config)?;
         let db = build_replica(&config, workload.as_ref(), id);
@@ -195,7 +240,7 @@ impl NodeServer {
             workload,
             mesh: TcpMesh::new(id, addrs),
             counters: RunCounters::new(),
-            history: Arc::new(HistoryRecorder::new()),
+            history: record_history.then(|| Arc::new(HistoryRecorder::new())),
             engine: Mutex::new(EngineState {
                 clock: EpochState::new(&config),
                 partition_workers: BTreeMap::new(),
@@ -205,9 +250,11 @@ impl NodeServer {
                 partition_attempts: BTreeMap::new(),
                 master_attempts: vec![0; config.workers_per_node],
             }),
-            inbox: Mutex::new(Vec::new()),
-            recv_counts: (0..config.num_nodes).map(|_| AtomicU64::new(0)).collect(),
-            shutdown: AtomicBool::new(false),
+            runs: Mutex::new(()),
+            inbox: Mutex::new(Inbox { batches: Vec::new(), received: vec![0; config.num_nodes] }),
+            arrived: Condvar::new(),
+            stopped: Mutex::new(false),
+            stopped_signal: Condvar::new(),
         });
         let addr = listener.local_addr().map(|a| a.to_string()).unwrap_or(fallback_addr);
         listener
@@ -229,19 +276,22 @@ impl NodeServer {
     /// Requests shutdown; the listener and connection threads exit within
     /// one poll interval.
     pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
+        self.inner.shutdown();
     }
 
     /// Whether a shutdown has been requested (over the wire or locally).
     pub fn is_shutdown(&self) -> bool {
-        self.inner.shutdown.load(Ordering::SeqCst)
+        self.inner.is_shutdown()
     }
 
     /// Blocks until the node has been shut down.
     pub fn wait(&self) {
-        while !self.is_shutdown() {
-            std::thread::sleep(Duration::from_millis(20));
-        }
+        let stopped = lock(&self.inner.stopped);
+        let _stopped = self
+            .inner
+            .stopped_signal
+            .wait_while(stopped, |stopped| !*stopped)
+            .unwrap_or_else(PoisonError::into_inner);
     }
 }
 
@@ -254,8 +304,14 @@ impl Drop for NodeServer {
     }
 }
 
+/// A mutex whose data every update leaves valid is still good after a
+/// holder panicked.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn accept_loop(listener: TcpListener, inner: Arc<NodeInner>) {
-    while !inner.shutdown.load(Ordering::SeqCst) {
+    while !inner.is_shutdown() {
         match listener.accept() {
             Ok((stream, _)) => {
                 let _ = stream.set_nodelay(true);
@@ -293,7 +349,7 @@ fn poll_frame(stream: &mut TcpStream, buf: &mut FrameBuffer) -> io::Result<WireM
 fn connection_loop(mut stream: TcpStream, inner: Arc<NodeInner>) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     let mut buf = FrameBuffer::new();
-    while !inner.shutdown.load(Ordering::SeqCst) {
+    while !inner.is_shutdown() {
         let message = match poll_frame(&mut stream, &mut buf) {
             Ok(message) => message,
             Err(e)
@@ -323,20 +379,27 @@ fn connection_loop(mut stream: TcpStream, inner: Arc<NodeInner>) {
                 // decoding a payload happens once, at fence apply time.
                 let Ok(split) = star_replication::split_entry_block(&entries) else { break };
                 let from = from as usize;
-                if from >= inner.recv_counts.len() {
-                    break;
-                }
-                {
-                    let mut inbox_guard =
-                        inner.inbox.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-                    inbox_guard.push(ReplicationBatch { from_node: from, epoch, entries: split });
-                }
-                inner.recv_counts[from].fetch_add(1, Ordering::SeqCst);
+                let mut inbox_guard = lock(&inner.inbox);
+                let Some(received) = inbox_guard.received.get_mut(from) else { break };
+                *received += 1;
+                inbox_guard.batches.push(ReplicationBatch {
+                    from_node: from,
+                    epoch,
+                    entries: split,
+                });
+                inner.arrived.notify_all();
             }
             WireMessage::Request { id, body } => {
+                // A shutdown is acknowledged before it happens: once the
+                // latch is set, `wait` returns and the process may exit.
+                let stop = matches!(body, Request::Shutdown);
                 let response = handle_request(&inner, body);
                 let frame = WireMessage::Response { id, body: response };
-                if write_message(&mut stream, &frame).is_err() {
+                let written = write_message(&mut stream, &frame);
+                if stop {
+                    inner.shutdown();
+                }
+                if written.is_err() {
                     break;
                 }
             }
@@ -382,10 +445,8 @@ fn handle_request(inner: &Arc<NodeInner>, request: Request) -> Response {
                 .unwrap_or_else(Response::Error)
         }
         Request::Admin(query) => handle_admin(inner, query),
-        Request::Shutdown => {
-            inner.shutdown.store(true, Ordering::SeqCst);
-            Response::Ok
-        }
+        // `connection_loop` stops the node once this answer is written.
+        Request::Shutdown => Response::Ok,
     }
 }
 
@@ -452,12 +513,22 @@ fn handle_run_phase(
 }
 
 impl NodeInner {
-    fn lock_engine(&self) -> std::sync::MutexGuard<'_, EngineState> {
-        self.engine.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    fn lock_engine(&self) -> MutexGuard<'_, EngineState> {
+        lock(&self.engine)
+    }
+
+    fn is_shutdown(&self) -> bool {
+        *lock(&self.stopped)
+    }
+
+    /// Sets the shutdown latch and wakes [`NodeServer::wait`].
+    fn shutdown(&self) {
+        *lock(&self.stopped) = true;
+        self.stopped_signal.notify_all();
     }
 
     /// What this node lends its phase workers for `epoch`: the wire has no
-    /// WAL yet and always records history (parity and chaos read it back).
+    /// WAL yet, and a history recorder only when it was started with one.
     fn ctx(&self, epoch: Epoch) -> NodeCtx<'_> {
         NodeCtx {
             node: self.node,
@@ -467,7 +538,7 @@ impl NodeInner {
             workload: self.workload.as_ref(),
             counters: &self.counters,
             wal: None,
-            history: Some(&self.history),
+            history: self.history.as_deref(),
             epoch,
         }
     }
@@ -562,20 +633,21 @@ fn handle_fence(
     // counts may never arrive, and the wait would pin this thread.
     let current = inner.lock_engine().clock.epoch();
     check_epoch(inner.node, "fence", epoch, current)?;
-    // Barrier: wait until everything the senders shipped before the fence
-    // has arrived. Counters are cumulative, so a stale fence can never block
-    // on traffic that already passed.
-    let deadline = Instant::now() + FENCE_TIMEOUT;
-    loop {
-        let caught_up = (0..num_nodes)
-            .all(|s| s == inner.node || inner.recv_counts[s].load(Ordering::SeqCst) >= expected[s]);
-        if caught_up {
-            break;
-        }
-        if Instant::now() >= deadline {
-            return Err(format!("fence for epoch {epoch} timed out waiting for replication"));
-        }
-        std::thread::sleep(Duration::from_millis(1));
+    // Barrier: block until everything the senders shipped before the fence
+    // has arrived; every arriving batch signals `arrived`. Counts are
+    // cumulative, so a stale fence can never block on traffic that already
+    // passed.
+    let behind = |inbox: &mut Inbox| {
+        let mut senders = inbox.received.iter().zip(expected).enumerate();
+        senders.any(|(s, (received, expected))| s != inner.node && received < expected)
+    };
+    let (inbox_guard, wait) = inner
+        .arrived
+        .wait_timeout_while(lock(&inner.inbox), FENCE_TIMEOUT, behind)
+        .unwrap_or_else(PoisonError::into_inner);
+    drop(inbox_guard);
+    if wait.timed_out() {
+        return Err(format!("fence for epoch {epoch} timed out waiting for replication"));
     }
 
     let mut engine_guard = inner.lock_engine();
@@ -583,16 +655,15 @@ fn handle_fence(
     check_epoch(inner.node, "fence", epoch, engine_guard.clock.epoch())?;
     let clock = &mut engine_guard.clock;
     let reverting = clock.open_fence(&inner.config, &failed);
-    let batches = {
-        let mut inbox_guard = inner.inbox.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        std::mem::take(&mut *inbox_guard)
-    };
+    let batches = std::mem::take(&mut lock(&inner.inbox).batches);
     let mut applied = 0u64;
     fence_replica(clock, reverting, &inner.db, batches, |entry| {
         let _ = entry.apply(&inner.db);
         applied += 1;
     });
-    inner.history.finalize_epoch(epoch, !reverting);
+    if let Some(history) = &inner.history {
+        history.finalize_epoch(epoch, !reverting);
+    }
     clock.close_fence();
     Ok(Response::FenceDone { epoch, applied })
 }
@@ -676,11 +747,10 @@ fn handle_rejoin(
     let elections = elections.into_iter().map(WireElection::to_election).collect();
     inner.lock_engine().clock = EpochState::resume(epoch, last_committed, failed, elections)
         .map_err(|e| format!("rejoin refused: {e}"))?;
-    for (sender, &count) in recv_base.iter().enumerate() {
-        inner.recv_counts[sender].store(count, Ordering::SeqCst);
-    }
-    let mut inbox_guard = inner.inbox.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-    inbox_guard.clear();
+    let mut inbox_guard = lock(&inner.inbox);
+    inbox_guard.received.copy_from_slice(recv_base);
+    inbox_guard.batches.clear();
+    inner.arrived.notify_all();
     Ok(Response::Ok)
 }
 
@@ -704,10 +774,17 @@ fn handle_admin(inner: &NodeInner, query: AdminQuery) -> Response {
         AdminQuery::Elections => Response::Elections(
             inner.lock_engine().clock.elections().iter().map(WireElection::from_election).collect(),
         ),
-        AdminQuery::History => {
-            let committed = inner.history.committed();
-            Response::History(committed.iter().map(WireTxn::from_committed).collect())
-        }
+        AdminQuery::History => match &inner.history {
+            Some(history) => {
+                Response::History(history.committed().iter().map(WireTxn::from_committed).collect())
+            }
+            // Not an empty list, which would read as "nothing committed".
+            None => Response::Error(format!(
+                "history recording is off on node {}; boot it with `record_history = true` \
+                 under [cluster]",
+                inner.node
+            )),
+        },
         AdminQuery::ReplicaDigest => {
             let (records, digest) = replica_digest(&inner.db);
             Response::Digest { records, digest }
@@ -720,6 +797,7 @@ mod tests {
     use super::*;
     use crate::bootstrap::Bootstrap;
     use star_proto::{Conn, Role};
+    use std::time::Instant;
 
     fn test_bootstrap(nodes: usize) -> (Vec<TcpListener>, Bootstrap) {
         let listeners: Vec<TcpListener> =
@@ -759,6 +837,24 @@ mod tests {
 
         assert_eq!(request(Request::Shutdown), Response::Ok);
         server.wait();
+    }
+
+    #[test]
+    fn only_a_node_asked_to_record_history_holds_a_recorder() {
+        let (mut listeners, mut boot) = test_bootstrap(2);
+        let workload: Arc<dyn Workload> = Arc::new(boot.ycsb());
+        let general = NodeServer::start_with(
+            listeners.remove(0),
+            boot.config.clone(),
+            boot.addrs.clone(),
+            workload,
+            0,
+        )
+        .expect("start");
+        assert!(general.inner.history.is_none(), "start_with means no recorder");
+        boot.record_history = true;
+        let recording = NodeServer::start_on(listeners.remove(0), &boot, 1).expect("start");
+        assert!(recording.inner.history.is_some(), "record_history = true attaches one");
     }
 
     #[test]

@@ -33,7 +33,7 @@ fn boot_cluster(cross_pct: f64) -> (Vec<NodeServer>, Bootstrap) {
         listeners.iter().map(|l| l.local_addr().expect("addr").to_string()).collect();
     let text = format!(
         "[cluster]\nnodes = [{}]\nfull_replicas = 1\nworkers_per_node = 1\n\
-         partitions = 6\nseed = 42\n\n[workload]\nrows_per_partition = 64\n\
+         partitions = 6\nseed = 42\nrecord_history = true\n\n[workload]\nrows_per_partition = 64\n\
          ops_per_transaction = 4\nread_pct = 80.0\ncross_partition_pct = {cross_pct}\n",
         addrs.iter().map(|a| format!("\"{a}\"")).collect::<Vec<_>>().join(", ")
     );

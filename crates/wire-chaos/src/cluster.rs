@@ -60,7 +60,8 @@ impl InProcessCluster {
     fn boot(&self, node: usize) -> Result<NodeServer, String> {
         let listener = TcpListener::bind("127.0.0.1:0")
             .map_err(|e| format!("node {node}: cannot bind: {e}"))?;
-        NodeServer::start_with(
+        // The runner reads every node's history back, so it is recorded.
+        NodeServer::start_with_history(
             listener,
             self.config.clone(),
             self.books[node].clone(),

@@ -234,7 +234,8 @@ pub fn replay_plan_with_processes(
     let render = |addrs: &[String]| {
         format!(
             "[cluster]\nnodes = [{}]\nfull_replicas = {}\nworkers_per_node = {}\n\
-             partitions = {}\nseed = {}\n\n[workload]\nrows_per_partition = {}\n\
+             partitions = {}\nseed = {}\nrecord_history = true\n\n[workload]\n\
+             rows_per_partition = {}\n\
              ops_per_transaction = 4\nread_pct = 50.0\ncross_partition_pct = 30.0\n",
             addrs.iter().map(|a| format!("\"{a}\"")).collect::<Vec<_>>().join(", "),
             config.full_replicas,

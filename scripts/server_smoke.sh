@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Boots a real 3-node localhost star-serverd cluster, drives the seeded YCSB
-# client end-to-end, inspects it with star-admin, shuts it down cleanly, and
-# then runs the transport-parity suite (wire == simulation, byte for byte).
+# client end-to-end, inspects it with star-admin — including the typed
+# refusal of `history` on a cluster booted without record_history — shuts it
+# down cleanly, and then runs the transport-parity suite (wire == simulation,
+# byte for byte).
 #
 # Usage: scripts/server_smoke.sh [log-dir]
 #
@@ -131,6 +133,14 @@ echo "== server-smoke: inspecting the live cluster"
 "$ADMIN" --bootstrap "$BOOTSTRAP" status
 "$ADMIN" --bootstrap "$BOOTSTRAP" elections
 "$ADMIN" --bootstrap "$BOOTSTRAP" digest
+# The bootstrap above does not set record_history, so every node must say so.
+history="$("$ADMIN" --bootstrap "$BOOTSTRAP" history)"
+echo "$history"
+refusals="$(grep -c "error: history recording is off" <<< "$history" || true)"
+if [[ "$refusals" != 3 ]]; then
+    echo "== server-smoke: expected 3 'recording is off' refusals, got $refusals" >&2
+    exit 1
+fi
 
 echo "== server-smoke: shutting the cluster down"
 "$ADMIN" --bootstrap "$BOOTSTRAP" shutdown
