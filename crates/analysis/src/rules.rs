@@ -64,14 +64,16 @@ pub struct AnalysisConfig {
 
 /// The single homes of the protocol decisions every deployment shares: the
 /// cluster rules (routing, replica targets, recovery source, election), the
-/// epoch state and what a fence does to it and to a replica, the shared
-/// phase workers, and the cluster driver — which indexes per-node tables
-/// with ids read off the network. They are in determinism *and*
-/// panic-freedom scope in full, keyed by file: a renamed or newly added
-/// function cannot silently drop out of scope the way a function-name list
-/// lets it.
+/// row codec — which parses every row a WAL, a checkpoint or the network
+/// hands back — the epoch state and what a fence does to it and to a
+/// replica, the shared phase workers, and the cluster driver — which indexes
+/// per-node tables with ids read off the network. They are in determinism
+/// *and* panic-freedom scope in full, keyed by file: a renamed or newly
+/// added function cannot silently drop out of scope the way a function-name
+/// list lets it.
 const PROTOCOL_HOMES: &[&str] = &[
     "crates/common/src/config.rs",
+    "crates/common/src/packed.rs",
     "crates/core/src/failure.rs",
     "crates/core/src/exec.rs",
     "crates/serverd/src/coordinator.rs",
@@ -505,6 +507,10 @@ mod tests {
             let f = run(path, src, &AnalysisConfig::default());
             assert_eq!(rules(&f), vec!["panic::slice-index", "panic::unwrap"], "{path}");
         }
+        // The row codec decodes WAL, checkpoint and network bytes: its home
+        // is one of them, the in-memory row type beside it is not.
+        assert!(PROTOCOL_HOMES.contains(&"crates/common/src/packed.rs"));
+        assert!(run("crates/common/src/row.rs", src, &AnalysisConfig::default()).is_empty());
         // Test modules inside them stay exempt.
         let test_src = "#[cfg(test)] mod tests { fn f(o: Option<u32>) { o.unwrap(); } }";
         assert!(run("crates/proto/src/message.rs", test_src, &AnalysisConfig::default()).is_empty());

@@ -7,6 +7,8 @@
 //!   Silo/STAR TID rules, plus the per-thread [`tid::TidGenerator`].
 //! * [`row`] — typed rows ([`row::Row`], [`row::FieldValue`]) and the
 //!   operations that can be replicated against them ([`row::Operation`]).
+//! * [`packed`] — the byte encoding of a row: the codec, and the
+//!   one-allocation [`packed::PackedRow`] a record stores.
 //! * [`config`] — cluster, replication and workload configuration.
 //! * [`clock`] — injectable time sources ([`clock::WallClock`],
 //!   [`clock::VirtualClock`]) the transport layer stamps delivery deadlines
@@ -25,6 +27,7 @@
 pub mod clock;
 pub mod config;
 pub mod error;
+pub mod packed;
 pub mod rng;
 pub mod row;
 pub mod stats;
@@ -35,6 +38,7 @@ pub use config::{
     ClusterConfig, ClusterConfigBuilder, EngineKind, ReplicationMode, ReplicationStrategy,
 };
 pub use error::{AbortReason, Error, Result};
+pub use packed::{FieldRef, PackedRow, RowBuilder};
 pub use row::{FieldValue, Operation, Row};
 pub use stats::{CounterSnapshot, PhaseBreakdown, RunCounters, RunReport, BREAKDOWN_VERSION};
 pub use tid::{Epoch, Tid, TidGenerator};

@@ -10,6 +10,14 @@
 //!   field (e.g. the string concatenation in TPC-C `Payment`), which is only
 //!   correct when the replication stream of a partition is produced by a
 //!   single thread and applied in order — exactly the partitioned phase.
+//!
+//! A [`Row`] is the form a transaction works on: a vector of owned values
+//! that stored procedures read and edit in place. It is not the form a
+//! record stores or the wire carries — that is the row's byte encoding, and
+//! [`crate::packed`] owns it: the codec, and the one-allocation
+//! [`crate::packed::PackedRow`] a record keeps its versions in. Sizes
+//! reported here ([`Row::wire_size`], [`Operation::wire_size`]) are exact
+//! lengths of that encoding.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -30,14 +38,11 @@ pub enum FieldValue {
 }
 
 impl FieldValue {
-    /// Approximate wire size of the field in bytes, used by the network
+    /// Exact encoded size of the field in bytes (tag byte, payload, and the
+    /// length prefix of a string / byte field), used by the network
     /// substrate and the replication-bandwidth accounting.
     pub fn wire_size(&self) -> usize {
-        match self {
-            FieldValue::U64(_) | FieldValue::I64(_) | FieldValue::F64(_) => 8,
-            FieldValue::Str(s) => 4 + s.len(),
-            FieldValue::Bytes(b) => 4 + b.len(),
-        }
+        self.as_ref().wire_size()
     }
 
     /// Returns the inner `u64`, if this field is a `U64`.
@@ -205,8 +210,8 @@ impl Row {
         self.fields.iter()
     }
 
-    /// Approximate wire size of the full row in bytes (what value replication
-    /// must ship).
+    /// Exact encoded size of the full row in bytes (what value replication
+    /// must ship): the field count and the fields.
     pub fn wire_size(&self) -> usize {
         4 + self.fields.iter().map(FieldValue::wire_size).sum::<usize>()
     }
@@ -373,18 +378,17 @@ impl Operation {
         }
     }
 
-    /// Approximate wire size of the operation — what operation replication
-    /// ships instead of the full row.
+    /// Exact encoded size of the operation — what operation replication
+    /// ships instead of the full row: a tag byte, the `u32` field index, the
+    /// operands.
     pub fn wire_size(&self) -> usize {
-        let payload = match self {
-            Operation::SetField { value, .. } => value.wire_size(),
-            Operation::AddI64 { .. } | Operation::AddF64 { .. } => 8,
-            Operation::ConcatStr { prefix, .. } => 4 + prefix.len(),
-            Operation::SetRow { row } => row.wire_size(),
-            Operation::Multi { ops } => ops.iter().map(Operation::wire_size).sum(),
-        };
-        // field index + discriminant overhead
-        payload + 8
+        match self {
+            Operation::SetField { value, .. } => 5 + value.wire_size(),
+            Operation::AddI64 { .. } | Operation::AddF64 { .. } => 13,
+            Operation::ConcatStr { prefix, .. } => 13 + prefix.len(),
+            Operation::SetRow { row } => 1 + row.wire_size(),
+            Operation::Multi { ops } => 5 + ops.iter().map(Operation::wire_size).sum::<usize>(),
+        }
     }
 
     /// Byzantine corruption of the operation's payload: flips a bit of the
@@ -451,8 +455,8 @@ mod tests {
     #[test]
     fn wire_size_counts_payload() {
         let r = sample_row();
-        // 4 header + 8 + 8 + 8 + (4+5) + (4+3)
-        assert_eq!(r.wire_size(), 4 + 8 + 8 + 8 + 9 + 7);
+        // 4 header + three tagged numbers + tagged, length-prefixed payloads.
+        assert_eq!(r.wire_size(), 4 + 9 + 9 + 9 + (5 + 5) + (5 + 3));
     }
 
     #[test]

@@ -1127,6 +1127,55 @@ mod tests {
     }
 
     #[test]
+    fn replicas_and_recovered_nodes_own_their_row_buffers() {
+        // A stored row is a reference-counted buffer, so a simulated replica
+        // could be made to point at its primary's buffer for free — and an
+        // in-process cluster would then measure a footprint no deployment
+        // has. Every node packs its own copy.
+        use star_common::PackedRow;
+        let config = ClusterConfig {
+            num_nodes: 2,
+            workers_per_node: 1,
+            partitions: 2,
+            replication_factor: 2,
+            ..small_config()
+        };
+        let workload = Arc::new(KvWorkload {
+            partitions: 2,
+            rows_per_partition: 32,
+            cross_partition_fraction: 0.3,
+        });
+        let mut engine = StarEngine::new(config, workload).unwrap();
+        let assert_separate_copies = |engine: &StarEngine| {
+            engine.quiesce();
+            let (a, b) = (&engine.cluster().nodes()[0].db, &engine.cluster().nodes()[1].db);
+            let mut written = 0;
+            a.for_each_record(|table, partition, key, record| {
+                let (row, tid) = record.read_packed();
+                if tid == star_common::Tid::ZERO || written == 64 {
+                    return;
+                }
+                let (copy, copy_tid) = b.get(table, partition, key).unwrap().read_packed();
+                assert_eq!((&copy, copy_tid), (&row, tid));
+                assert!(!PackedRow::ptr_eq(&copy, &row), "two nodes share a row buffer");
+                written += 1;
+            });
+            assert!(written >= 32, "only {written} written keys to compare");
+        };
+        for _ in 0..20 {
+            engine.run_iteration_stepped(8, 4);
+        }
+        assert_separate_copies(&engine);
+
+        engine.inject_failure(1);
+        for _ in 0..4 {
+            engine.run_iteration_stepped(8, 4);
+        }
+        assert!(engine.recover_node(1).unwrap() > 0);
+        assert_separate_copies(&engine);
+    }
+
+    #[test]
     fn recover_node_is_a_noop_for_healthy_nodes() {
         let mut engine = StarEngine::new(small_config(), workload(0.1)).unwrap();
         assert_eq!(engine.recover_node(2).unwrap(), 0);

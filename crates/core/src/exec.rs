@@ -303,8 +303,10 @@ fn append_writes_to_wal(
             tid,
             payload: Payload::Value(w.row.clone()),
         };
-        let _ = wal.append_value(&entry);
-        counters.add_wal_bytes(entry.wire_size() as u64);
+        // `wire_size` is exact, so the counter adds up to the bytes written.
+        if wal.append_value(&entry).is_ok() {
+            counters.add_wal_bytes(entry.wire_size() as u64);
+        }
     }
 }
 

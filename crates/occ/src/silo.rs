@@ -129,14 +129,14 @@ pub fn commit_single_master(
                     continue;
                 }
                 if rec.is_locked() {
-                    rec.write_and_unlock(write_set[i].row.clone(), tid);
+                    rec.write_and_unlock(&write_set[i].row, tid);
                 } else {
-                    rec.apply_value_thomas(write_set[i].row.clone(), tid);
+                    rec.apply_value_thomas(&write_set[i].row, tid);
                 }
             }
             None => {
                 let w = &write_set[i];
-                db.apply_value_write(w.table, w.partition, w.key, w.row.clone(), tid)?;
+                db.apply_value_write(w.table, w.partition, w.key, &w.row, tid)?;
             }
         }
     }
@@ -162,7 +162,7 @@ pub fn commit_partitioned(
     }
     let tid = tid_gen.generate(epoch, max_observed);
     for (entry, rec) in write_set.iter().zip(&records) {
-        rec.write_unsynchronized(entry.row.clone(), tid);
+        rec.write_unsynchronized(&entry.row, tid);
     }
     Ok(CommitOutput { tid, write_set })
 }

@@ -73,8 +73,14 @@ impl Checkpoint {
             return Err(Error::Durability("truncated checkpoint header".into()));
         }
         let epoch = data.get_u32_le();
-        let count = data.get_u64_le() as usize;
-        let mut entries = Vec::with_capacity(count);
+        let count = data.get_u64_le();
+        // Each entry's header alone is 25 bytes; a larger count is a torn or
+        // corrupted header — reject it before trusting it as an allocation
+        // hint.
+        if count > (data.remaining() / 25 + 1) as u64 {
+            return Err(Error::Durability("checkpoint entry count exceeds its data".into()));
+        }
+        let mut entries = Vec::with_capacity(count as usize);
         for _ in 0..count {
             entries.push(LogEntry::decode(&mut data)?);
         }
@@ -172,5 +178,28 @@ mod tests {
     #[test]
     fn decode_rejects_garbage() {
         assert!(Checkpoint::decode(Bytes::from_static(b"xx")).is_err());
+    }
+
+    #[test]
+    fn decode_rejects_a_count_its_data_cannot_hold() {
+        let honest = Checkpoint::capture(&populated_db(), 4).encode();
+        let with_count = |count: u64| {
+            let mut raw = honest.to_vec();
+            raw[4..12].copy_from_slice(&count.to_le_bytes());
+            Checkpoint::decode(Bytes::from(raw))
+        };
+        // A torn header must be a typed error, not a capacity-overflow panic
+        // or an out-of-memory abort on the disk-recovery path.
+        let remaining = (honest.len() - 12) as u64;
+        for count in [u64::MAX, u64::MAX / 64, remaining / 25 + 2] {
+            assert!(matches!(with_count(count), Err(Error::Durability(_))), "count={count}");
+        }
+        // A count within the bound still fails cleanly when entries run out.
+        assert!(with_count(22).is_err());
+        let decoded = with_count(21).unwrap();
+        assert_eq!((decoded.epoch, decoded.entries.len()), (4, 21));
+        let restored = empty_db();
+        assert_eq!(decoded.restore(&restored).unwrap(), 21);
+        assert_eq!(restored.get(0, 1, 3).unwrap().read().row, row([FieldValue::U64(3)]));
     }
 }

@@ -9,7 +9,10 @@
 //! The codec is a small hand-rolled binary format on top of the `bytes`
 //! crate: length-prefixed fields, little-endian integers. It exists so that
 //! the WAL is an actual byte stream (its size is measured in Figure 15(b))
-//! rather than a vector of in-memory structs.
+//! rather than a vector of in-memory structs. The row and field layout is
+//! owned by `star_common::packed` — it is also the format records store rows
+//! in — and the `*_row` / `*_field` functions here only adapt it to `bytes`
+//! cursors; the entry header and the operation layout live here.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use star_common::{Error, FieldValue, Key, Operation, PartitionId, Result, Row, TableId, Tid};
@@ -26,7 +29,7 @@ pub enum Payload {
 }
 
 impl Payload {
-    /// Approximate on-wire size of the payload.
+    /// Exact encoded size of the payload (without the entry's tag byte).
     pub fn wire_size(&self) -> usize {
         match self {
             Payload::Value(row) => row.wire_size(),
@@ -51,7 +54,7 @@ pub struct LogEntry {
 }
 
 impl LogEntry {
-    /// Approximate on-wire size of the whole entry (header + payload).
+    /// Exact encoded size of the whole entry (header + payload).
     pub fn wire_size(&self) -> usize {
         // table(4) + partition(4) + key(8) + tid(8) + tag(1)
         25 + self.payload.wire_size()
@@ -66,28 +69,21 @@ impl LogEntry {
     ///   TID. Returns the materialised full row so that the caller can log it
     ///   (the WAL always stores whole records, Section 5).
     pub fn apply(&self, db: &Database) -> Result<Row> {
-        match &self.payload {
-            Payload::Value(row) => {
-                db.apply_value_write(self.table, self.partition, self.key, row.clone(), self.tid)?;
-                Ok(row.clone())
-            }
+        let full_row = match &self.payload {
+            Payload::Value(row) => row.clone(),
             Payload::Operation(op) => {
-                let current = match db.try_get(self.table, self.partition, self.key)? {
+                let mut new_row = match db.try_get(self.table, self.partition, self.key)? {
                     Some(rec) => rec.read().row,
                     None => Row::empty(),
                 };
-                let mut new_row = current;
                 op.apply(&mut new_row)?;
-                db.apply_value_write(
-                    self.table,
-                    self.partition,
-                    self.key,
-                    new_row.clone(),
-                    self.tid,
-                )?;
-                Ok(new_row)
+                new_row
             }
-        }
+        };
+        // The replica packs the row into a version of its own (and only if
+        // the Thomas write rule lets it in); nothing is cloned on the way.
+        db.apply_value_write(self.table, self.partition, self.key, &full_row, self.tid)?;
+        Ok(full_row)
     }
 
     /// Encodes the entry onto a buffer.
@@ -285,110 +281,40 @@ pub fn split_entry_block(block: &Bytes) -> Result<Vec<EncodedEntry>> {
     Ok(entries)
 }
 
-/// Encodes one field value (tag byte + payload, little-endian). Part of the
-/// shared binary vocabulary also used by the `star-proto` wire protocol.
+/// Runs a slice decoder of `star_common::packed` against the front of
+/// `buf`, consuming what it consumed (every `bytes` cursor here is
+/// contiguous).
+fn decode_front<T>(buf: &mut impl Buf, decode: impl FnOnce(&mut &[u8]) -> Result<T>) -> Result<T> {
+    let mut input = buf.chunk();
+    let before = input.len();
+    let value = decode(&mut input)?;
+    let used = before - input.len();
+    buf.advance(used);
+    Ok(value)
+}
+
+/// Encodes one field value ([`star_common::FieldRef::encode`]'s layout).
+/// Part of the shared binary vocabulary also used by the `star-proto` wire
+/// protocol.
 pub fn encode_field(field: &FieldValue, buf: &mut BytesMut) {
-    match field {
-        FieldValue::U64(v) => {
-            buf.put_u8(0);
-            buf.put_u64_le(*v);
-        }
-        FieldValue::I64(v) => {
-            buf.put_u8(1);
-            buf.put_i64_le(*v);
-        }
-        FieldValue::F64(v) => {
-            buf.put_u8(2);
-            buf.put_f64_le(*v);
-        }
-        FieldValue::Str(s) => {
-            buf.put_u8(3);
-            buf.put_u32_le(s.len() as u32);
-            buf.put_slice(s.as_bytes());
-        }
-        FieldValue::Bytes(b) => {
-            buf.put_u8(4);
-            buf.put_u32_le(b.len() as u32);
-            buf.put_slice(b);
-        }
-    }
+    field.as_ref().encode(&mut |bytes| buf.put_slice(bytes));
 }
 
 /// Decodes one field value from the front of `buf`. Every read is bounds
 /// checked; malformed input yields a typed error, never a panic.
 pub fn decode_field(buf: &mut impl Buf) -> Result<FieldValue> {
-    if buf.remaining() < 1 {
-        return Err(Error::Durability("truncated field".into()));
-    }
-    let tag = buf.get_u8();
-    let need = |buf: &mut dyn Buf, n: usize| -> Result<()> {
-        if buf.remaining() < n {
-            Err(Error::Durability("truncated field payload".into()))
-        } else {
-            Ok(())
-        }
-    };
-    match tag {
-        0 => {
-            need(buf, 8)?;
-            Ok(FieldValue::U64(buf.get_u64_le()))
-        }
-        1 => {
-            need(buf, 8)?;
-            Ok(FieldValue::I64(buf.get_i64_le()))
-        }
-        2 => {
-            need(buf, 8)?;
-            Ok(FieldValue::F64(buf.get_f64_le()))
-        }
-        3 => {
-            need(buf, 4)?;
-            let len = buf.get_u32_le() as usize;
-            need(buf, len)?;
-            let mut raw = vec![0u8; len];
-            buf.copy_to_slice(&mut raw);
-            String::from_utf8(raw)
-                .map(FieldValue::Str)
-                .map_err(|_| Error::Durability("invalid utf-8 in string field".into()))
-        }
-        4 => {
-            need(buf, 4)?;
-            let len = buf.get_u32_le() as usize;
-            need(buf, len)?;
-            let mut raw = vec![0u8; len];
-            buf.copy_to_slice(&mut raw);
-            Ok(FieldValue::Bytes(raw))
-        }
-        other => Err(Error::Durability(format!("unknown field tag {other}"))),
-    }
+    decode_front(buf, FieldValue::decode)
 }
 
-/// Encodes a row as a field count followed by its fields.
+/// Encodes a row as a field count followed by its fields ([`Row::encode`]).
 pub fn encode_row(row: &Row, buf: &mut BytesMut) {
-    buf.put_u32_le(row.len() as u32);
-    for field in row.iter() {
-        encode_field(field, buf);
-    }
+    row.encode(&mut |bytes| buf.put_slice(bytes));
 }
 
-/// Decodes a row from the front of `buf`. Bounds checked like
-/// [`decode_field`].
+/// Decodes a row from the front of `buf` ([`Row::decode`]). Bounds checked
+/// like [`decode_field`].
 pub fn decode_row(buf: &mut impl Buf) -> Result<Row> {
-    if buf.remaining() < 4 {
-        return Err(Error::Durability("truncated row".into()));
-    }
-    let n = buf.get_u32_le() as usize;
-    // Every field occupies at least one byte, so a count beyond the
-    // remaining input is certainly truncated — reject it before trusting it
-    // as an allocation hint.
-    if n > buf.remaining() {
-        return Err(Error::Durability("truncated row".into()));
-    }
-    let mut fields = Vec::with_capacity(n);
-    for _ in 0..n {
-        fields.push(decode_field(buf)?);
-    }
-    Ok(Row::new(fields))
+    decode_front(buf, Row::decode)
 }
 
 /// Encodes an operation (tag byte + operands; recursive for `Multi`).
@@ -752,7 +678,8 @@ mod tests {
             }),
         };
         assert!(op_entry.wire_size() * 10 < value_entry.wire_size());
-        // Encoded size should be in the same ballpark as wire_size.
-        assert!(value_entry.encode_to_bytes().len() as i64 - value_entry.wire_size() as i64 <= 8);
+        // The encoded size is exactly wire_size, for either payload.
+        assert_eq!(value_entry.encode_to_bytes().len(), value_entry.wire_size());
+        assert_eq!(op_entry.encode_to_bytes().len(), op_entry.wire_size());
     }
 }

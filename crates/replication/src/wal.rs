@@ -1,10 +1,13 @@
-//! Per-worker write-ahead logging.
+//! Write-ahead logging.
 //!
-//! Each worker thread owns a [`WalWriter`]: the writes of committed
-//! transactions (always materialised as full rows, Section 5) are buffered in
-//! memory and periodically flushed. The sink is pluggable — a real file for
-//! the durability experiments and examples, or an in-memory sink for unit
-//! tests and benchmarks that only need byte accounting.
+//! A [`WalWriter`] buffers the writes of committed transactions (always
+//! materialised as full rows, Section 5) in memory and flushes them
+//! periodically. The paper gives every worker thread its own; the engine in
+//! `star-core` keeps one per *node* behind a mutex, which the node's workers
+//! share — so an append is also where two master workers take turns. The
+//! sink is pluggable — a real file for the durability experiments and
+//! examples, or an in-memory sink for unit tests and benchmarks that only
+//! need byte accounting.
 
 use crate::entry::{LogEntry, Payload};
 use bytes::{Bytes, BytesMut};

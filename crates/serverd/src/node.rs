@@ -57,7 +57,6 @@
 
 use crate::bootstrap::Bootstrap;
 use crate::transport::TcpMesh;
-use bytes::{BufMut, BytesMut};
 use star_common::stats::RunCounters;
 use star_common::Tid;
 use star_common::{ClusterConfig, Epoch, NodeId, PartitionId, Result};
@@ -74,7 +73,6 @@ use star_proto::{
     write_message, AdminQuery, FrameBuffer, Request, Response, WireElection, WireMessage,
     WirePhase, WireRecord, WireStatus, WireTxn,
 };
-use star_replication::encode_row;
 use star_storage::Database;
 use std::collections::BTreeMap;
 use std::io::{self, Read};
@@ -157,18 +155,20 @@ pub fn replica_digest(db: &Database) -> (u64, u64) {
     let mut record_count = 0u64;
     let mut acc = 0u64;
     db.for_each_record(|table, partition, key, record| {
-        let result = record.read();
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(table);
-        buf.put_u64_le(partition as u64);
-        buf.put_u64_le(key);
-        buf.put_u64_le(result.tid.raw());
-        encode_row(&result.row, &mut buf);
+        let (row, tid) = record.read_packed();
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for &byte in buf.as_slice() {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        let mut feed = |bytes: &[u8]| {
+            for &byte in bytes {
+                hash ^= byte as u64;
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        feed(&table.to_le_bytes());
+        feed(&(partition as u64).to_le_bytes());
+        feed(&key.to_le_bytes());
+        feed(&tid.raw().to_le_bytes());
+        // A stored row is its canonical encoding: hashed in place.
+        feed(row.as_bytes());
         acc = acc.wrapping_add(hash);
         record_count += 1;
     });

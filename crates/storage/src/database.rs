@@ -3,7 +3,7 @@
 
 use crate::record::Record;
 use crate::table::Table;
-use star_common::{Epoch, Error, Key, PartitionId, Result, Row, TableId, Tid};
+use star_common::{Epoch, Error, Key, PackedRow, PartitionId, Result, TableId, Tid};
 use std::sync::Arc;
 
 /// Static description of one table in the catalog.
@@ -194,7 +194,7 @@ impl Database {
         table: TableId,
         partition: PartitionId,
         key: Key,
-        row: Row,
+        row: impl Into<PackedRow>,
     ) -> Result<Arc<Record>> {
         self.check_partition(partition)?;
         self.table(table)?.insert(partition, key, row).ok_or(Error::NoSuchPartition(partition))
@@ -208,7 +208,7 @@ impl Database {
         table: TableId,
         partition: PartitionId,
         key: Key,
-        row: Row,
+        row: impl Into<PackedRow>,
         tid: Tid,
     ) -> Result<Arc<Record>> {
         self.check_partition(partition)?;
@@ -229,7 +229,7 @@ impl Database {
         table: TableId,
         partition: PartitionId,
         key: Key,
-        row: Row,
+        row: impl Into<PackedRow>,
         tid: Tid,
     ) -> Result<bool> {
         self.check_partition(partition)?;
@@ -310,7 +310,7 @@ impl Database {
 mod tests {
     use super::*;
     use star_common::row::row;
-    use star_common::FieldValue;
+    use star_common::{FieldValue, Row};
 
     fn db(partitions: usize) -> Database {
         DatabaseBuilder::new(partitions)

@@ -1,7 +1,16 @@
 //! A single versioned record with a Silo-style meta word.
+//!
+//! A record is 72 bytes: the meta word and **one** lock around its versions —
+//! the current row and, while the epoch that wrote it is in flight, the
+//! pre-image that epoch would be rolled back to. A stored version is a
+//! [`PackedRow`]: one reference-counted buffer holding the row's encoding
+//! (see `star_common::packed`). Installing a row packs it (one allocation);
+//! a cross-epoch write *moves* the outgoing version into the stash instead
+//! of cloning it; reading unpacks the buffer into the [`Row`] a transaction
+//! works on, outside the record's lock.
 
-use parking_lot::{Mutex, RwLock};
-use star_common::{Epoch, Row, Tid};
+use parking_lot::RwLock;
+use star_common::{Epoch, PackedRow, Row, Tid};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Bit in the meta word marking the record as locked by a committing
@@ -50,15 +59,10 @@ pub struct ReadResult {
     pub tid: Tid,
 }
 
-/// A record stored in a table partition.
-///
-/// The meta word uses bit 63 as the lock bit and the remaining bits as the
-/// raw TID, which restricts epochs to 23 bits — ~8 million phase switches,
-/// far more than any run performs.
+/// The row versions a record holds, behind one lock.
 #[derive(Debug)]
-pub struct Record {
-    meta: AtomicU64,
-    data: RwLock<Row>,
+struct Versions {
+    current: PackedRow,
     /// Most recent version from an epoch earlier than the current one, kept
     /// for epoch revert during recovery.
     ///
@@ -68,24 +72,34 @@ pub struct Record {
     /// overwrites it with that epoch's pre-image. No fence-time clearing
     /// pass is needed — which is what keeps the replication fence O(1) in
     /// database size rather than a full-replica walk per epoch.
-    stable: Mutex<Option<(Tid, Row)>>,
+    stable: Option<(Tid, PackedRow)>,
+}
+
+/// A record stored in a table partition.
+///
+/// The meta word uses bit 63 as the lock bit and the remaining bits as the
+/// raw TID, which restricts epochs to 23 bits — ~8 million phase switches,
+/// far more than any run performs.
+#[derive(Debug)]
+pub struct Record {
+    meta: AtomicU64,
+    versions: RwLock<Versions>,
 }
 
 impl Record {
     /// Creates a record with an initial row, tagged [`Tid::ZERO`] (loaded
     /// data, never written by a transaction).
-    pub fn new(row: Row) -> Self {
-        Record {
-            meta: AtomicU64::new(Tid::ZERO.raw()),
-            data: RwLock::new(row),
-            stable: Mutex::new(None),
-        }
+    pub fn new(row: impl Into<PackedRow>) -> Self {
+        Self::with_tid(row, Tid::ZERO)
     }
 
     /// Creates a record that already carries a TID (used by recovery replay
     /// and by checkpoint loading).
-    pub fn with_tid(row: Row, tid: Tid) -> Self {
-        Record { meta: AtomicU64::new(tid.raw()), data: RwLock::new(row), stable: Mutex::new(None) }
+    pub fn with_tid(row: impl Into<PackedRow>, tid: Tid) -> Self {
+        Record {
+            meta: AtomicU64::new(tid.raw()),
+            versions: RwLock::new(Versions { current: row.into(), stable: None }),
+        }
     }
 
     /// Decoded meta word (TID + lock bit).
@@ -104,9 +118,17 @@ impl Record {
     }
 
     /// Optimistic, consistent read of the record (Silo's read protocol):
-    /// re-reads the meta word after copying the data and retries if a
+    /// re-reads the meta word after taking the version and retries if a
     /// concurrent writer was active.
     pub fn read(&self) -> ReadResult {
+        let (packed, tid) = self.read_packed();
+        ReadResult { row: packed.unpack(), tid }
+    }
+
+    /// [`Record::read`] without unpacking: the stored version itself (a
+    /// reference-count bump) and the TID it was read at. For readers that
+    /// want the row's bytes — digests — rather than its fields.
+    pub fn read_packed(&self) -> (PackedRow, Tid) {
         let mut spins = 0;
         loop {
             let before = self.meta.load(Ordering::Acquire);
@@ -114,10 +136,10 @@ impl Record {
                 spin_backoff(&mut spins);
                 continue;
             }
-            let row = self.data.read().clone();
+            let packed = self.versions.read().current.clone();
             let after = self.meta.load(Ordering::Acquire);
             if before == after {
-                return ReadResult { row, tid: Tid::from_raw(before) };
+                return (packed, Tid::from_raw(before));
             }
         }
     }
@@ -126,7 +148,8 @@ impl Record {
     /// knows there are no concurrent writers — i.e. the partitioned phase,
     /// where a partition is touched by exactly one worker thread.
     pub fn read_unsynchronized(&self) -> ReadResult {
-        ReadResult { row: self.data.read().clone(), tid: self.tid() }
+        let packed = self.versions.read().current.clone();
+        ReadResult { row: packed.unpack(), tid: self.tid() }
     }
 
     /// Attempts to acquire the commit lock. Returns `false` if the record is
@@ -162,30 +185,28 @@ impl Record {
     /// The previous version is stashed as the stable version if it belongs to
     /// an earlier epoch, so that a failure during the current epoch can be
     /// rolled back.
-    pub fn write_and_unlock(&self, new_row: Row, new_tid: Tid) {
+    pub fn write_and_unlock(&self, new_row: impl Into<PackedRow>, new_tid: Tid) {
         let cur = self.meta.load(Ordering::Acquire);
         debug_assert!(cur & LOCK_BIT != 0, "write without lock");
-        let old_tid = Tid::from_raw(cur & !LOCK_BIT);
-        {
-            let mut data = self.data.write();
-            if old_tid.epoch() < new_tid.epoch() {
-                *self.stable.lock() = Some((old_tid, data.clone()));
-            }
-            *data = new_row;
-        }
-        self.meta.store(new_tid.raw(), Ordering::Release);
+        self.install(Tid::from_raw(cur & !LOCK_BIT), new_row.into(), new_tid);
     }
 
     /// Unsynchronized write used in the partitioned phase (single writer per
     /// partition): no lock acquisition, but the same epoch stash is kept.
-    pub fn write_unsynchronized(&self, new_row: Row, new_tid: Tid) {
-        let old_tid = self.tid();
+    pub fn write_unsynchronized(&self, new_row: impl Into<PackedRow>, new_tid: Tid) {
+        self.install(self.tid(), new_row.into(), new_tid);
+    }
+
+    /// Makes `new_row` the current version and publishes `new_tid`. The
+    /// outgoing version moves into the stash if it belongs to an earlier
+    /// epoch and is dropped otherwise.
+    fn install(&self, old_tid: Tid, new_row: PackedRow, new_tid: Tid) {
         {
-            let mut data = self.data.write();
+            let mut versions = self.versions.write();
+            let old_row = std::mem::replace(&mut versions.current, new_row);
             if old_tid.epoch() < new_tid.epoch() {
-                *self.stable.lock() = Some((old_tid, data.clone()));
+                versions.stable = Some((old_tid, old_row));
             }
-            *data = new_row;
         }
         self.meta.store(new_tid.raw(), Ordering::Release);
     }
@@ -197,7 +218,7 @@ impl Record {
     /// Replication streams in the single-master phase may deliver writes out
     /// of order; because conflicting TIDs are assigned in serial-equivalent
     /// order, dropping stale writes is correct (Section 3).
-    pub fn apply_value_thomas(&self, row: Row, tid: Tid) -> bool {
+    pub fn apply_value_thomas(&self, row: impl Into<PackedRow>, tid: Tid) -> bool {
         let mut spins = 0;
         loop {
             let cur = self.meta.load(Ordering::Acquire);
@@ -228,7 +249,8 @@ impl Record {
     /// flight, and becomes unreachable garbage (overwritten by the next
     /// cross-epoch write) once the epoch commits.
     pub fn stable_version(&self) -> Option<(Tid, Row)> {
-        self.stable.lock().clone()
+        let stable = self.versions.read().stable.clone();
+        stable.map(|(tid, packed)| (tid, packed.unpack()))
     }
 
     /// Reverts the record to its stable version if its current version was
@@ -247,15 +269,10 @@ impl Record {
         if cur_tid.epoch() <= committed_epoch {
             return false;
         }
-        // Acquire `data` before `stable`, matching the write paths
-        // (`write_and_unlock`, `write_unsynchronized`) and the workspace
-        // lock-order manifest: taking them in the opposite order here is a
-        // potential deadlock against a concurrent writer.
-        let mut data = self.data.write();
-        let mut stable = self.stable.lock();
-        if let Some((old_tid, old_row)) = stable.take() {
+        let mut versions = self.versions.write();
+        if let Some((old_tid, old_row)) = versions.stable.take() {
             debug_assert!(old_tid.epoch() <= committed_epoch);
-            *data = old_row;
+            versions.current = old_row;
             self.meta.store(old_tid.raw(), Ordering::Release);
             true
         } else {

@@ -14,7 +14,7 @@
 
 use crate::record::Record;
 use parking_lot::RwLock;
-use star_common::{Key, PartitionId, Row, Tid};
+use star_common::{Key, PackedRow, PartitionId, Tid};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
@@ -340,7 +340,12 @@ impl Table {
     }
 
     /// Inserts a freshly loaded row (TID zero).
-    pub fn insert(&self, p: PartitionId, key: Key, row: Row) -> Option<Arc<Record>> {
+    pub fn insert(
+        &self,
+        p: PartitionId,
+        key: Key,
+        row: impl Into<PackedRow>,
+    ) -> Option<Arc<Record>> {
         self.partitions.get(p).map(|part| part.insert(key, Record::new(row)))
     }
 
@@ -349,7 +354,7 @@ impl Table {
         &self,
         p: PartitionId,
         key: Key,
-        row: Row,
+        row: impl Into<PackedRow>,
         tid: Tid,
     ) -> Option<Arc<Record>> {
         self.partitions.get(p).map(|part| part.insert(key, Record::with_tid(row, tid)))
@@ -370,7 +375,7 @@ impl Table {
 mod tests {
     use super::*;
     use star_common::row::row;
-    use star_common::FieldValue;
+    use star_common::{FieldValue, Row};
 
     fn r(v: u64) -> Row {
         row([FieldValue::U64(v)])

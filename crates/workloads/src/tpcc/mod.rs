@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use schema::{self as s, table};
 use star_common::rng::{astring, nurand};
-use star_common::{FieldValue, PartitionId, Row};
+use star_common::{PackedRow, PartitionId, RowBuilder};
 use star_core::{Workload, WorkloadMix};
 use star_occ::Procedure;
 use star_storage::{Database, TableSpec};
@@ -170,70 +170,58 @@ impl TpccWorkload {
         }
     }
 
-    fn warehouse_row(w: u64, rng: &mut StdRng) -> Row {
-        [
-            FieldValue::U64(w),
-            FieldValue::Str(astring(rng, 6, 10)),
-            FieldValue::F64(rng.gen_range(0.0..0.2)),
-            FieldValue::F64(300_000.0),
-        ]
-        .into_iter()
-        .collect()
+    fn warehouse_row(b: &mut RowBuilder, w: u64, rng: &mut StdRng) -> PackedRow {
+        b.u64(w).str(&astring(rng, 6, 10)).f64(rng.gen_range(0.0..0.2)).f64(300_000.0).finish()
     }
 
-    fn district_row(w: u64, d: u64, rng: &mut StdRng) -> Row {
-        [
-            FieldValue::U64(d),
-            FieldValue::U64(w),
-            FieldValue::Str(astring(rng, 6, 10)),
-            FieldValue::F64(rng.gen_range(0.0..0.2)),
-            FieldValue::F64(30_000.0),
-            FieldValue::U64(3_001),
-        ]
-        .into_iter()
-        .collect()
+    fn district_row(b: &mut RowBuilder, w: u64, d: u64, rng: &mut StdRng) -> PackedRow {
+        b.u64(d)
+            .u64(w)
+            .str(&astring(rng, 6, 10))
+            .f64(rng.gen_range(0.0..0.2))
+            .f64(30_000.0)
+            .u64(3_001)
+            .finish()
     }
 
-    fn customer_row(&self, w: u64, d: u64, c: u64, rng: &mut StdRng) -> Row {
+    fn customer_row(
+        &self,
+        b: &mut RowBuilder,
+        w: u64,
+        d: u64,
+        c: u64,
+        rng: &mut StdRng,
+    ) -> PackedRow {
         let credit = if rng.gen::<f64>() < self.config.bad_credit_fraction { "BC" } else { "GC" };
-        [
-            FieldValue::U64(c),
-            FieldValue::U64(d),
-            FieldValue::U64(w),
-            FieldValue::Str(format!("LAST{}", c % 100)),
-            FieldValue::Str(credit.to_owned()),
-            FieldValue::F64(-10.0),
-            FieldValue::F64(10.0),
-            FieldValue::U64(1),
-            FieldValue::Str(astring(rng, 300, procedures::C_DATA_MAX)),
-        ]
-        .into_iter()
-        .collect()
+        b.u64(c)
+            .u64(d)
+            .u64(w)
+            .str(&format!("LAST{}", c % 100))
+            .str(credit)
+            .f64(-10.0)
+            .f64(10.0)
+            .u64(1)
+            .str(&astring(rng, 300, procedures::C_DATA_MAX))
+            .finish()
     }
 
-    fn item_row(i: u64, rng: &mut StdRng) -> Row {
-        [
-            FieldValue::U64(i),
-            FieldValue::Str(astring(rng, 14, 24)),
-            FieldValue::F64(rng.gen_range(1.0..100.0)),
-            FieldValue::Str(astring(rng, 26, 50)),
-        ]
-        .into_iter()
-        .collect()
+    fn item_row(b: &mut RowBuilder, i: u64, rng: &mut StdRng) -> PackedRow {
+        b.u64(i)
+            .str(&astring(rng, 14, 24))
+            .f64(rng.gen_range(1.0..100.0))
+            .str(&astring(rng, 26, 50))
+            .finish()
     }
 
-    fn stock_row(w: u64, i: u64, rng: &mut StdRng) -> Row {
-        [
-            FieldValue::U64(i),
-            FieldValue::U64(w),
-            FieldValue::I64(rng.gen_range(10..100)),
-            FieldValue::F64(0.0),
-            FieldValue::U64(0),
-            FieldValue::U64(0),
-            FieldValue::Str(astring(rng, 26, 50)),
-        ]
-        .into_iter()
-        .collect()
+    fn stock_row(b: &mut RowBuilder, w: u64, i: u64, rng: &mut StdRng) -> PackedRow {
+        b.u64(i)
+            .u64(w)
+            .i64(rng.gen_range(10..100))
+            .f64(0.0)
+            .u64(0)
+            .u64(0)
+            .str(&astring(rng, 26, 50))
+            .finish()
     }
 }
 
@@ -260,11 +248,14 @@ impl Workload for TpccWorkload {
         // Deterministic per-partition seed so every replica of the partition
         // loads identical rows.
         let mut rng = StdRng::seed_from_u64(0x7BCC_0000u64 ^ w);
+        // One builder for every row; each row constructor draws from `rng`
+        // in field order and packs the row as the record stores it.
+        let b = &mut RowBuilder::new();
         db.insert(
             table::WAREHOUSE,
             partition,
             s::warehouse_key(w),
-            Self::warehouse_row(w, &mut rng),
+            Self::warehouse_row(b, w, &mut rng),
         )
         .expect("loading a held partition cannot fail");
         for d in 1..=self.config.districts_per_warehouse {
@@ -272,7 +263,7 @@ impl Workload for TpccWorkload {
                 table::DISTRICT,
                 partition,
                 s::district_key(w, d),
-                Self::district_row(w, d, &mut rng),
+                Self::district_row(b, w, d, &mut rng),
             )
             .unwrap();
             for c in 1..=self.config.customers_per_district {
@@ -280,15 +271,21 @@ impl Workload for TpccWorkload {
                     table::CUSTOMER,
                     partition,
                     s::customer_key(w, d, c),
-                    self.customer_row(w, d, c, &mut rng),
+                    self.customer_row(b, w, d, c, &mut rng),
                 )
                 .unwrap();
             }
         }
         for i in 1..=self.config.items {
-            db.insert(table::ITEM, partition, s::item_key(i), Self::item_row(i, &mut rng)).unwrap();
-            db.insert(table::STOCK, partition, s::stock_key(w, i), Self::stock_row(w, i, &mut rng))
+            db.insert(table::ITEM, partition, s::item_key(i), Self::item_row(b, i, &mut rng))
                 .unwrap();
+            db.insert(
+                table::STOCK,
+                partition,
+                s::stock_key(w, i),
+                Self::stock_row(b, w, i, &mut rng),
+            )
+            .unwrap();
         }
     }
 

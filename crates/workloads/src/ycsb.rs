@@ -3,7 +3,7 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 use star_common::rng::{random_bytes, Zipf};
-use star_common::{FieldValue, Operation, PartitionId, Result, Row};
+use star_common::{FieldValue, Operation, PackedRow, PartitionId, Result, RowBuilder};
 use star_core::{Workload, WorkloadMix};
 use star_occ::{Procedure, TxnCtx};
 use star_storage::{Database, TableSpec};
@@ -141,8 +141,13 @@ impl YcsbWorkload {
         }
     }
 
-    fn initial_row(rng: &mut StdRng) -> Row {
-        (0..COLUMNS).map(|_| FieldValue::Bytes(random_bytes(rng, COLUMN_BYTES))).collect()
+    /// The next loaded row, packed as the record stores it: [`COLUMNS`]
+    /// columns filled straight from `rng`.
+    fn initial_row(builder: &mut RowBuilder, rng: &mut StdRng) -> PackedRow {
+        for _ in 0..COLUMNS {
+            builder.bytes_with(COLUMN_BYTES, |column| rng.fill(column));
+        }
+        builder.finish()
     }
 
     fn make_transaction(
@@ -200,9 +205,10 @@ impl Workload for YcsbWorkload {
         // Deterministic per-partition seed so every replica loads identical
         // data for the partitions it holds.
         let mut rng = StdRng::seed_from_u64(0x9C5B_0000 ^ partition as u64);
+        let mut builder = RowBuilder::new();
         for offset in 0..self.config.rows_per_partition {
             let key = ycsb_key(partition, offset);
-            db.insert(YCSB_TABLE, partition, key, Self::initial_row(&mut rng))
+            db.insert(YCSB_TABLE, partition, key, Self::initial_row(&mut builder, &mut rng))
                 .expect("loading a held partition cannot fail");
         }
     }

@@ -178,3 +178,22 @@ fn wal_written_by_the_engine_is_replayable() {
     assert!(entries.iter().all(|e| e.tid.epoch() >= 1));
     assert!(entries.iter().all(|e| matches!(e.payload, Payload::Value(_))));
 }
+
+#[test]
+fn wal_bytes_counts_exactly_what_the_writers_wrote() {
+    // `LogEntry::wire_size` is exact, so the engine's `wal_bytes` counter is
+    // the number of bytes its writers appended — not an estimate of it.
+    let config = cluster(2, 1).to_builder().disk_logging(true).build().unwrap();
+    let tpcc =
+        TpccWorkload::new(TpccConfig { warehouses: config.partitions, ..TpccConfig::small() });
+    let mut engine = StarEngine::new(config, Arc::new(tpcc)).unwrap();
+    for _ in 0..12 {
+        engine.run_iteration_stepped(6, 4);
+    }
+    // Quiesced: every epoch drain, and with it every WAL flush, has run.
+    engine.quiesce();
+    let written: u64 =
+        engine.wal_paths().iter().map(|path| std::fs::metadata(path).unwrap().len()).sum();
+    assert!(written > 0);
+    assert_eq!(engine.counters().snapshot().wal_bytes, written);
+}
