@@ -503,7 +503,8 @@ mod tests {
         // homes decide routing, election and recovery, so they are in scope
         // in full regardless of function name — even a `fast_path`.
         let src = "fn fast_path(v: Vec<u32>) { let a = v[0].clone(); let b = v.first().unwrap(); }";
-        for path in PROTOCOL_HOMES.iter().chain(&["crates/proto/src/message.rs"]) {
+        let proto = ["crates/proto/src/message.rs", "crates/proto/src/codec.rs"];
+        for path in PROTOCOL_HOMES.iter().chain(&proto) {
             let f = run(path, src, &AnalysisConfig::default());
             assert_eq!(rules(&f), vec!["panic::slice-index", "panic::unwrap"], "{path}");
         }

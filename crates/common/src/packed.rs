@@ -13,7 +13,7 @@
 //!   16 + 154 bytes instead of eleven allocations totalling 656), and
 //!   cloning it is a reference-count bump, so moving a version into a
 //!   record's epoch stash copies nothing;
-//! * its bytes *are* the encoding `star_replication::encode_row` writes, so
+//! * its bytes *are* the row's encoding in a log entry and on the wire, so
 //!   a digest or a checkpoint can hash or copy them as they are;
 //! * reading a record unpacks the buffer into a [`Row`], installing a row
 //!   packs it (one allocation).
@@ -21,7 +21,7 @@
 //! The whole row codec lives here — [`FieldRef::encode`],
 //! [`FieldValue::decode`], [`Row::encode`], [`Row::decode`],
 //! [`PackedRow::decode`] — over plain byte slices; `star_replication`
-//! adapts it to `bytes` cursors and `star_proto` ships it. Everything that
+//! adapts it to `bytes` cursors and `star_proto` calls it directly. Everything that
 //! parses bytes returns typed errors and never panics; the file is in
 //! `star-lint`'s panic-freedom scope in full.
 

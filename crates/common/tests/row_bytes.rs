@@ -1,8 +1,9 @@
 //! The row codec and the packed row against a reference copy of the encoder
 //! they replaced.
 //!
-//! `star_replication::encode_row` used to serialise a row field by field;
-//! the codec now lives in `star_common::packed`, and a record stores exactly
+//! `star_replication` used to serialise a row field by field (its old
+//! `encode_row`); the codec now lives in `star_common::packed`, which both
+//! `star_replication` and `star_proto` call, and a record stores exactly
 //! those bytes as a [`PackedRow`]. This seeded property test keeps a
 //! test-local copy of the old encoder and checks, over a few thousand random
 //! rows of all five field kinds (the empty row, empty strings and byte

@@ -42,7 +42,8 @@ pub struct FrameHeader {
     pub version: u16,
     /// Frame kind (dispatches to a [`crate::WireMessage`] variant).
     pub kind: u8,
-    /// Reserved flags byte (always 0 in version 1).
+    /// Reserved flags byte: version 2 defines no flags, so it is always 0
+    /// (a header carrying anything else is refused).
     pub flags: u8,
     /// Length of the body following the header.
     pub body_len: usize,
@@ -51,7 +52,7 @@ pub struct FrameHeader {
 /// Decodes and validates a frame header from the first
 /// [`FRAME_HEADER_LEN`] bytes of `buf`.
 ///
-/// Validation order: length, magic, version, body bound. The kind byte is
+/// Validation order: length, magic, version, flags, body bound. The kind byte is
 /// *not* validated here — a streaming reader must know how many bytes to
 /// consume even for an unknown kind, so kind dispatch happens in
 /// [`crate::WireMessage::decode_body`].
@@ -71,6 +72,10 @@ pub fn decode_frame_header(buf: &[u8]) -> Result<FrameHeader, DecodeError> {
     }
     let kind = cur.get_u8();
     let flags = cur.get_u8();
+    if flags != 0 {
+        // A set reserved bit would be a second encoding of the same frame.
+        return Err(DecodeError::UnknownTag { context: "frame flags", tag: flags });
+    }
     let body_len = cur.get_u32_le() as usize;
     if body_len > MAX_BODY_LEN {
         return Err(DecodeError::Oversized { len: body_len, max: MAX_BODY_LEN });

@@ -20,7 +20,7 @@
 //! write to all of them before reading from any: the nodes then work in
 //! parallel without the caller spawning a thread per node.
 
-use crate::frame::{decode_frame_header, FRAME_HEADER_LEN};
+use crate::frame::{decode_frame_header, FRAME_HEADER_LEN, MAX_BODY_LEN};
 use crate::message::{Request, Response, Role, WireMessage};
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -167,8 +167,20 @@ impl Conn {
 
 /// Writes one complete frame to `writer` (no implicit flush; callers batch
 /// pipelined frames and flush once).
+///
+/// A body over [`MAX_BODY_LEN`] is refused with
+/// [`io::ErrorKind::InvalidInput`] before anything is written: the receiver
+/// would reject the frame as oversized and drop the connection.
 pub fn write_message<W: Write>(writer: &mut W, message: &WireMessage) -> io::Result<()> {
-    writer.write_all(&message.encode())
+    let frame = message.encode();
+    let body_len = frame.len().saturating_sub(FRAME_HEADER_LEN);
+    if body_len > MAX_BODY_LEN {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("frame body of {body_len} bytes exceeds the {MAX_BODY_LEN}-byte maximum"),
+        ));
+    }
+    writer.write_all(&frame)
 }
 
 /// Reads exactly one frame from `reader` and decodes it.
@@ -213,6 +225,17 @@ mod tests {
         buf.truncate(buf.len() - 1);
         let mut cursor = buf.as_slice();
         assert!(read_message(&mut cursor).is_err());
+    }
+
+    #[test]
+    fn an_oversized_frame_is_refused_before_anything_is_written() {
+        let mut buf: Vec<u8> = Vec::new();
+        let huge = Response::Error("x".repeat(33 << 20));
+        let err =
+            write_message(&mut buf, &WireMessage::Response { id: 1, body: huge }).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains(&format!("{MAX_BODY_LEN}-byte maximum")), "{err}");
+        assert!(buf.is_empty());
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! * [`frame`] — the fixed 12-byte header (`magic, version, kind, flags,
 //!   body length`) every message rides behind;
 //! * [`message`] — the message bodies: handshakes, correlation-id-tagged
-//!   requests/responses, and zero-copy replication batches;
+//!   requests/responses, and zero-copy replication batches, each layout
+//!   declared once in a table that generates its encoder and its decoder;
 //! * [`stream`] — [`FrameBuffer`], incremental frame reassembly for
 //!   non-blocking readers (server connection loops, the wire-chaos proxy);
 //! * [`error`] — typed [`DecodeError`]s. Decoding arbitrary bytes never
@@ -21,6 +22,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod codec;
 pub mod error;
 pub mod frame;
 pub mod io;

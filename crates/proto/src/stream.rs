@@ -49,14 +49,14 @@ impl FrameBuffer {
         !self.buf.is_empty()
     }
 
-    /// Total size of the frame at the front of the buffer, if a full header
-    /// is available and valid: `Ok(None)` means "feed me more bytes".
+    /// Total size of the frame at the front of the buffer once all of it has
+    /// arrived (header validated): `Ok(None)` means "feed me more bytes".
     fn frame_len(&self) -> Result<Option<usize>, DecodeError> {
         if self.buf.len() < FRAME_HEADER_LEN {
             return Ok(None);
         }
-        let header = decode_frame_header(&self.buf)?;
-        Ok(Some(FRAME_HEADER_LEN + header.body_len))
+        let total = FRAME_HEADER_LEN + decode_frame_header(&self.buf)?.body_len;
+        Ok((self.buf.len() >= total).then_some(total))
     }
 
     /// Removes and returns the next complete frame as raw bytes (header
@@ -67,9 +67,6 @@ impl FrameBuffer {
         let Some(total) = self.frame_len()? else {
             return Ok(None);
         };
-        if self.buf.len() < total {
-            return Ok(None);
-        }
         let rest = self.buf.split_off(total);
         let frame = std::mem::replace(&mut self.buf, rest);
         Ok(Some(Bytes::from(frame)))
@@ -81,9 +78,6 @@ impl FrameBuffer {
         let Some(total) = self.frame_len()? else {
             return Ok(None);
         };
-        if self.buf.len() < total {
-            return Ok(None);
-        }
         let (message, consumed) = WireMessage::decode(&self.buf)?;
         debug_assert_eq!(consumed, total);
         self.buf.drain(..consumed);

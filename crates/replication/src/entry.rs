@@ -11,13 +11,18 @@
 //! the WAL is an actual byte stream (its size is measured in Figure 15(b))
 //! rather than a vector of in-memory structs. The row and field layout is
 //! owned by `star_common::packed` — it is also the format records store rows
-//! in — and the `*_row` / `*_field` functions here only adapt it to `bytes`
-//! cursors; the entry header and the operation layout live here.
+//! in — and `decode_front` only adapts its slice decoders to `bytes` cursors;
+//! the entry header, the operation layout and the count-prefixed entry block
+//! (`star-proto`'s replication frames carry it as is) live here.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use star_common::{Error, FieldValue, Key, Operation, PartitionId, Result, Row, TableId, Tid};
 use star_storage::Database;
+use std::ops::Range;
 use std::sync::Arc;
+
+/// An entry's header: table(4) + partition(4) + key(8) + tid(8) + tag(1).
+const ENTRY_HEADER_LEN: usize = 25;
 
 /// What a log entry carries for the written record.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,8 +61,7 @@ pub struct LogEntry {
 impl LogEntry {
     /// Exact encoded size of the whole entry (header + payload).
     pub fn wire_size(&self) -> usize {
-        // table(4) + partition(4) + key(8) + tid(8) + tag(1)
-        25 + self.payload.wire_size()
+        ENTRY_HEADER_LEN + self.payload.wire_size()
     }
 
     /// Applies this entry to a replica database.
@@ -95,7 +99,7 @@ impl LogEntry {
         match &self.payload {
             Payload::Value(row) => {
                 buf.put_u8(0);
-                encode_row(row, buf);
+                row.encode(&mut |bytes| buf.put_slice(bytes));
             }
             Payload::Operation(op) => {
                 buf.put_u8(1);
@@ -113,7 +117,7 @@ impl LogEntry {
 
     /// Decodes one entry from the front of `buf`, advancing it.
     pub fn decode(buf: &mut impl Buf) -> Result<LogEntry> {
-        if buf.remaining() < 25 {
+        if buf.remaining() < ENTRY_HEADER_LEN {
             return Err(Error::Durability("truncated log entry header".into()));
         }
         let table = buf.get_u32_le();
@@ -122,7 +126,7 @@ impl LogEntry {
         let tid = Tid::from_raw(buf.get_u64_le());
         let tag = buf.get_u8();
         let payload = match tag {
-            0 => Payload::Value(decode_row(buf)?),
+            0 => Payload::Value(decode_front(buf, Row::decode)?),
             1 => Payload::Operation(decode_operation(buf)?),
             other => return Err(Error::Durability(format!("unknown payload tag {other}"))),
         };
@@ -251,34 +255,44 @@ pub fn encode_entry_block(entries: &[EncodedEntry]) -> Bytes {
 /// values without copying payload bytes: each entry is a sub-slice of the
 /// received block, validated (and its header mirrored) by one decode pass.
 pub fn split_entry_block(block: &Bytes) -> Result<Vec<EncodedEntry>> {
-    let mut cur: &[u8] = block;
+    map_entry_block(block, |range, entry| EncodedEntry {
+        partition: entry.partition,
+        tid: entry.tid,
+        bytes: block.slice(range),
+        // The boundary-validation decode doubles as the apply-time cache.
+        decoded: Arc::new(entry),
+    })
+}
+
+/// Reads an entry block written by [`encode_entry_block`] — the one reader
+/// of its layout: a `u32le` entry count no larger than the bytes behind it
+/// can hold (every entry's header alone is 25 bytes), the entries
+/// back to back, and nothing after them. Each entry is decoded once and
+/// handed to `f` together with its byte range in `block`; the results come
+/// back in block order.
+pub fn map_entry_block<T>(
+    block: &[u8],
+    mut f: impl FnMut(Range<usize>, LogEntry) -> T,
+) -> Result<Vec<T>> {
+    let truncated = || Error::Durability("truncated entry block".into());
+    let mut cur = block;
     if cur.remaining() < 4 {
-        return Err(Error::Durability("truncated entry block".into()));
+        return Err(truncated());
     }
     let count = cur.get_u32_le() as usize;
-    // Each entry's header alone is 25 bytes; a larger count is truncation.
-    if count > cur.remaining() / 25 + 1 {
-        return Err(Error::Durability("truncated entry block".into()));
+    if count.saturating_mul(ENTRY_HEADER_LEN) > cur.remaining() {
+        return Err(truncated());
     }
-    let mut offset = 4usize;
-    let mut entries = Vec::with_capacity(count);
+    let mut mapped = Vec::with_capacity(count);
     for _ in 0..count {
-        let before = cur.remaining();
+        let start = block.len() - cur.len();
         let entry = LogEntry::decode(&mut cur)?;
-        let consumed = before - cur.remaining();
-        entries.push(EncodedEntry {
-            partition: entry.partition,
-            tid: entry.tid,
-            bytes: block.slice(offset..offset + consumed),
-            // The boundary-validation decode doubles as the apply-time cache.
-            decoded: Arc::new(entry),
-        });
-        offset += consumed;
+        mapped.push(f(start..block.len() - cur.len(), entry));
     }
-    if cur.remaining() != 0 {
+    if !cur.is_empty() {
         return Err(Error::Durability("trailing bytes after entry block".into()));
     }
-    Ok(entries)
+    Ok(mapped)
 }
 
 /// Runs a slice decoder of `star_common::packed` against the front of
@@ -293,37 +307,13 @@ fn decode_front<T>(buf: &mut impl Buf, decode: impl FnOnce(&mut &[u8]) -> Result
     Ok(value)
 }
 
-/// Encodes one field value ([`star_common::FieldRef::encode`]'s layout).
-/// Part of the shared binary vocabulary also used by the `star-proto` wire
-/// protocol.
-pub fn encode_field(field: &FieldValue, buf: &mut BytesMut) {
-    field.as_ref().encode(&mut |bytes| buf.put_slice(bytes));
-}
-
-/// Decodes one field value from the front of `buf`. Every read is bounds
-/// checked; malformed input yields a typed error, never a panic.
-pub fn decode_field(buf: &mut impl Buf) -> Result<FieldValue> {
-    decode_front(buf, FieldValue::decode)
-}
-
-/// Encodes a row as a field count followed by its fields ([`Row::encode`]).
-pub fn encode_row(row: &Row, buf: &mut BytesMut) {
-    row.encode(&mut |bytes| buf.put_slice(bytes));
-}
-
-/// Decodes a row from the front of `buf` ([`Row::decode`]). Bounds checked
-/// like [`decode_field`].
-pub fn decode_row(buf: &mut impl Buf) -> Result<Row> {
-    decode_front(buf, Row::decode)
-}
-
 /// Encodes an operation (tag byte + operands; recursive for `Multi`).
-pub fn encode_operation(op: &Operation, buf: &mut BytesMut) {
+fn encode_operation(op: &Operation, buf: &mut BytesMut) {
     match op {
         Operation::SetField { field, value } => {
             buf.put_u8(0);
             buf.put_u32_le(*field as u32);
-            encode_field(value, buf);
+            value.as_ref().encode(&mut |bytes| buf.put_slice(bytes));
         }
         Operation::AddI64 { field, delta } => {
             buf.put_u8(1);
@@ -344,7 +334,7 @@ pub fn encode_operation(op: &Operation, buf: &mut BytesMut) {
         }
         Operation::SetRow { row } => {
             buf.put_u8(4);
-            encode_row(row, buf);
+            row.encode(&mut |bytes| buf.put_slice(bytes));
         }
         Operation::Multi { ops } => {
             buf.put_u8(5);
@@ -356,9 +346,9 @@ pub fn encode_operation(op: &Operation, buf: &mut BytesMut) {
     }
 }
 
-/// Decodes an operation from the front of `buf`. Bounds checked like
-/// [`decode_field`].
-pub fn decode_operation(buf: &mut impl Buf) -> Result<Operation> {
+/// Decodes an operation from the front of `buf`. Every read is bounds
+/// checked; malformed input yields a typed error, never a panic.
+fn decode_operation(buf: &mut impl Buf) -> Result<Operation> {
     if buf.remaining() < 1 {
         return Err(Error::Durability("truncated operation".into()));
     }
@@ -370,7 +360,7 @@ pub fn decode_operation(buf: &mut impl Buf) -> Result<Operation> {
                 return Err(truncated());
             }
             let field = buf.get_u32_le() as usize;
-            let value = decode_field(buf)?;
+            let value = decode_front(buf, FieldValue::decode)?;
             Ok(Operation::SetField { field, value })
         }
         1 => {
@@ -405,13 +395,13 @@ pub fn decode_operation(buf: &mut impl Buf) -> Result<Operation> {
                 .map_err(|_| Error::Durability("invalid utf-8 in concat prefix".into()))?;
             Ok(Operation::ConcatStr { field, prefix, max_len })
         }
-        4 => Ok(Operation::SetRow { row: decode_row(buf)? }),
+        4 => Ok(Operation::SetRow { row: decode_front(buf, Row::decode)? }),
         5 => {
             if buf.remaining() < 4 {
                 return Err(Error::Durability("truncated multi operation".into()));
             }
             let count = buf.get_u32_le() as usize;
-            // Each nested operation is at least one byte; see decode_row.
+            // Each nested operation is at least one byte.
             if count > buf.remaining() {
                 return Err(truncated());
             }

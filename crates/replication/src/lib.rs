@@ -32,8 +32,7 @@ pub mod wal;
 
 pub use commit_queue::{CommitQueue, DrainMode, EpochDrain};
 pub use entry::{
-    decode_field, decode_operation, decode_row, encode_entry_block, encode_field, encode_operation,
-    encode_row, split_entry_block, EncodedEntry, LogEntry, Payload,
+    encode_entry_block, map_entry_block, split_entry_block, EncodedEntry, LogEntry, Payload,
 };
 pub use strategy::{build_log_entries, ExecutionPhase};
 pub use wal::{truncate_wal_tail, WalReader, WalWriter};

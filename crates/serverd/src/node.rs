@@ -75,7 +75,7 @@ use star_proto::{
 };
 use star_storage::Database;
 use std::collections::BTreeMap;
-use std::io::{self, Read};
+use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -393,9 +393,7 @@ fn connection_loop(mut stream: TcpStream, inner: Arc<NodeInner>) {
                 // A shutdown is acknowledged before it happens: once the
                 // latch is set, `wait` returns and the process may exit.
                 let stop = matches!(body, Request::Shutdown);
-                let response = handle_request(&inner, body);
-                let frame = WireMessage::Response { id, body: response };
-                let written = write_message(&mut stream, &frame);
+                let written = answer(&mut stream, id, handle_request(&inner, body));
                 if stop {
                     inner.shutdown();
                 }
@@ -404,6 +402,19 @@ fn connection_loop(mut stream: TcpStream, inner: Arc<NodeInner>) {
                 }
             }
         }
+    }
+}
+
+/// Writes `response` as the answer to request `id`. A response too large
+/// for one frame is answered with a [`Response::Error`] saying so, so the
+/// caller gets a typed answer instead of a dropped connection.
+fn answer(stream: &mut impl Write, id: u64, response: Response) -> io::Result<()> {
+    match write_message(stream, &WireMessage::Response { id, body: response }) {
+        Err(e) if e.kind() == io::ErrorKind::InvalidInput => write_message(
+            stream,
+            &WireMessage::Response { id, body: Response::Error(e.to_string()) },
+        ),
+        written => written,
     }
 }
 
@@ -934,6 +945,19 @@ mod tests {
         };
         assert!(matches!(conn.request(rejoin), Ok(Response::Error(_))));
         assert_eq!(epoch_of(&mut conn), 1, "a refused rejoin must leave the clock alone");
+    }
+
+    #[test]
+    fn an_oversized_response_is_answered_as_an_error() {
+        let mut out: Vec<u8> = Vec::new();
+        answer(&mut out, 7, Response::Error("x".repeat(star_proto::MAX_BODY_LEN + 1)))
+            .expect("answer");
+        let mut written = out.as_slice();
+        let frame = star_proto::read_message(&mut written).expect("one frame");
+        let WireMessage::Response { id: 7, body: Response::Error(message) } = frame else {
+            panic!("expected an error answer");
+        };
+        assert!(message.contains("exceeds") && written.is_empty(), "{message}");
     }
 
     #[test]
