@@ -2,7 +2,7 @@
 
 SEED ?= 42
 
-.PHONY: build test lint loc star-lint star-lint-baseline lock-witness bench bench-baseline bench-smoke steadybench-smoke profile chaos chaos-synth chaos-guided chaos-corpus chaos-nightly chaos-smoke server-smoke wire-chaos figures ci
+.PHONY: build test lint loc star-lint star-lint-baseline lock-witness bench bench-baseline bench-smoke steadybench-smoke profile chaos chaos-synth chaos-guided chaos-corpus chaos-nightly chaos-smoke chaos-parity server-smoke wire-chaos figures ci
 
 build:
 	cargo build --release
@@ -72,6 +72,12 @@ chaos-smoke:
 	cargo run --release -p star-chaos --bin star-chaos -- --seeds 100 --fail-fast --json CHAOS_report.json
 	cargo run --release -p star-chaos --bin star-chaos -- --synth --seeds 120 --skip-engines --fail-fast --json CHAOS_synth_smoke.json
 	cargo run --release -p star-chaos --bin star-chaos -- --synth-guided --seeds 120 --skip-engines --fail-fast --json CHAOS_guided_smoke.json
+
+# Byte-for-byte proof of a behaviour-preserving change against REF: the three
+# per-seed chaos reports cmp-identical, both corpora green, the wire-chaos
+# count lines equal. Example: make chaos-parity REF=HEAD~1
+chaos-parity:
+	./scripts/chaos_parity.sh $(REF)
 
 # Static analysis gated by the committed ratchet baseline; exit 1 means new
 # findings or a stale baseline (refresh with `make star-lint-baseline`).

@@ -66,8 +66,9 @@ pub struct AnalysisConfig {
 /// cluster rules (routing, replica targets, recovery source, election), the
 /// row codec — which parses every row a WAL, a checkpoint or the network
 /// hands back — the epoch state and what a fence does to it and to a
-/// replica, the shared phase workers, and the cluster driver — which indexes
-/// per-node tables with ids read off the network. They are in determinism
+/// replica, the shared phase workers, the node every deployment runs (its
+/// phase jobs, takeover catch-up and recovery copy), and the cluster driver
+/// — which indexes per-node tables with ids read off the network. They are in determinism
 /// *and* panic-freedom scope in full, keyed by file: a renamed or newly
 /// added function cannot silently drop out of scope the way a function-name
 /// list lets it.
@@ -76,6 +77,7 @@ const PROTOCOL_HOMES: &[&str] = &[
     "crates/common/src/packed.rs",
     "crates/core/src/failure.rs",
     "crates/core/src/exec.rs",
+    "crates/core/src/node.rs",
     "crates/serverd/src/coordinator.rs",
 ];
 
@@ -447,11 +449,12 @@ mod tests {
     fn determinism_scope_follows_files_not_function_names() {
         // Whatever a function is called — a rename must not drop it out of
         // scope — a clock read in the engine, the shared phase workers, the
-        // cluster rules or the cluster driver is a finding.
+        // node, the cluster rules or the cluster driver is a finding.
         let src = "impl E { fn any_name_at_all(&self) { let t = Instant::now(); } }";
         for path in [
             "crates/core/src/engine.rs",
             "crates/core/src/exec.rs",
+            "crates/core/src/node.rs",
             "crates/core/src/failure.rs",
             "crates/common/src/config.rs",
             "crates/serverd/src/coordinator.rs",

@@ -223,7 +223,7 @@ impl EngineTarget {
         let mut engine = StarEngine::new(plan.config.clone(), Arc::clone(&workload))?;
         let recorder = Arc::new(HistoryRecorder::new());
         engine.set_history_recorder(Arc::clone(&recorder));
-        engine.cluster().network().seed_faults(plan.seed);
+        engine.network().seed_faults(plan.seed);
         Ok(EngineTarget {
             engine,
             workload,
@@ -251,21 +251,19 @@ impl EngineTarget {
                     violations.push(format!("scheduled recovery of node {node} failed: {e}"));
                 }
             }
-            FaultOp::CutLink(a, b) => engine.cluster().network().cut_link(*a, *b),
-            FaultOp::HealLink(a, b) => engine.cluster().network().heal_link(*a, *b),
+            FaultOp::CutLink(a, b) => engine.network().cut_link(*a, *b),
+            FaultOp::HealLink(a, b) => engine.network().heal_link(*a, *b),
             FaultOp::SetLinkFaults(from, to, faults) => {
-                engine.cluster().network().set_link_faults(*from, *to, *faults)
+                engine.network().set_link_faults(*from, *to, *faults)
             }
-            FaultOp::SetDefaultFaults(faults) => {
-                engine.cluster().network().set_default_link_faults(*faults)
-            }
-            FaultOp::ClearFaults => engine.cluster().network().clear_link_faults(),
+            FaultOp::SetDefaultFaults(faults) => engine.network().set_default_link_faults(*faults),
+            FaultOp::ClearFaults => engine.network().clear_link_faults(),
             FaultOp::Checkpoint => {
                 let epoch = engine.last_committed_epoch();
                 let failed = engine.failed_nodes();
-                for (n, node) in engine.cluster().nodes().iter().enumerate() {
+                for (n, node) in engine.nodes().iter().enumerate() {
                     if !failed.contains(&n) {
-                        checkpoints.push((n, Checkpoint::capture(&node.db, epoch)));
+                        checkpoints.push((n, Checkpoint::capture(node.db(), epoch)));
                     }
                 }
             }
@@ -340,11 +338,11 @@ pub fn run_plan(plan: &ChaosPlan) -> star_common::Result<ChaosOutcome> {
     // 3. Healthy replicas must agree with the sequential oracle.
     if report.is_serializable() {
         let failed = engine.failed_nodes();
-        for (n, node) in engine.cluster().nodes().iter().enumerate() {
+        for (n, node) in engine.nodes().iter().enumerate() {
             if failed.contains(&n) {
                 continue;
             }
-            if let Err(e) = compare_with_database(&node.db, &report.final_state) {
+            if let Err(e) = compare_with_database(node.db(), &report.final_state) {
                 violations.push(format!("oracle vs node {n}: {e}"));
             }
         }
@@ -382,7 +380,7 @@ fn run_disk_recovery(
         log_entries_skipped: 0,
         records_verified: 0,
     };
-    let config = engine.cluster().config();
+    let config = engine.config();
     // Recovery needs a checkpoint of a full replica (it covers the whole
     // database; Section 4.5.1 checkpoints every replica, and rebuilding the
     // full replica is the Case-4 path that restores availability).

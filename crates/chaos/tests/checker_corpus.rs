@@ -317,7 +317,7 @@ fn replication_batch_with_wrong_version_is_flagged() {
     }
     let report = check_history(&recorder.committed());
     assert!(report.is_serializable());
-    let db = &engine.cluster().nodes()[0].db;
+    let db = engine.nodes()[0].db();
     assert!(compare_with_database(db, &report.final_state).is_ok());
 
     // Pick a record the oracle knows and install the same row under a

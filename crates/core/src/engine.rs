@@ -1,8 +1,8 @@
 //! The phase-switching execution engine.
 //!
-//! [`StarEngine`] drives a [`StarCluster`] through alternating partitioned
-//! and single-master phases separated by replication fences, exactly as in
-//! Figure 5 of the paper:
+//! [`StarEngine`] is N [`StarNode`]s on the simulated network, driven
+//! through alternating partitioned and single-master phases separated by
+//! replication fences, exactly as in Figure 5 of the paper:
 //!
 //! 1. derive `τp` and `τs` from the iteration time, the cross-partition
 //!    fraction and the measured phase throughputs (Equations 1–2);
@@ -21,21 +21,27 @@
 //! Transactions are only released to clients at the fence that closes their
 //! epoch, so commit latency is dominated by the iteration time — this is the
 //! epoch-based group commit the latency table (Figure 12) reports.
+//!
+//! Everything about one node — its replica, WAL, worker states, which jobs it
+//! runs and its half of the fence and of a recovery copy — is the node's
+//! ([`StarNode`], the same type a `star-serverd` process is one of). The
+//! engine holds what spans the cluster: one epoch clock, the simulated
+//! network, the commit queue behind the fences, and the timing of
+//! `run_for`. It reads each stream's catch-up baseline off its own nodes.
 
-use crate::cluster::StarCluster;
-use crate::exec::{
-    run_master_worker, run_partition_worker, MasterWorkerState, NodeCtx, PartitionWorkerState,
-    PhaseBudget, WorkerOutcome,
-};
-use crate::failure::{fence_replica, EpochState, FailureCase, MasterElection};
+use crate::exec::{PhaseBudget, WorkerOutcome};
+use crate::failure::{EpochState, FailureCase, MasterElection};
 use crate::history::HistoryRecorder;
+use crate::messages::ReplicationBatch;
+use crate::node::{wal_file, PhaseJob, StarNode};
 use crate::phase::PhasePlan;
 use crate::workload::Workload;
-use parking_lot::Mutex;
 use star_common::stats::{LatencyHistogram, RunCounters, RunReport};
-use star_common::{ClusterConfig, Epoch, Error, NodeId, ReplicationMode, Result};
-use star_replication::{CommitQueue, DrainMode, EncodedEntry, EpochDrain, WalWriter};
+use star_common::{ClusterConfig, Epoch, Error, NodeId, Result, Row, Tid};
+use star_net::{Endpoint, NetworkConfig, SimNetwork};
+use star_replication::{CommitQueue, DrainMode, EncodedEntry, EpochDrain, ExecutionPhase};
 use star_storage::Database;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -46,10 +52,8 @@ use std::time::{Duration, Instant};
 /// sharing one directory would interleave their logs).
 static WAL_INSTANCE: AtomicU64 = AtomicU64::new(0);
 
-/// Re-export of the replication mode used to configure synchronous vs
-/// asynchronous replication in the single-master phase (`SYNC STAR` vs
-/// `STAR` in Figure 15(a)).
-pub type SyncReplication = ReplicationMode;
+/// A node of the simulated cluster: a [`StarNode`] on the simulated network.
+pub type SimNode = StarNode<Endpoint<ReplicationBatch>>;
 
 /// How a memory-to-memory recovery is interrupted mid-copy (the chaos
 /// harness's recovery-path fault injection; see
@@ -76,25 +80,6 @@ pub struct InterruptedRecovery {
     /// leave in place because the copy is idempotent under the Thomas write
     /// rule and a later successful recovery re-copies everything).
     pub records_copied: usize,
-}
-
-/// What the phase after a replication fence will read, which decides how
-/// much of the fence's replication traffic must be applied synchronously.
-///
-/// Only the records the next phase touches need their replicas current at
-/// the fence; every other apply can drain asynchronously while the next
-/// phase executes (the pipelined group commit). A partitioned phase reads
-/// each partition only on its effective primary; a single-master phase reads
-/// everything, but only on the master.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum NextPhase {
-    /// The next phase executes on the partitions' effective primaries.
-    Partitioned,
-    /// The next phase executes on the elected master.
-    SingleMaster,
-    /// The caller gave no hint (the public [`StarEngine::fence`]): every
-    /// apply is synchronous, which is always safe.
-    Unknown,
 }
 
 /// One phase's share of an iteration: wall-clock time on the timed path, a
@@ -125,31 +110,26 @@ struct PhaseResult {
     samples: Vec<Instant>,
 }
 
-/// Runs one phase worker per job and sums their outcomes. A timed share arms
-/// one deadline and gives every worker its own scoped thread; a stepped share
-/// runs the workers sequentially in job order — partitioned-phase workers
-/// touch disjoint partitions, so this is semantically the threaded phase,
-/// but the committed history, the replication message sequence and every
+/// Runs every phase job and sums their outcomes. A timed share arms one
+/// deadline and gives every job its own scoped thread; a stepped share runs
+/// the jobs sequentially in job order — partitioned-phase jobs touch
+/// disjoint partitions, so this is semantically the threaded phase, but the
+/// committed history, the replication message sequence and every
 /// fault-plane decision become pure functions of the configuration seed (the
 /// chaos harness's "identical seed ⇒ identical history" contract).
-fn run_workers<J: Send>(
-    share: PhaseShare,
-    jobs: Vec<J>,
-    run: impl Fn(J, PhaseBudget) -> WorkerOutcome + Sync,
-) -> PhaseResult {
+fn run_jobs(share: PhaseShare, jobs: Vec<PhaseJob<'_>>) -> PhaseResult {
     let mut result = PhaseResult::default();
     let outcomes: Vec<WorkerOutcome> = match share {
         PhaseShare::Attempts(count) => {
-            jobs.into_iter().map(|job| run(job, PhaseBudget::Count(count))).collect()
+            jobs.into_iter().map(|job| job.run(PhaseBudget::Count(count))).collect()
         }
         PhaseShare::Time(tau) => {
             // star-lint: allow(determinism::instant-now) -- the timed path races a wall-clock deadline by definition; stepped runs take the Attempts arm
             let start = Instant::now();
             let budget = PhaseBudget::Deadline(start + tau);
-            let run = &run;
             let outcomes = std::thread::scope(|scope| {
                 let handles: Vec<_> =
-                    jobs.into_iter().map(|job| scope.spawn(move || run(job, budget))).collect();
+                    jobs.into_iter().map(|job| scope.spawn(move || job.run(budget))).collect();
                 handles
                     .into_iter()
                     .map(|handle| handle.join().expect("phase worker panicked"))
@@ -166,9 +146,13 @@ fn run_workers<J: Send>(
     result
 }
 
-/// The STAR engine.
+/// The STAR engine: N [`StarNode`]s on the simulated network, one epoch
+/// clock, and the commit queue behind the fences.
 pub struct StarEngine {
-    cluster: StarCluster,
+    config: ClusterConfig,
+    /// Full replicas on the first `f` nodes, partial replicas elsewhere.
+    nodes: Vec<SimNode>,
+    network: SimNetwork,
     workload: Arc<dyn Workload>,
     plan: PhasePlan,
     /// Epoch in flight, last committed epoch, detected failures and the
@@ -176,13 +160,6 @@ pub struct StarEngine {
     clock: EpochState,
     counters: Arc<RunCounters>,
     latency: LatencyHistogram,
-    partition_workers: Vec<PartitionWorkerState>,
-    master_workers: Vec<MasterWorkerState>,
-    /// For each currently failed node, the last epoch that had committed when
-    /// its failure was detected; used to discard its in-flight writes when it
-    /// recovers.
-    failed_at_committed_epoch: Vec<Option<Epoch>>,
-    wal: Option<Vec<Arc<Mutex<WalWriter>>>>,
     /// Directory holding the per-node WAL files when disk logging is on.
     wal_dir: Option<PathBuf>,
     /// Optional committed-history recorder (chaos harness).
@@ -193,8 +170,8 @@ pub struct StarEngine {
     /// group commit (deferred replica applies and WAL flushes).
     commit_queue: CommitQueue,
     /// Which phase the most recent fence's deferred applies are safe to
-    /// overlap with ([`NextPhase::Unknown`] = no deferred applies pending).
-    drain_safe_for: NextPhase,
+    /// overlap with (`None`: no deferred applies pending).
+    drain_safe_for: Option<ExecutionPhase>,
     /// The report of the most recent `run_for` window, replayed by
     /// [`Engine::report`](crate::engine_api::Engine::report).
     last_report: Option<RunReport>,
@@ -204,7 +181,7 @@ impl std::fmt::Debug for StarEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StarEngine")
             .field("epoch", &self.clock.epoch())
-            .field("nodes", &self.cluster.nodes().len())
+            .field("nodes", &self.nodes.len())
             .field("failed", &self.clock.failed())
             .finish()
     }
@@ -218,14 +195,11 @@ impl Drop for StarEngine {
         self.commit_queue.quiesce();
         // The per-engine WAL directory models this cluster's disks; once the
         // engine is gone nothing can read it back (wal_paths() borrows the
-        // engine), so remove it rather than leaking one directory per engine
-        // into the temp dir — chaos sweeps construct thousands of engines.
-        // Writers are closed first: a crashed-then-never-recovered node's
-        // WAL still holds an open handle with unflushed bytes (fences skip
-        // failed nodes), and unlinking files that are still open is
-        // platform-dependent — dropping the writers first makes the cleanup
-        // unconditional.
-        self.wal = None;
+        // engine), and chaos sweeps build thousands of engines, so remove it.
+        // The nodes — and with them their writers, which for a crashed,
+        // never-recovered node still hold an open handle with unflushed
+        // bytes — go first: unlinking open files is platform-dependent.
+        self.nodes.clear();
         if let Some(dir) = self.wal_dir.take() {
             let _ = std::fs::remove_dir_all(dir);
         }
@@ -233,15 +207,26 @@ impl Drop for StarEngine {
 }
 
 impl StarEngine {
-    /// Builds the engine: constructs the cluster and loads the workload into
-    /// every replica.
+    /// Builds the engine: the simulated network plus one [`StarNode`] per
+    /// node, each with its replica loaded with the workload.
     pub fn new(config: ClusterConfig, workload: Arc<dyn Workload>) -> Result<Self> {
-        let cluster = StarCluster::build(&config, workload.as_ref())?;
-        let partition_workers =
-            (0..config.partitions).map(|p| PartitionWorkerState::new(&config, p)).collect();
-        let master_workers =
-            (0..config.workers_per_node).map(|w| MasterWorkerState::new(&config, w)).collect();
-        let (wal, wal_dir) = if config.disk_logging {
+        config.validate().map_err(Error::Config)?;
+        if workload.num_partitions() != config.partitions {
+            return Err(Error::Config(format!(
+                "workload has {} partitions but the cluster is configured for {}",
+                workload.num_partitions(),
+                config.partitions
+            )));
+        }
+        let counters = Arc::new(RunCounters::new());
+        let net_config = NetworkConfig::with_latency(config.network_latency);
+        let (network, endpoints) = SimNetwork::new(config.num_nodes, net_config);
+        let mut nodes: Vec<SimNode> = (endpoints.into_iter().enumerate())
+            .map(|(id, endpoint)| {
+                StarNode::new(&config, Arc::clone(&workload), id, endpoint, Arc::clone(&counters))
+            })
+            .collect();
+        let wal_dir = if config.disk_logging {
             let dir = std::env::temp_dir().join(format!(
                 "star-wal-{}-{}",
                 std::process::id(),
@@ -249,50 +234,37 @@ impl StarEngine {
             ));
             std::fs::create_dir_all(&dir)
                 .map_err(|e| Error::Durability(format!("cannot create WAL dir: {e}")))?;
-            let writers = (0..config.num_nodes)
-                .map(|n| {
-                    let path = dir.join(format!("node-{n}.wal"));
-                    WalWriter::open(path).map(|w| Arc::new(Mutex::new(w)))
-                })
-                .collect::<Result<Vec<_>>>();
-            let writers = match writers {
-                Ok(writers) => writers,
-                Err(e) => {
-                    // No engine will ever own the directory we just created,
-                    // so its Drop cannot clean it up — do it here or the
-                    // half-initialised directory leaks.
-                    let _ = std::fs::remove_dir_all(&dir);
-                    return Err(e);
-                }
-            };
-            (Some(writers), Some(dir))
+            if let Err(e) = nodes.iter_mut().try_for_each(|node| node.open_wal(&dir)) {
+                // No engine will ever own the directory we just created, so
+                // its Drop cannot clean it up — do it here or the
+                // half-initialised directory leaks.
+                let _ = std::fs::remove_dir_all(&dir);
+                return Err(e);
+            }
+            Some(dir)
         } else {
-            (None, None)
+            None
         };
         let plan = PhasePlan::new(workload.mix().cross_partition_fraction);
-        let failed_at_committed_epoch = vec![None; config.num_nodes];
-        let counters = Arc::new(RunCounters::new());
         // Deferred outside `run_for`: drains are pumped at deterministic
         // points (the next fence, or a quiesce), which keeps the stepped
         // drivers and the chaos corpus bit-reproducible. The timed path
         // switches to Background for the duration of `run_for`.
         let commit_queue = CommitQueue::new(DrainMode::Deferred, Arc::clone(&counters));
         Ok(StarEngine {
-            cluster,
+            clock: EpochState::new(&config),
+            config,
+            nodes,
+            network,
             workload,
             plan,
-            clock: EpochState::new(&config),
             counters,
             latency: LatencyHistogram::new(),
-            partition_workers,
-            master_workers,
-            failed_at_committed_epoch,
-            wal,
             wal_dir,
             history: None,
             reverted_epochs: Vec::new(),
             commit_queue,
-            drain_safe_for: NextPhase::Unknown,
+            drain_safe_for: None,
             last_report: None,
         })
     }
@@ -302,10 +274,10 @@ impl StarEngine {
     /// phase: a fence hint can mispredict (the failure picture or the plan
     /// changed), and running a phase over replicas whose applies were
     /// deferred *for a different reader* would serve stale records.
-    fn ensure_drain_safe(&mut self, phase: NextPhase) {
-        if self.drain_safe_for != phase && self.drain_safe_for != NextPhase::Unknown {
+    fn ensure_drain_safe(&mut self, phase: ExecutionPhase) {
+        if self.drain_safe_for.is_some_and(|safe_for| safe_for != phase) {
             self.commit_queue.wait_for(self.clock.last_committed());
-            self.drain_safe_for = NextPhase::Unknown;
+            self.drain_safe_for = None;
         }
     }
 
@@ -323,9 +295,19 @@ impl StarEngine {
         self.commit_queue.pending_epochs()
     }
 
-    /// The underlying cluster (replicas, network).
-    pub fn cluster(&self) -> &StarCluster {
-        &self.cluster
+    /// The cluster configuration.
+    pub fn config(&self) -> &ClusterConfig {
+        &self.config
+    }
+
+    /// Every node, indexed by id.
+    pub fn nodes(&self) -> &[SimNode] {
+        &self.nodes
+    }
+
+    /// The simulated network (failure injection, traffic statistics).
+    pub fn network(&self) -> &SimNetwork {
+        &self.network
     }
 
     /// The current global epoch.
@@ -348,12 +330,10 @@ impl StarEngine {
     /// transaction is recorded (with its observed read versions and installed
     /// rows) and finalized or discarded at the fence closing its epoch.
     pub fn set_history_recorder(&mut self, recorder: Arc<HistoryRecorder>) {
+        for node in &mut self.nodes {
+            node.set_history(Some(Arc::clone(&recorder)));
+        }
         self.history = Some(recorder);
-    }
-
-    /// The attached history recorder, if any.
-    pub fn history_recorder(&self) -> Option<&Arc<HistoryRecorder>> {
-        self.history.as_ref()
     }
 
     /// Epochs that were discarded by an epoch revert (failure detection at a
@@ -378,21 +358,16 @@ impl StarEngine {
     pub fn wal_paths(&self) -> Vec<PathBuf> {
         self.commit_queue.quiesce();
         match &self.wal_dir {
-            Some(dir) => (0..self.cluster.config().num_nodes)
-                .map(|n| dir.join(format!("node-{n}.wal")))
-                .collect(),
+            Some(dir) => (0..self.config.num_nodes).map(|n| wal_file(dir, n)).collect(),
             None => Vec::new(),
         }
     }
 
-    /// The current failure classification of the cluster.
-    ///
-    /// The engine maintains one failure flag per configured node, so the
-    /// classification itself cannot fail; the `Result` propagates the typed
-    /// [`crate::failure::FailureVectorMismatch`] contract of
-    /// [`FailureCase::classify`] instead of panicking on it.
+    /// The current failure classification of the cluster. It cannot fail
+    /// (one flag per node); the `Result` carries [`FailureCase::classify`]'s
+    /// typed contract instead of panicking on it.
     pub fn failure_case(&self) -> Result<FailureCase> {
-        FailureCase::classify(self.cluster.config(), self.clock.failed())
+        FailureCase::classify(&self.config, self.clock.failed())
             .map_err(|e| Error::Config(e.to_string()))
     }
 
@@ -401,7 +376,7 @@ impl StarEngine {
     /// the next replication fence, mirroring the paper's coordinator-driven
     /// detection.
     pub fn inject_failure(&mut self, node: NodeId) {
-        self.cluster.network().fail_node(node);
+        self.network.fail_node(node);
     }
 
     /// Which nodes are currently known (detected) to be failed.
@@ -411,7 +386,7 @@ impl StarEngine {
 
     /// The detected-failure flag of every node (index = node id): the
     /// `failed` argument of the [`ClusterConfig`] routing rules, e.g.
-    /// `engine.cluster().config().effective_primary(engine.failure_flags(), p)`.
+    /// `engine.config().effective_primary(engine.failure_flags(), p)`.
     pub fn failure_flags(&self) -> &[bool] {
         self.clock.failed()
     }
@@ -479,7 +454,7 @@ impl StarEngine {
         // cross-partition ratios the fences are nearly free (almost all
         // replication drains behind them), so shorter iterations cut the
         // group-commit latency without costing throughput.
-        let iteration = self.plan.adaptive_iteration(self.cluster.config().iteration);
+        let iteration = self.plan.adaptive_iteration(self.config.iteration);
         let (tau_p, tau_s) = self.plan.split(iteration);
         let (partitioned, single_master) =
             self.run_phases(PhaseShare::Time(tau_p), PhaseShare::Time(tau_s));
@@ -488,12 +463,10 @@ impl StarEngine {
         self.plan.observe_mix(partitioned.committed, single_master.committed);
     }
 
-    /// One fully deterministic iteration: stepped partitioned phase, fence,
-    /// stepped single-master phase, fence. The transaction counts replace the
-    /// `τp` / `τs` wall-clock split of [`run_iteration`](Self::run_iteration);
-    /// outside `run_for` drains are pumped at the next fence, so the stepped
-    /// driver exercises the pipelined (deferred-apply) fence path and stays
-    /// deterministic.
+    /// One fully deterministic iteration: the attempt counts replace the
+    /// `τp` / `τs` split of [`run_iteration`](Self::run_iteration). Outside
+    /// `run_for` drains are pumped at the next fence, so the stepped driver
+    /// exercises the pipelined fence path and stays deterministic.
     pub fn run_iteration_stepped(&mut self, partitioned_txns: u64, single_master_txns: u64) {
         self.run_phases(
             PhaseShare::Attempts(partitioned_txns),
@@ -509,29 +482,29 @@ impl StarEngine {
         partitioned: PhaseShare,
         single_master: PhaseShare,
     ) -> (PhaseResult, PhaseResult) {
-        let partitioned_result = self.run_partitioned_phase(partitioned);
+        let partitioned_result = self.run_phase(ExecutionPhase::Partitioned, partitioned);
         // The fence hint anticipates which phase runs next so the fence can
         // defer every replica apply that phase will not read. A mispredicted
         // hint (the failure picture changed at the fence) is caught by the
         // phases themselves: they complete a drain deferred for a different
         // phase before touching any replica (`ensure_drain_safe`).
         let next = if !single_master.is_empty() && self.current_master().is_some() {
-            NextPhase::SingleMaster
+            ExecutionPhase::SingleMaster
         } else {
-            NextPhase::Partitioned
+            ExecutionPhase::Partitioned
         };
-        let fence_end = self.replication_fence(next);
+        let fence_end = self.replication_fence(Some(next));
         self.close_phase(&partitioned_result, fence_end);
 
-        let single_master_result = self.run_single_master_phase(single_master);
+        let single_master_result = self.run_phase(ExecutionPhase::SingleMaster, single_master);
         let next = if partitioned.is_empty() && self.current_master().is_some() {
             // A pure cross-partition plan starts the next iteration with the
             // single-master phase again.
-            NextPhase::SingleMaster
+            ExecutionPhase::SingleMaster
         } else {
-            NextPhase::Partitioned
+            ExecutionPhase::Partitioned
         };
-        let fence_end = self.replication_fence(next);
+        let fence_end = self.replication_fence(Some(next));
         self.close_phase(&single_master_result, fence_end);
         (partitioned_result, single_master_result)
     }
@@ -545,104 +518,79 @@ impl StarEngine {
         }
     }
 
-    /// What `node` lends its phase workers for the current epoch.
-    fn node_ctx(&self, node: NodeId) -> NodeCtx<'_> {
-        let replica = &self.cluster.nodes()[node];
-        NodeCtx {
-            node,
-            config: self.cluster.config(),
-            db: &replica.db,
-            transport: replica.endpoint.as_ref(),
-            workload: self.workload.as_ref(),
-            counters: &self.counters,
-            wal: self.wal.as_ref().map(|wal| wal[node].as_ref()),
-            history: self.history.as_deref(),
-            epoch: self.clock.epoch(),
-        }
-    }
-
-    /// Runs the partitioned phase: one worker per partition that still has a
-    /// healthy holder, on the partition's effective primary.
-    fn run_partitioned_phase(&mut self, share: PhaseShare) -> PhaseResult {
-        let available = self.failure_case().map(|c| c.available()).unwrap_or(false);
-        if share.is_empty() || !available {
-            return PhaseResult::default();
-        }
-        self.ensure_drain_safe(NextPhase::Partitioned);
-        let mut workers = std::mem::take(&mut self.partition_workers);
-        let config = self.cluster.config();
-        let jobs: Vec<_> = workers
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(partition, state)| {
-                let primary = config.effective_primary(self.clock.failed(), partition)?;
-                let targets = config.replica_targets(self.clock.failed(), primary, partition);
-                Some((self.node_ctx(primary), targets, state))
-            })
-            .collect();
-        let result = run_workers(share, jobs, |(ctx, targets, state), budget| {
-            run_partition_worker(&ctx, &targets, state, budget)
-        });
-        self.partition_workers = workers;
-        result
-    }
-
-    /// Runs the single-master phase: every master worker on the elected
-    /// master, replicating to every other healthy node. With a single
-    /// configured master worker the OCC commit never aborts on contention,
-    /// so a stepped phase's committed stream is a pure function of the seed.
-    fn run_single_master_phase(&mut self, share: PhaseShare) -> PhaseResult {
-        let Some(master) = self.current_master().filter(|_| !share.is_empty()) else {
-            return PhaseResult::default();
+    /// Runs one phase — the partitioned phase while the system is available,
+    /// the single-master phase while a master is elected — as every node's
+    /// jobs in index order (partition 0, then 1, …, whatever node holds
+    /// each). A worker behind its stream (the most attempts any node's
+    /// worker of it has made) catches up first: a failover here takes the
+    /// path it takes on the wire. With one master worker the OCC commit never
+    /// aborts on contention, so a stepped phase is a pure function of the
+    /// seed.
+    fn run_phase(&mut self, phase: ExecutionPhase, share: PhaseShare) -> PhaseResult {
+        let (runs, streams) = match phase {
+            ExecutionPhase::Partitioned => {
+                (self.failure_case().is_ok_and(FailureCase::available), self.config.partitions)
+            }
+            ExecutionPhase::SingleMaster => {
+                (self.current_master().is_some(), self.config.workers_per_node)
+            }
         };
-        self.ensure_drain_safe(NextPhase::SingleMaster);
-        let mut workers = std::mem::take(&mut self.master_workers);
-        let healthy = self.cluster.config().healthy_peers(self.clock.failed(), master);
-        let ctx = self.node_ctx(master);
-        let result = run_workers(share, workers.iter_mut().collect(), |state, budget| {
-            run_master_worker(&ctx, &healthy, state, budget)
-        });
-        self.master_workers = workers;
-        result
+        if share.is_empty() || !runs {
+            return PhaseResult::default();
+        }
+        self.ensure_drain_safe(phase);
+        let baselines: Vec<u64> = (0..streams)
+            .map(|i| self.nodes.iter().map(|node| node.attempts(phase, i)).max().unwrap_or(0))
+            .collect();
+        let (clock, failed) = (&self.clock, self.clock.failed());
+        let mut jobs: Vec<PhaseJob<'_>> = Vec::new();
+        for node in &mut self.nodes {
+            jobs.append(&mut match phase {
+                ExecutionPhase::Partitioned => node.partition_jobs(clock, failed, &baselines),
+                ExecutionPhase::SingleMaster => node.master_jobs(clock, failed, &baselines),
+            });
+        }
+        jobs.sort_by_key(PhaseJob::index);
+        run_jobs(share, jobs)
     }
 
     /// Deterministic, single-threaded partitioned phase: each partition's
-    /// worker executes exactly `txns_per_partition` transaction attempts, in
-    /// partition order, instead of racing a wall-clock deadline. Returns the
-    /// number of committed transactions.
+    /// worker makes exactly `txns_per_partition` attempts, in partition
+    /// order. Returns the number of committed transactions.
     pub fn run_partitioned_phase_stepped(&mut self, txns_per_partition: u64) -> u64 {
-        self.run_partitioned_phase(PhaseShare::Attempts(txns_per_partition)).committed
+        self.run_phase(ExecutionPhase::Partitioned, PhaseShare::Attempts(txns_per_partition))
+            .committed
     }
 
     /// Deterministic, single-threaded single-master phase: each master worker
     /// executes exactly `txns_per_worker` transaction attempts, in worker
     /// order. Returns the number of committed transactions.
     pub fn run_single_master_phase_stepped(&mut self, txns_per_worker: u64) -> u64 {
-        self.run_single_master_phase(PhaseShare::Attempts(txns_per_worker)).committed
+        self.run_phase(ExecutionPhase::SingleMaster, PhaseShare::Attempts(txns_per_worker))
+            .committed
     }
 
     /// Executes a replication fence: complete the previous epoch's pending
-    /// drain, detect failures, apply the outstanding replication the *next*
+    /// drain, detect failures, apply the outstanding replication the `next`
     /// phase will read, package the rest (plus the WAL flush) into an
     /// [`EpochDrain`] that runs behind the fence, advance the epoch. Returns
-    /// the instant the fence completed (the group-commit point of the epoch
-    /// that just closed).
+    /// the instant the fence completed (the epoch's group-commit point).
     ///
-    /// The commit *decision* is entirely synchronous — failure detection,
-    /// the epoch revert, the election, history finalization and the latency
-    /// release all happen here, exactly as without pipelining. Only the
-    /// mechanical tail is deferred, and only the slice of it the next phase
-    /// provably does not read (`next` picks that slice).
-    fn replication_fence(&mut self, next: NextPhase) -> Instant {
+    /// The commit *decision* — failure detection, the epoch revert, the
+    /// election, history finalization, the latency release — is entirely
+    /// synchronous. Only the mechanical tail is deferred, and only the slice
+    /// the next phase provably does not read; with no hint (`None`) every
+    /// apply is synchronous, which is always safe.
+    fn replication_fence(&mut self, next: Option<ExecutionPhase>) -> Instant {
         // star-lint: allow(determinism::instant-now) -- fence-duration telemetry only; no control flow or recorded history depends on it
         let start = Instant::now();
-        let num_nodes = self.cluster.config().num_nodes;
+        let num_nodes = self.config.num_nodes;
 
         // Pipelining step 1: the previous epoch's drain must fully land
         // before this fence reasons about replica state (reverts, applies,
         // recoveries all assume replicas reflect every committed epoch).
         self.commit_queue.wait_for(self.clock.last_committed());
-        self.drain_safe_for = NextPhase::Unknown;
+        self.drain_safe_for = None;
 
         // Failure detection: the coordinator notices nodes that stopped
         // responding. A newly failed node makes the fence revert the epoch in
@@ -651,60 +599,51 @@ impl StarEngine {
         // replaced by the next healthy full replica, and a recovered lower-id
         // full replica takes the role back — both deterministically, before
         // the next single-master phase runs.
-        let network = self.cluster.network();
+        let network = &self.network;
         let observed: Vec<bool> = (0..num_nodes).map(|n| network.is_failed(n)).collect();
-        for (n, marker) in self.failed_at_committed_epoch.iter_mut().enumerate() {
-            if observed[n] && !self.clock.failed()[n] {
-                *marker = Some(self.clock.last_committed());
+        let committed = self.clock.last_committed();
+        let known = self.clock.failed();
+        for ((node, &seen), &known) in self.nodes.iter_mut().zip(&observed).zip(known) {
+            if seen && !known {
+                node.crashed(committed);
             }
         }
-        let reverting = self.clock.open_fence(self.cluster.config(), &observed);
+        let reverting = self.clock.open_fence(&self.config, &observed);
 
         // Release any messages held back by reorder faults: the fence's
         // contract is that every *sent* message is either applied now or
         // discarded with its epoch, never silently stuck in flight.
-        for node in self.cluster.nodes() {
-            node.endpoint.flush_stash();
+        for node in &self.nodes {
+            node.transport().flush_stash();
         }
 
-        // Fence every healthy replica over what its endpoint has queued
-        // (`fence_replica`: revert if reverting, then the surviving entries).
-        //
-        // Each surviving entry is applied *now* only if the next phase reads
-        // the target copy: on the elected master before a single-master
-        // phase, on the partition's effective primary before a partitioned
-        // phase. Everything else is deferred into the epoch's drain job and
-        // applied while the next phase runs. (After a partitioned epoch at
-        // 0% cross-partition traffic no entry targets its own primary, so
-        // the fence applies nothing synchronously at all.)
-        let config = self.cluster.config();
+        // Fence every healthy replica over what its endpoint has queued. A
+        // surviving entry is applied *now* only if the next phase reads the
+        // copy: on the elected master before a single-master phase, on the
+        // partition's effective primary before a partitioned one. The rest
+        // goes into the epoch's drain job, applied while the next phase runs
+        // (after a partitioned epoch at 0% cross-partition traffic, all of
+        // it).
+        let config = &self.config;
         let failed = self.clock.failed();
         let master = self.clock.current_master();
         // star-lint: allow(determinism::instant-now) -- apply-time telemetry for the replication-flush latency slice only
         let apply_start = Instant::now();
         let mut deferred: Vec<(Arc<Database>, Vec<EncodedEntry>)> = Vec::new();
-        for (n, node) in self.cluster.nodes().iter().enumerate() {
-            if failed[n] {
-                continue;
-            }
-            let mut deferred_entries: Vec<EncodedEntry> = Vec::new();
-            let queued = node.endpoint.drain().into_iter().map(|envelope| envelope.payload);
-            fence_replica(&self.clock, reverting, &node.db, queued, |entry| {
-                let read_by_next_phase = match next {
-                    NextPhase::Unknown => true,
-                    NextPhase::SingleMaster => master == Some(n),
-                    NextPhase::Partitioned => {
+        let healthy = self.nodes.iter().filter(|node| !failed[node.id()]);
+        for node in healthy.clone() {
+            let n = node.id();
+            let queued = node.transport().drain().into_iter().map(|envelope| envelope.payload);
+            let (_, deferred_entries) =
+                node.fence(&self.clock, reverting, queued, |entry| match next {
+                    None => true,
+                    Some(ExecutionPhase::SingleMaster) => master == Some(n),
+                    Some(ExecutionPhase::Partitioned) => {
                         config.effective_primary(failed, entry.partition()) == Some(n)
                     }
-                };
-                if read_by_next_phase {
-                    let _ = entry.apply(&node.db);
-                } else {
-                    deferred_entries.push(entry);
-                }
-            });
+                });
             if !deferred_entries.is_empty() {
-                deferred.push((Arc::clone(&node.db), deferred_entries));
+                deferred.push((Arc::clone(node.db()), deferred_entries));
             }
         }
         self.counters.add_replication_flush(apply_start.elapsed());
@@ -717,14 +656,7 @@ impl StarEngine {
         // used to walk every record of every replica, which dominated the
         // fence at short iterations.) Only the WAL flush is deferred into
         // the drain.
-        let mut wal_flushes = Vec::new();
-        if let Some(wal) = &self.wal {
-            for (n, writer) in wal.iter().enumerate() {
-                if !failed[n] {
-                    wal_flushes.push(Arc::clone(writer));
-                }
-            }
-        }
+        let wal_flushes = healthy.filter_map(|node| node.wal().cloned()).collect();
         if reverting {
             // The epoch's transactions were never released to clients: they
             // are discarded from every replica above, so they must vanish
@@ -753,7 +685,7 @@ impl StarEngine {
     /// next-phase hint every replica apply is synchronous (always safe); the
     /// WAL flush still drains behind the fence.
     pub fn fence(&mut self) {
-        let _ = self.replication_fence(NextPhase::Unknown);
+        let _ = self.replication_fence(None);
     }
 
     /// Whether a memory-to-memory recovery of `node` is currently possible:
@@ -763,28 +695,22 @@ impl StarEngine {
     /// schedule synthesizer and the chaos driver consult it before
     /// scheduling overlapping recoveries.
     pub fn can_recover(&self, node: NodeId) -> bool {
-        self.cluster.node(node).is_some()
-            && self.cluster.config().can_recover(self.clock.failed(), node)
+        self.nodes.get(node).is_some() && self.config.can_recover(self.clock.failed(), node)
     }
 
-    /// What both recoveries start with. Pending epoch drains land first: the
-    /// copy reads healthy replicas directly, and a deferred apply arriving at
-    /// the source after the copy would leave the recovered node permanently
-    /// behind. Source availability is checked for *every* held partition
-    /// before anything changes. Then the node's inbound queue is discarded —
-    /// everything in it was addressed to the crashed process and died with
-    /// it, in particular replication batches of epochs the cluster reverted
-    /// after the crash (fences skip failed nodes, so their queues are never
-    /// drained while down); applying them after rejoining would resurrect
-    /// discarded writes — and its replica reverts to the epoch that had
-    /// committed when it crashed, because the epoch then in flight was
-    /// discarded by the rest of the cluster (Figure 6).
-    ///
-    /// Returns the node's replica, or `None` for a healthy node. The revert
-    /// marker is only peeked at; a *completed* recovery clears it.
-    fn begin_recovery(&self, node: NodeId) -> Result<Option<Arc<Database>>> {
+    /// The copy both recoveries make. Pending epoch drains land first (a
+    /// deferred apply reaching the source after the copy would leave the
+    /// node behind for good), and a source is checked for *every* held
+    /// partition before anything changes. Then the node's inbound queue is
+    /// discarded — it died with the crashed process, and may hold batches of
+    /// epochs the cluster reverted since — its replica reverts to the epoch
+    /// that had committed when it crashed, and the first `limit` partitions
+    /// it holds are copied from their recovery sources. Returns the last
+    /// source (the node itself if it holds no partition) and the records
+    /// that were fresher than the node's; `None` for a healthy node.
+    fn recovery_copy(&self, node: NodeId, limit: usize) -> Result<Option<(NodeId, usize)>> {
         self.commit_queue.quiesce();
-        let Some(target) = self.cluster.node(node) else {
+        let Some(target) = self.nodes.get(node) else {
             return Err(Error::Config(format!("no such node {node}")));
         };
         if !self.is_failed(node) {
@@ -796,43 +722,22 @@ impl StarEngine {
                  another replica first or recover from disk"
             )));
         }
-        drop(target.endpoint.drain());
-        if let Some(committed) = self.failed_at_committed_epoch.get(node).copied().flatten() {
-            target.db.revert_to_epoch(committed);
+        drop(target.transport().drain());
+        target.revert_to_crash();
+        let (mut source, mut copied) = (node, 0);
+        for partition in target.db().held_partitions().into_iter().take(limit) {
+            // Checked above, but recovery must never be a crash site: a
+            // vanished source is a typed error.
+            let from = self.config.recovery_source(self.clock.failed(), node, partition);
+            let Some(from) = from.and_then(|n| self.nodes.get(n)) else {
+                return Err(Error::Config(format!(
+                    "no healthy replica holds partition {partition}; recover from disk instead"
+                )));
+            };
+            copied += target.install(from.copy_partition(partition)?)? as usize;
+            source = from.id();
         }
-        Ok(Some(Arc::clone(&target.db)))
-    }
-
-    /// Copies `partition` onto the recovering `node`'s replica `target` from
-    /// its recovery source, under the Thomas write rule. Returns the source
-    /// and the number of records that were fresher than the target's.
-    /// `begin_recovery` checked that a source exists, but recovery must
-    /// never be a crash site: a vanished source is a typed error.
-    fn recover_partition(
-        &self,
-        node: NodeId,
-        target: &Database,
-        partition: usize,
-    ) -> Result<(NodeId, usize)> {
-        let source = self.cluster.config().recovery_source(self.clock.failed(), node, partition);
-        let Some((source, source_db)) =
-            source.and_then(|n| self.cluster.node(n).map(|replica| (n, &replica.db)))
-        else {
-            return Err(Error::Config(format!(
-                "no healthy replica holds partition {partition}; recover from disk instead"
-            )));
-        };
-        let mut copied = 0usize;
-        source_db.for_each_record(|table, p, key, rec| {
-            if p != partition {
-                return;
-            }
-            let read = rec.read();
-            if target.apply_value_write(table, p, key, read.row, read.tid).unwrap_or(false) {
-                copied += 1;
-            }
-        });
-        Ok((source, copied))
+        Ok(Some((source, copied)))
     }
 
     /// Recovers a previously failed node: the node copies the partitions it
@@ -846,17 +751,13 @@ impl StarEngine {
     /// later recovery attempt — e.g. after another replica rejoined — can
     /// still succeed. Recovering a healthy node is a no-op.
     pub fn recover_node(&mut self, node: NodeId) -> Result<usize> {
-        let Some(target_db) = self.begin_recovery(node)? else {
+        let Some((_, copied)) = self.recovery_copy(node, usize::MAX)? else {
             return Ok(0);
         };
-        let mut copied = 0usize;
-        for partition in target_db.held_partitions() {
-            copied += self.recover_partition(node, &target_db, partition)?.1;
-        }
-        self.cluster.network().heal_node(node);
+        self.network.heal_node(node);
         self.clock.mark_recovered(node);
-        if let Some(marker) = self.failed_at_committed_epoch.get_mut(node) {
-            *marker = None;
+        if let Some(target) = self.nodes.get_mut(node) {
+            target.rejoined();
         }
         Ok(copied)
     }
@@ -864,19 +765,14 @@ impl StarEngine {
     /// Starts a recovery of `node` and injects `fault` mid-copy: the first
     /// held partition is copied from its source, then the fault fires and
     /// the recovery **aborts** — the node stays down, the network is not
-    /// healed, and the engine's failure bookkeeping is untouched. This is
-    /// the chaos harness's recovery-path fault injection: the paper's
-    /// catch-up protocol must survive its own interruption.
+    /// healed, and the engine's failure bookkeeping is untouched (the chaos
+    /// harness's recovery-path fault injection).
     ///
-    /// The partial copy is harmless even when the interruption lands
-    /// mid-epoch and copies the source's *in-flight* versions. If that epoch
-    /// later reverts, the down node keeps the copies (it does not take part
-    /// in fences), and the Thomas write rule would block the committed rows
-    /// from overwriting them on retry — but the revert marker is kept, so a
-    /// later successful [`Self::recover_node`] first reverts the target back
-    /// to its crash-time committed epoch, discarding anything this aborted
-    /// copy resurrected, and then re-copies everything under original TIDs.
-    /// The interruption's side effects are exactly those of the fault itself:
+    /// The partial copy is harmless even when it copied the source's
+    /// *in-flight* versions of an epoch that later reverts: the node keeps
+    /// its revert marker, so a later [`Self::recover_node`] first reverts it
+    /// to its crash-time committed epoch and then re-copies everything. The
+    /// interruption's side effects are exactly those of the fault itself:
     ///
     /// * [`RecoveryFault::SourceCrash`] — the source node is marked failed
     ///   in the network (detected, like any crash, at the next fence);
@@ -893,76 +789,50 @@ impl StarEngine {
         node: NodeId,
         fault: RecoveryFault,
     ) -> Result<InterruptedRecovery> {
-        let Some(target_db) = self.begin_recovery(node)? else {
+        let Some((source, records_copied)) = self.recovery_copy(node, 1)? else {
             return Ok(InterruptedRecovery { source: node, records_copied: 0 });
         };
-        let partition = target_db
-            .held_partitions()
-            .into_iter()
-            .next()
-            .ok_or_else(|| Error::Config(format!("node {node} holds no partitions")))?;
-        let (source, records_copied) = self.recover_partition(node, &target_db, partition)?;
+        if source == node {
+            return Err(Error::Config(format!("node {node} holds no partitions")));
+        }
         match fault {
-            RecoveryFault::SourceCrash => self.cluster.network().fail_node(source),
+            RecoveryFault::SourceCrash => self.network.fail_node(source),
             RecoveryFault::TargetCrash => {}
-            RecoveryFault::LinkCut => self.cluster.network().cut_link(source, node),
+            RecoveryFault::LinkCut => self.network.cut_link(source, node),
         }
         Ok(InterruptedRecovery { source, records_copied })
     }
 
-    /// Checks that every pair of healthy replicas agrees on the contents of
-    /// the partitions they both hold. Intended for tests: run some load, then
-    /// assert consistency after a fence.
+    /// Checks that every healthy holder of a partition agrees with the first
+    /// one on its contents. Intended for tests: run some load, then assert
+    /// consistency after a fence.
     pub fn verify_replica_consistency(&self) -> Result<()> {
-        use std::collections::BTreeMap;
         // Replicas with a pending epoch drain legitimately lag; complete it
         // before comparing copies.
         self.commit_queue.quiesce();
-        let config = self.cluster.config();
-        type Snapshot = BTreeMap<(u32, usize, u64), (star_common::Tid, star_common::Row)>;
-        let snapshots: Vec<Option<Snapshot>> = self
-            .cluster
-            .nodes()
-            .iter()
-            .enumerate()
-            .map(|(n, node)| {
-                if self.is_failed(n) {
-                    return None;
-                }
-                let mut map = BTreeMap::new();
-                node.db.for_each_record(|table, partition, key, rec| {
-                    let read = rec.read();
-                    map.insert((table, partition, key), (read.tid, read.row));
-                });
-                Some(map)
-            })
-            .collect();
-        for partition in 0..config.partitions {
-            let holders: Vec<usize> = (0..config.num_nodes)
-                .filter(|&n| !self.is_failed(n) && self.cluster.nodes()[n].db.holds(partition))
-                .collect();
-            let Some(&reference) = holders.first() else { continue };
-            let reference_map = snapshots[reference].as_ref().unwrap();
-            for &other in &holders[1..] {
-                let other_map = snapshots[other].as_ref().unwrap();
-                for ((table, p, key), (tid, row)) in reference_map {
-                    if *p != partition {
-                        continue;
-                    }
-                    match other_map.get(&(*table, *p, *key)) {
-                        Some((other_tid, other_row)) if other_tid == tid && other_row == row => {}
-                        Some((other_tid, _)) => {
-                            return Err(Error::Config(format!(
-                                "replica divergence: node {other} has tid {other_tid} for \
-                                 ({table},{p},{key}) but node {reference} has {tid}"
-                            )));
+        let copy = |node: &SimNode, p| -> Result<BTreeMap<(u32, u64), (Tid, Row)>> {
+            let records = node.copy_partition(p)?.into_iter();
+            Ok(records.map(|r| ((r.table, r.key), (r.tid, r.row))).collect())
+        };
+        for p in 0..self.config.partitions {
+            let mut holders =
+                self.nodes.iter().filter(|n| !self.is_failed(n.id()) && n.db().holds(p));
+            let Some(reference) = holders.next() else { continue };
+            let (reference, records) = (reference.id(), copy(reference, p)?);
+            for node in holders {
+                let (other, other_records) = (node.id(), copy(node, p)?);
+                for ((table, key), (tid, row)) in &records {
+                    let divergence = match other_records.get(&(*table, *key)) {
+                        Some((other_tid, other_row)) if other_tid == tid && other_row == row => {
+                            continue
                         }
-                        None => {
-                            return Err(Error::Config(format!(
-                                "replica divergence: node {other} is missing ({table},{p},{key})"
-                            )));
-                        }
-                    }
+                        Some((other_tid, _)) => format!(
+                            "node {other} has tid {other_tid} for ({table},{p},{key}) but node \
+                             {reference} has {tid}"
+                        ),
+                        None => format!("node {other} is missing ({table},{p},{key})"),
+                    };
+                    return Err(Error::Config(format!("replica divergence: {divergence}")));
                 }
             }
         }
@@ -1061,7 +931,7 @@ mod tests {
         assert!(report.counters.replication_bytes > 0);
         assert!(report.counters.fences >= 2);
         // The simulated network saw actual messages.
-        assert!(engine.cluster().network().stats().bytes() > 0);
+        assert!(engine.network().stats().bytes() > 0);
     }
 
     #[test]
@@ -1148,7 +1018,7 @@ mod tests {
         let mut engine = StarEngine::new(config, workload).unwrap();
         let assert_separate_copies = |engine: &StarEngine| {
             engine.quiesce();
-            let (a, b) = (&engine.cluster().nodes()[0].db, &engine.cluster().nodes()[1].db);
+            let (a, b) = (engine.nodes()[0].db(), engine.nodes()[1].db());
             let mut written = 0;
             a.for_each_record(|table, partition, key, record| {
                 let (row, tid) = record.read_packed();
@@ -1197,7 +1067,7 @@ mod tests {
         // Partition 0 is held only by nodes 0 and 1, so with both down
         // neither has a memory source — the mutual-dependency deadlock that
         // needs disk recovery (Case 4). Both attempts must fail atomically.
-        let config = engine.cluster().config().clone();
+        let config = engine.config().clone();
         let p0_holders: Vec<usize> =
             (0..config.num_nodes).filter(|&n| config.node_stores_partition(n, 0)).collect();
         assert_eq!(p0_holders, vec![0, 1]);
@@ -1319,7 +1189,7 @@ mod tests {
                 engine.recover_node(n).unwrap();
                 shadow.mark_recovered(n);
             }
-            let network = engine.cluster().network();
+            let network = engine.network();
             let observed: Vec<bool> = (0..4).map(|n| network.is_failed(n)).collect();
             engine.run_iteration_stepped(4, 2);
             for _fence in 0..2 {
@@ -1400,8 +1270,8 @@ mod tests {
         engine.inject_failure(2);
         engine.run_iteration();
         let aborted = engine.recover_node_interrupted(2, RecoveryFault::LinkCut).unwrap();
-        assert!(engine.cluster().network().is_link_cut(aborted.source, 2));
-        engine.cluster().network().heal_link(aborted.source, 2);
+        assert!(engine.network().is_link_cut(aborted.source, 2));
+        engine.network().heal_link(aborted.source, 2);
         engine.recover_node(2).unwrap();
         engine.run_for(Duration::from_millis(10));
         engine.verify_replica_consistency().unwrap();
@@ -1466,13 +1336,13 @@ mod tests {
     #[test]
     fn effective_primary_fails_over_to_a_holder() {
         let mut engine = StarEngine::new(small_config(), workload(0.1)).unwrap();
-        let primary = |e: &StarEngine| e.cluster().config().effective_primary(e.failure_flags(), 1);
+        let primary = |e: &StarEngine| e.config().effective_primary(e.failure_flags(), 1);
         assert_eq!(primary(&engine), Some(1));
         engine.inject_failure(1);
         engine.run_iteration();
         let fallback = primary(&engine).unwrap();
         assert_ne!(fallback, 1);
-        assert!(engine.cluster().config().node_stores_partition(fallback, 1));
+        assert!(engine.config().node_stores_partition(fallback, 1));
     }
 
     #[test]
@@ -1487,7 +1357,7 @@ mod tests {
     #[test]
     fn sync_replication_mode_still_converges() {
         let mut config = small_config();
-        config.replication_mode = ReplicationMode::Sync;
+        config.replication_mode = star_common::ReplicationMode::Sync;
         let mut engine = StarEngine::new(config, workload(0.5)).unwrap();
         let report = engine.run_for(Duration::from_millis(20));
         assert!(report.counters.committed > 0);
@@ -1541,7 +1411,7 @@ mod tests {
         // The surviving replicas carry exactly the committed transactions:
         // every KvRmw increments two counters by one, so the master's
         // counter total must equal twice the committed-history length.
-        let master_db = &engine.cluster().master().unwrap().db;
+        let master_db = engine.nodes()[0].db();
         let mut total = 0u64;
         for p in 0..4usize {
             for offset in 0..64 {
@@ -1593,7 +1463,7 @@ mod tests {
         });
         let mut engine = StarEngine::new(config, wl.clone()).unwrap();
         let report = engine.run_for(Duration::from_millis(40));
-        let master_db = &engine.cluster().master().unwrap().db;
+        let master_db = engine.nodes()[0].db();
         let mut total = 0u64;
         for p in 0..2usize {
             for offset in 0..wl.rows_per_partition {

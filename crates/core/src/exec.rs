@@ -2,20 +2,21 @@
 //!
 //! Exactly one implementation exists of "run one worker through one phase":
 //! generate → execute → commit → record → replicate → WAL, until the phase's
-//! [`PhaseBudget`] is spent. The in-process [`StarEngine`](crate::StarEngine)
-//! (timed and stepped) and the TCP deployment (`star-serverd`) call the same
-//! [`run_partition_worker`] and [`run_master_worker`] over a borrowed
-//! [`NodeCtx`]. Replication goes through [`Transport`], the seam implemented
-//! by the deterministic in-memory endpoint and by the real TCP mesh alike —
-//! so when the transport-parity harness asserts byte-identical committed
-//! histories between wire and simulation, the engine logic is shared by
-//! construction and any divergence is the transport's.
+//! [`PhaseBudget`] is spent. Every node — each of the in-process
+//! [`StarEngine`](crate::StarEngine)'s, timed and stepped, and a
+//! `star-serverd` process — runs `run_worker` over the [`NodeCtx`] its
+//! [`StarNode`](crate::node::StarNode) lends. Replication goes through
+//! [`Transport`], the seam implemented by the deterministic in-memory
+//! endpoint and by the real TCP mesh alike — so when the transport-parity
+//! harness asserts byte-identical committed histories between wire and
+//! simulation, the engine logic is shared by construction and any
+//! divergence is the transport's.
 //!
-//! Worker state (TID generator + seeded RNG) is also constructed here, from
-//! the one canonical seed-derivation formula: partition worker `p` draws from
-//! `rng_seed_base() ^ 0x5747 ^ p`, master worker `w` from
-//! `rng_seed_base() ^ 0xCA11 ^ w`. Identical configuration ⇒ identical
-//! transaction streams, on every backend.
+//! `WorkerState` (TID generator + seeded RNG + attempt count) is also
+//! constructed here, from the one canonical seed-derivation formula:
+//! partition worker `p` draws from `rng_seed_base() ^ 0x5747 ^ p`, master
+//! worker `w` from `rng_seed_base() ^ 0xCA11 ^ w`. Identical configuration ⇒
+//! identical transaction streams, on every backend.
 
 use crate::history::{CommittedTxn, HistoryRecorder, MASTER_EXECUTOR_OFFSET};
 use crate::messages::ReplicationBatch;
@@ -39,7 +40,8 @@ use std::time::Instant;
 
 /// Everything one node lends its phase workers for the duration of a phase.
 /// All borrows are shared and `Sync`, so the context crosses
-/// `std::thread::scope` by reference.
+/// `std::thread::scope` by reference, and each phase job carries a copy.
+#[derive(Clone, Copy)]
 pub struct NodeCtx<'a> {
     /// The executing node (the sender of every batch the workers ship).
     pub node: NodeId,
@@ -156,15 +158,18 @@ impl<'a> ReplicationStage<'a> {
     }
 }
 
-/// The one phase loop: attempts transactions until `budget` is spent,
-/// flushing staged replication per the budget's policy, and flushes
-/// everything before returning — the fence drains endpoints after the phase
-/// joins, and its contract is that every entry the phase produced was sent.
-fn run_worker(
+/// Runs `state`'s worker on `ctx.node` until `budget` is spent, replicating
+/// to `targets` — a partition's worker on the partition's effective primary,
+/// to its other healthy holders; a master worker on the elected master, to
+/// every other healthy node. Staged replication is flushed per the budget's
+/// policy, and everything before returning: the fence drains endpoints after
+/// the phase joins, and its contract is that every entry the phase produced
+/// was sent.
+pub(crate) fn run_worker(
     ctx: &NodeCtx<'_>,
     targets: &[NodeId],
+    state: &mut WorkerState,
     budget: PhaseBudget,
-    mut attempt: impl FnMut(&mut ReplicationStage<'_>) -> bool,
 ) -> WorkerOutcome {
     let (timed, flush_at) = match budget {
         PhaseBudget::Deadline(_) => (true, STAGE_FLUSH_ENTRIES),
@@ -175,7 +180,7 @@ fn run_worker(
     let mut attempts = 0u64;
     while budget.allows(attempts) {
         attempts += 1;
-        if attempt(&mut stage) {
+        if run_one_txn(ctx, state, &mut stage) {
             outcome.committed += 1;
             if timed && outcome.committed % LATENCY_SAMPLE == 0 {
                 // star-lint: allow(determinism::instant-now) -- commit-latency sample, taken under a Deadline budget only
@@ -188,100 +193,86 @@ fn run_worker(
     outcome
 }
 
-/// Runs the partitioned-phase worker of `state`'s partition on its effective
-/// primary `ctx.node`, replicating to `targets` (the partition's other
-/// healthy holders).
-pub fn run_partition_worker(
-    ctx: &NodeCtx<'_>,
-    targets: &[NodeId],
-    state: &mut PartitionWorkerState,
-    budget: PhaseBudget,
-) -> WorkerOutcome {
-    run_worker(ctx, targets, budget, |stage| run_one_partitioned_txn(ctx, state, stage))
+/// The transaction stream a worker state draws: a partition's
+/// single-partition transactions, or a master worker's cross-partition ones.
+#[derive(Debug, Clone, Copy)]
+enum Stream {
+    Partition(PartitionId),
+    Master(usize),
 }
 
-/// Runs single-master worker `state` on the master `ctx.node`, replicating
-/// to `healthy` (every other healthy node).
-pub fn run_master_worker(
-    ctx: &NodeCtx<'_>,
-    healthy: &[NodeId],
-    state: &mut MasterWorkerState,
-    budget: PhaseBudget,
-) -> WorkerOutcome {
-    run_worker(ctx, healthy, budget, |stage| run_one_master_txn(ctx, state, stage))
-}
-
-/// Per-partition worker state that survives across iterations.
-pub struct PartitionWorkerState {
-    partition: PartitionId,
+/// A phase worker's state that survives across iterations: the TID
+/// generator and seeded RNG of one transaction stream, and how many
+/// transactions it has drawn.
+pub(crate) struct WorkerState {
+    stream: Stream,
     tid_gen: TidGenerator,
     rng: StdRng,
+    attempts: u64,
 }
 
-impl PartitionWorkerState {
-    /// State for the worker owning `partition`, seeded by the canonical
+impl WorkerState {
+    /// The state of the worker owning `partition`, seeded by the canonical
     /// formula shared by every backend.
-    pub fn new(config: &ClusterConfig, partition: PartitionId) -> Self {
-        PartitionWorkerState {
-            partition,
-            tid_gen: TidGenerator::new(),
-            rng: StdRng::seed_from_u64(config.rng_seed_base() ^ 0x5747_u64 ^ (partition as u64)),
-        }
+    pub(crate) fn partition(config: &ClusterConfig, partition: PartitionId) -> Self {
+        let seed = config.rng_seed_base() ^ 0x5747_u64 ^ (partition as u64);
+        WorkerState::seeded(Stream::Partition(partition), seed)
     }
 
-    /// Advances this worker's RNG past `attempts` transaction generations
-    /// without executing anything, by generating and discarding the same
-    /// procedures [`run_partition_worker`] would have drawn.
-    ///
-    /// A node taking over a partition mid-run (primary failover, or a
-    /// restarted process rejoining) must resume the partition's transaction
-    /// stream exactly where the previous executor left it. Each attempt —
-    /// committed or aborted — consumes exactly one workload generation, so
-    /// replaying the generations is a faithful fast-forward. The TID
-    /// generator needs no transfer: failover only happens across an epoch
-    /// fence, the epoch always advances, and TIDs are epoch-major, so a
-    /// fresh generator's `Tid::new(epoch, 1)` matches what a carried-over
-    /// generator would produce.
-    pub fn fast_forward(&mut self, workload: &dyn Workload, attempts: u64) {
-        for _ in 0..attempts {
-            let _ = workload.single_partition_transaction(&mut self.rng, self.partition);
-        }
-    }
-}
-
-/// Per-master-worker state that survives across iterations.
-pub struct MasterWorkerState {
-    worker_id: usize,
-    tid_gen: TidGenerator,
-    rng: StdRng,
-}
-
-impl MasterWorkerState {
-    /// State for master worker `worker`, seeded by the canonical formula
+    /// The state of master worker `worker`, seeded by the canonical formula
     /// shared by every backend.
-    pub fn new(config: &ClusterConfig, worker: usize) -> Self {
-        MasterWorkerState {
-            worker_id: worker,
-            tid_gen: TidGenerator::new(),
-            rng: StdRng::seed_from_u64(config.rng_seed_base() ^ 0xCA11_u64 ^ (worker as u64)),
+    pub(crate) fn master(config: &ClusterConfig, worker: usize) -> Self {
+        let seed = config.rng_seed_base() ^ 0xCA11_u64 ^ (worker as u64);
+        WorkerState::seeded(Stream::Master(worker), seed)
+    }
+
+    fn seeded(stream: Stream, seed: u64) -> Self {
+        let rng = StdRng::seed_from_u64(seed);
+        WorkerState { stream, tid_gen: TidGenerator::new(), rng, attempts: 0 }
+    }
+
+    /// The stream's partition, or its master worker's id.
+    pub(crate) fn index(&self) -> usize {
+        match self.stream {
+            Stream::Partition(index) | Stream::Master(index) => index,
         }
     }
 
-    /// Draws the next cross-partition procedure: one home partition, then
-    /// one workload generation.
+    /// Transactions this state has drawn: its position in the stream.
+    pub(crate) fn attempts(&self) -> u64 {
+        self.attempts
+    }
+
+    /// Draws the stream's next procedure. A master worker draws one home
+    /// partition, then one workload generation.
     fn next_procedure(&mut self, workload: &dyn Workload, partitions: usize) -> Box<dyn Procedure> {
         use rand::Rng;
-        let home = (self.rng.gen::<usize>() ^ self.worker_id) % partitions;
-        workload.cross_partition_transaction(&mut self.rng, home)
+        self.attempts += 1;
+        match self.stream {
+            Stream::Partition(partition) => {
+                workload.single_partition_transaction(&mut self.rng, partition)
+            }
+            Stream::Master(worker) => {
+                let home = (self.rng.gen::<usize>() ^ worker) % partitions;
+                workload.cross_partition_transaction(&mut self.rng, home)
+            }
+        }
     }
 
-    /// Advances this master worker's RNG past `attempts` transaction
-    /// generations without executing anything — the single-master twin of
-    /// [`PartitionWorkerState::fast_forward`], used when a re-elected master
-    /// must resume this worker's cross-partition stream where the previous
-    /// master's worker left it.
-    pub fn fast_forward(&mut self, workload: &dyn Workload, partitions: usize, attempts: u64) {
-        for _ in 0..attempts {
+    /// Draws and discards procedures until this state has drawn `baseline`,
+    /// executing nothing; a state already there is left alone.
+    ///
+    /// A node taking a stream over mid-run (primary failover, a newly
+    /// elected master, or a restarted process rejoining) must resume it
+    /// exactly where the previous executor left it. Each attempt — committed
+    /// or aborted — consumes exactly one workload generation, so replaying
+    /// the generations is a faithful catch-up. The TID generator needs no
+    /// transfer: a stream only changes hands across an epoch fence, the
+    /// epoch always advances, and TIDs are epoch-major, so a fresh (or
+    /// stale) generator's `Tid::new(epoch, 1)` matches what a carried-over
+    /// generator would produce.
+    pub(crate) fn catch_up(&mut self, workload: &dyn Workload, partitions: usize, baseline: u64) {
+        while self.attempts < baseline {
             let _ = self.next_procedure(workload, partitions);
         }
     }
@@ -329,72 +320,41 @@ fn execute(
     }
 }
 
-/// Executes one single-partition transaction on the partition's effective
-/// primary: generate → execute → lock-free commit → record → stage for the
-/// replica targets → WAL. Returns `true` if the transaction committed.
-fn run_one_partitioned_txn(
+/// Executes one transaction of `state`'s stream: generate → execute →
+/// commit → record → stage the entries for the targets → (synchronous
+/// replication: wait out the replicas) → WAL. A partition's transaction
+/// commits lock-free; a master worker's under Silo OCC, whose
+/// validate-and-install is the only lock-or-validate work STAR does, so its
+/// time is metered for the latency-source breakdown. Returns `true` if the
+/// transaction committed.
+fn run_one_txn(
     ctx: &NodeCtx<'_>,
-    state: &mut PartitionWorkerState,
-    stage: &mut ReplicationStage<'_>,
-) -> bool {
-    let proc = ctx.workload.single_partition_transaction(&mut state.rng, state.partition);
-    let Some((read_set, write_set)) =
-        execute(ctx, proc.as_ref(), TxnCtx::new_single_threaded(ctx.db))
-    else {
-        return false;
-    };
-    let recorded_reads = ctx.history.map(|_| read_set.clone());
-    let Ok(output) = commit_partitioned(ctx.db, read_set, write_set, ctx.epoch, &mut state.tid_gen)
-    else {
-        ctx.counters.add_abort();
-        return false;
-    };
-    if let Some(history) = ctx.history {
-        history.record(CommittedTxn::from_sets(
-            ctx.epoch,
-            ExecutionPhase::Partitioned,
-            state.partition as u64,
-            output.tid,
-            recorded_reads.as_deref().unwrap_or(&[]),
-            &output.write_set,
-        ));
-    }
-    let entries = build_log_entries(
-        &output.write_set,
-        output.tid,
-        ctx.config.replication_strategy,
-        ExecutionPhase::Partitioned,
-    );
-    // Encode once; every target holds the partition and shares the buffers.
-    stage.push(&EncodedEntry::encode_all(entries), |_, _| true);
-    if let Some(wal) = ctx.wal {
-        append_writes_to_wal(wal, &output.write_set, output.tid, ctx.counters);
-    }
-    ctx.counters.add_commit();
-    true
-}
-
-/// Executes one cross-partition transaction on the master under Silo OCC:
-/// generate → execute → validate/commit → record → stage the relevant
-/// entries for every healthy node → (optionally) wait out synchronous
-/// replication → WAL. Returns `true` on commit.
-fn run_one_master_txn(
-    ctx: &NodeCtx<'_>,
-    state: &mut MasterWorkerState,
+    state: &mut WorkerState,
     stage: &mut ReplicationStage<'_>,
 ) -> bool {
     let proc = state.next_procedure(ctx.workload, ctx.config.partitions);
-    let Some((read_set, write_set)) = execute(ctx, proc.as_ref(), TxnCtx::new(ctx.db)) else {
+    let (phase, executor) = match state.stream {
+        Stream::Partition(partition) => (ExecutionPhase::Partitioned, partition as u64),
+        Stream::Master(worker) => {
+            (ExecutionPhase::SingleMaster, MASTER_EXECUTOR_OFFSET + worker as u64)
+        }
+    };
+    let partitioned = phase == ExecutionPhase::Partitioned;
+    let txn = if partitioned { TxnCtx::new_single_threaded(ctx.db) } else { TxnCtx::new(ctx.db) };
+    let Some((read_set, write_set)) = execute(ctx, proc.as_ref(), txn) else {
         return false;
     };
     let recorded_reads = ctx.history.map(|_| read_set.clone());
-    // The Silo OCC validate-and-install step is the only lock-or-validate
-    // work STAR does (the partitioned phase commits lock-free), so its time
-    // is metered for the latency-source breakdown.
-    // star-lint: allow(determinism::instant-now) -- lock/validate latency slice only; nothing recorded or decided depends on it
-    let validate_start = Instant::now();
-    let commit = commit_single_master(ctx.db, read_set, write_set, ctx.epoch, &mut state.tid_gen);
-    ctx.counters.add_lock_or_validate(validate_start.elapsed());
+    let (db, epoch, tid_gen) = (ctx.db, ctx.epoch, &mut state.tid_gen);
+    let commit = if partitioned {
+        commit_partitioned(db, read_set, write_set, epoch, tid_gen)
+    } else {
+        // star-lint: allow(determinism::instant-now) -- lock/validate latency slice only; nothing recorded or decided depends on it
+        let validate_start = Instant::now();
+        let commit = commit_single_master(db, read_set, write_set, epoch, tid_gen);
+        ctx.counters.add_lock_or_validate(validate_start.elapsed());
+        commit
+    };
     let Ok(output) = commit else {
         ctx.counters.add_abort();
         return false;
@@ -402,25 +362,23 @@ fn run_one_master_txn(
     if let Some(history) = ctx.history {
         history.record(CommittedTxn::from_sets(
             ctx.epoch,
-            ExecutionPhase::SingleMaster,
-            MASTER_EXECUTOR_OFFSET + state.worker_id as u64,
+            phase,
+            executor,
             output.tid,
             recorded_reads.as_deref().unwrap_or(&[]),
             &output.write_set,
         ));
     }
-    let entries = build_log_entries(
-        &output.write_set,
-        output.tid,
-        ctx.config.replication_strategy,
-        ExecutionPhase::SingleMaster,
-    );
-    // Each healthy node gets the entries of the partitions it holds; routing
-    // reads the mirrored partition header, not the payload.
+    let entries =
+        build_log_entries(&output.write_set, output.tid, ctx.config.replication_strategy, phase);
+    // Encode once; the targets share the buffers. Every target of a
+    // partition's transaction holds the partition; a master's entries go to
+    // the nodes holding theirs, routed by the mirrored partition header.
     stage.push(&EncodedEntry::encode_all(entries), |target, entry| {
-        ctx.config.node_stores_partition(target, entry.partition())
+        partitioned || ctx.config.node_stores_partition(target, entry.partition())
     });
-    if ctx.config.replication_mode == ReplicationMode::Sync && !stage.targets.is_empty() {
+    let sync = ctx.config.replication_mode == ReplicationMode::Sync;
+    if sync && !partitioned && !stage.targets.is_empty() {
         // Synchronous replication: the write locks are held for a round trip
         // to the replicas before the transaction can release them.
         std::thread::sleep(ctx.config.network_latency * 2);
@@ -502,8 +460,12 @@ mod tests {
         }
 
         fn ctx(&self, node: NodeId) -> NodeCtx<'_> {
+            NodeCtx { node, ..self.ctx_at(1) }
+        }
+
+        fn ctx_at(&self, epoch: Epoch) -> NodeCtx<'_> {
             NodeCtx {
-                node,
+                node: 0,
                 config: &self.config,
                 db: &self.db,
                 transport: &self.sent,
@@ -511,7 +473,7 @@ mod tests {
                 counters: &self.counters,
                 wal: None,
                 history: None,
-                epoch: 1,
+                epoch,
             }
         }
 
@@ -532,8 +494,8 @@ mod tests {
         let fx = Fixture::new(1);
         let targets = fx.config.replica_targets(&[false; 4], 1, 1);
         assert_eq!(targets, vec![0, 2]);
-        let mut state = PartitionWorkerState::new(&fx.config, 1);
-        let outcome = run_partition_worker(&fx.ctx(1), &targets, &mut state, PhaseBudget::Count(9));
+        let mut state = WorkerState::partition(&fx.config, 1);
+        let outcome = run_worker(&fx.ctx(1), &targets, &mut state, PhaseBudget::Count(9));
         assert_eq!(outcome.committed, 9);
         assert!(outcome.samples.is_empty(), "latency is sampled under Deadline only");
         let sent = fx.sent.0.lock();
@@ -553,8 +515,8 @@ mod tests {
         // holding any partition the transaction wrote, relevant entries only.
         let fx = Fixture::new(0);
         let healthy = fx.config.healthy_peers(&[false; 4], 0);
-        let mut state = MasterWorkerState::new(&fx.config, 0);
-        let outcome = run_master_worker(&fx.ctx(0), &healthy, &mut state, PhaseBudget::Count(9));
+        let mut state = WorkerState::master(&fx.config, 0);
+        let outcome = run_worker(&fx.ctx(0), &healthy, &mut state, PhaseBudget::Count(9));
         assert_eq!(outcome.committed, 9);
         let sent = fx.sent.0.lock();
         let mut per_txn: BTreeMap<Tid, Vec<&(usize, ReplicationBatch)>> = BTreeMap::new();
@@ -586,49 +548,77 @@ mod tests {
     fn deadline_budget_ships_the_same_entries_in_the_same_per_target_order() {
         let targets = [0, 2];
         let timed = Fixture::new(1);
-        let mut state = PartitionWorkerState::new(&timed.config, 1);
+        let mut state = WorkerState::partition(&timed.config, 1);
         let deadline = PhaseBudget::Deadline(Instant::now() + Duration::from_millis(5));
-        let outcome = run_partition_worker(&timed.ctx(1), &targets, &mut state, deadline);
+        let outcome = run_worker(&timed.ctx(1), &targets, &mut state, deadline);
         assert!(outcome.committed > 0, "a deadline budget always attempts once");
         assert_eq!(outcome.samples.len() as u64, outcome.committed / LATENCY_SAMPLE);
 
         // The same stream under a count budget, on a fresh replica: merged
         // batches, identical per-target entry sequences.
         let stepped = Fixture::new(1);
-        let mut state = PartitionWorkerState::new(&stepped.config, 1);
+        let mut state = WorkerState::partition(&stepped.config, 1);
         let budget = PhaseBudget::Count(outcome.committed);
-        run_partition_worker(&stepped.ctx(1), &targets, &mut state, budget);
+        run_worker(&stepped.ctx(1), &targets, &mut state, budget);
         assert_eq!(timed.entries_per_target(), stepped.entries_per_target());
         assert!(timed.sent.0.lock().len() <= stepped.sent.0.lock().len());
     }
 
+    /// `a` and `b` draw the same next transactions, and choose the same
+    /// TIDs in `epoch` whatever they observe.
+    fn assert_same_stream(a: &WorkerState, b: &WorkerState, epoch: Epoch) {
+        assert_eq!(a.attempts(), b.attempts());
+        assert_eq!(a.rng.clone().next_u64(), b.rng.clone().next_u64(), "transactions differ");
+        for observed in [Tid::ZERO, Tid::new(epoch - 1, 9), Tid::new(epoch, 3)] {
+            let (mut x, mut y) = (a.tid_gen.clone(), b.tid_gen.clone());
+            assert_eq!(x.generate(epoch, observed), y.generate(epoch, observed), "TIDs differ");
+        }
+    }
+
+    /// Catching up is the same as having carried the worker, for the stream
+    /// `make` starts: a fresh state on a node taking the stream over, and a
+    /// stale one on a node getting it back, continue exactly like a state
+    /// that really executed every attempt.
+    fn catching_up_matches_carrying(make: fn(&ClusterConfig) -> WorkerState) {
+        // One replica whose epochs only move forward, as a cluster's do.
+        let fx = Fixture::new(0);
+        let run = |state: &mut WorkerState, epoch, budget| {
+            run_worker(&fx.ctx_at(epoch), &[], state, budget);
+        };
+        // A takeover of a position reached under a deadline budget.
+        let (mut carried, mut fresh) = (make(&fx.config), make(&fx.config));
+        run(&mut carried, 1, PhaseBudget::Deadline(Instant::now() + Duration::from_millis(2)));
+        fresh.catch_up(&fx.workload, 4, carried.attempts());
+        assert!(fresh.attempts() > 0);
+        assert_same_stream(&carried, &fresh, 2);
+
+        // A return, after another node ran the stream on for an epoch.
+        let (mut stale, mut taker, mut carried) =
+            (make(&fx.config), make(&fx.config), make(&fx.config));
+        run(&mut stale, 2, PhaseBudget::Count(5));
+        run(&mut carried, 2, PhaseBudget::Count(5));
+        taker.catch_up(&fx.workload, 4, stale.attempts());
+        run(&mut taker, 3, PhaseBudget::Count(6));
+        run(&mut carried, 3, PhaseBudget::Count(6));
+        stale.catch_up(&fx.workload, 4, taker.attempts());
+        assert_same_stream(&carried, &stale, 4);
+        taker.catch_up(&fx.workload, 4, 1);
+        assert_same_stream(&carried, &taker, 4);
+    }
+
     #[test]
     fn partition_fast_forward_matches_really_executed_attempts() {
-        // One worker really executes `n` attempts; its twin only
-        // fast-forwards. Their RNG streams must be in lockstep afterwards.
-        let n = 7u64;
-        let fx = Fixture::new(0);
-        let mut executed = PartitionWorkerState::new(&fx.config, 0);
-        run_partition_worker(&fx.ctx(0), &[], &mut executed, PhaseBudget::Count(n));
-        let mut forwarded = PartitionWorkerState::new(&fx.config, 0);
-        forwarded.fast_forward(&fx.workload, n);
-        assert_eq!(executed.rng.next_u64(), forwarded.rng.next_u64());
+        catching_up_matches_carrying(|config| WorkerState::partition(config, 1));
     }
 
     #[test]
     fn master_fast_forward_matches_really_executed_attempts() {
-        let n = 7u64;
-        let fx = Fixture::new(0);
-        let mut executed = MasterWorkerState::new(&fx.config, 1);
-        run_master_worker(&fx.ctx(0), &[], &mut executed, PhaseBudget::Count(n));
-        let mut forwarded = MasterWorkerState::new(&fx.config, 1);
-        forwarded.fast_forward(&fx.workload, fx.config.partitions, n);
-        assert_eq!(executed.rng.next_u64(), forwarded.rng.next_u64());
+        catching_up_matches_carrying(|config| WorkerState::master(config, 0));
     }
 
     #[test]
     fn fresh_tid_generator_matches_carried_one_across_an_epoch_boundary() {
-        // The fast-forward contract deliberately skips the TID generator:
+        // The catch-up contract deliberately skips the TID generator:
         // failover always lands past an epoch fence, and TIDs are
         // epoch-major, so a fresh generator's first TID in the new epoch
         // equals what the old generator would have produced.
@@ -648,9 +638,9 @@ mod tests {
     #[test]
     fn worker_seeds_are_per_index_and_reproducible() {
         let config = config();
-        let mut a = PartitionWorkerState::new(&config, 0);
-        let mut a2 = PartitionWorkerState::new(&config, 0);
-        let mut b = PartitionWorkerState::new(&config, 1);
+        let mut a = WorkerState::partition(&config, 0);
+        let mut a2 = WorkerState::partition(&config, 0);
+        let mut b = WorkerState::partition(&config, 1);
         let (xa, xa2, xb) = (a.rng.next_u64(), a2.rng.next_u64(), b.rng.next_u64());
         assert_eq!(xa, xa2, "same partition, same seed, same stream");
         assert_ne!(xa, xb, "distinct partitions draw distinct streams");
@@ -659,8 +649,8 @@ mod tests {
     #[test]
     fn master_and_partition_streams_differ() {
         let config = config();
-        let mut p = PartitionWorkerState::new(&config, 0);
-        let mut m = MasterWorkerState::new(&config, 0);
+        let mut p = WorkerState::partition(&config, 0);
+        let mut m = WorkerState::master(&config, 0);
         assert_ne!(p.rng.next_u64(), m.rng.next_u64());
     }
 }

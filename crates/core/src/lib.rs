@@ -12,16 +12,17 @@
 //! * [`workload`] — the workload abstraction the engines execute
 //!   (single-partition vs cross-partition stored procedures); implemented by
 //!   `star-workloads` for YCSB and TPC-C.
-//! * [`cluster`] — construction of a simulated cluster: one [`star_storage`]
-//!   replica per node (full replicas on the first `f` nodes, partial replicas
-//!   elsewhere), connected by a [`star_net`] simulated network.
-//! * [`engine`] — the phase-switching execution loop itself: partitioned
-//!   phase, replication fence, single-master phase, replication fence,
-//!   epoch advancement, statistics.
-//! * [`exec`] — the phase workers shared by the in-process engine (timed and
-//!   stepped) and the TCP deployment (`star-serverd`): one loop over a
-//!   borrowed [`exec::NodeCtx`] until a [`exec::PhaseBudget`] is spent,
-//!   parameterized over the [`star_net::Transport`] seam.
+//! * [`cluster`] — replica construction: one [`star_storage`] replica per
+//!   node (full replicas on the first `f` nodes, partial replicas elsewhere).
+//! * [`node`] — [`node::StarNode`], one node written once: its replica, WAL
+//!   and worker states, its phase jobs, its half of the fence and of a
+//!   recovery copy. The engine is N of them; `star-serverd` is one.
+//! * [`engine`] — the phase-switching execution loop itself over N nodes on
+//!   a [`star_net`] simulated network: partitioned phase, replication fence,
+//!   single-master phase, replication fence, epoch advancement, statistics.
+//! * [`exec`] — the phase worker every node runs: one loop over a borrowed
+//!   [`exec::NodeCtx`] until a [`exec::PhaseBudget`] is spent, parameterized
+//!   over the [`star_net::Transport`] seam.
 //! * [`failure`] — failure-scenario classification (the four recovery cases
 //!   of Section 4.5.3) and what a fence does to a participant, shared by
 //!   every deployment: [`failure::EpochState`] (epoch clock, failure picture,
@@ -46,12 +47,12 @@ pub mod failure;
 pub mod history;
 pub mod messages;
 pub mod model;
+pub mod node;
 pub mod phase;
 pub mod testing;
 pub mod workload;
 
-pub use cluster::StarCluster;
-pub use engine::{InterruptedRecovery, RecoveryFault, StarEngine, SyncReplication};
+pub use engine::{InterruptedRecovery, RecoveryFault, SimNode, StarEngine};
 pub use engine_api::Engine;
 pub use failure::{FailureCase, FailureVectorMismatch, MasterElection};
 pub use history::{CommittedTxn, HistoryRecorder, RecordedRead, RecordedWrite};

@@ -26,6 +26,7 @@ use crate::frame::{decode_frame_header, encode_frame_header, FRAME_HEADER_LEN};
 use bytes::{BufMut, Bytes, BytesMut};
 use star_common::{Epoch, NodeId, Row, Tid};
 use star_core::history::{CommittedTxn, RecordedRead, RecordedWrite};
+use star_core::node::CopiedRecord;
 use star_core::MasterElection;
 use star_replication::{
     encode_entry_block, map_entry_block, EncodedEntry, ExecutionPhase, LogEntry,
@@ -208,6 +209,18 @@ wire_struct! {
     }
 }
 
+impl From<CopiedRecord> for WireRecord {
+    fn from(CopiedRecord { table, partition, key, tid, row }: CopiedRecord) -> Self {
+        WireRecord { table, partition: partition as u32, key, tid: tid.raw(), row }
+    }
+}
+
+impl From<WireRecord> for CopiedRecord {
+    fn from(WireRecord { table, partition, key, tid, row }: WireRecord) -> Self {
+        CopiedRecord { table, partition: partition as usize, key, tid: Tid::from_raw(tid), row }
+    }
+}
+
 /// Serializes a committed history into its canonical byte form. The parity
 /// harness compares these buffers directly: byte equality is the test.
 pub fn encode_history(txns: &[CommittedTxn]) -> Bytes {
@@ -275,8 +288,8 @@ wire_enum! {
             /// consumed *before* this phase: per partition for a partitioned
             /// phase, per master worker for a single-master phase. A node whose
             /// local worker lags a baseline (it just took over the partition, or
-            /// it restarted) fast-forwards the worker's RNG to the baseline
-            /// before executing, so the transaction stream continues exactly
+            /// it restarted) catches the worker up to the baseline before
+            /// executing, so the transaction stream continues exactly
             /// where the previous executor left it. Empty means "no baselines"
             /// (the healthy steady state, where local counters already match).
             baselines: Vec<u64>,

@@ -8,6 +8,12 @@
 //! one (`run_cluster`); so does the wire-chaos supervisor, which adds kills,
 //! restarts and fault-injecting proxies around the same calls.
 //!
+//! Every node is a `star_core::node::StarNode`, as in the simulator; the
+//! driver is what the simulator's `StarEngine` is around its nodes, minus
+//! the shared memory. Where the engine reads a stream's baseline off its
+//! nodes (the most attempts any node's worker made), the driver counts it —
+//! and the node catches a worker up to it the same way in both.
+//!
 //! One iteration is the stepped schedule of the engine's
 //! `run_iteration_stepped`: `run_partitioned` (every live node, in parallel,
 //! runs the seeded streams of the partitions it is the effective primary of),
@@ -32,7 +38,7 @@ pub struct ClusterDriver {
     conns: Vec<Option<Conn>>,
     state: EpochState,
     /// Cumulative transaction attempts per partition / per master worker
-    /// since the driver attached — the fast-forward baselines of every
+    /// since the driver attached — the catch-up baselines of every
     /// `RunPhase`. A node never rewinds to a baseline, so they are exact for
     /// a driver attached at the cluster's birth and inert for a later one.
     partition_baselines: Vec<u64>,
@@ -301,7 +307,7 @@ pub(crate) fn run_cluster(
 ) -> Result<(u64, u32), String> {
     let _turn = lock(&inner.runs);
     let mut driver =
-        ClusterDriver::attach(&inner.config, &inner.addrs, Role::Coordinator, inner.node as u32)?;
+        ClusterDriver::attach(&inner.config, &inner.addrs, Role::Coordinator, inner.id as u32)?;
     let mut committed = 0;
     for _ in 0..iterations {
         committed += driver.run_partitioned(partitioned_txns)?;

@@ -1,21 +1,20 @@
 //! One node of the TCP deployment.
 //!
-//! A [`NodeServer`] is the wire-facing shell around exactly the machinery the
-//! simulated engine uses: the same [`Database`] replica layout
-//! (`star_core::cluster::build_replica`), the same seeded worker states and
-//! phase workers (`star_core::exec`), the same routing, election and fence
-//! survivor rules. The only thing TCP-specific is the shell itself — a
-//! listener, one thread per connection, an inbox of replication batches and
-//! the fence barrier that drains it.
+//! A [`NodeServer`] is the wire-facing shell around one [`StarNode`], the
+//! node type the simulated engine is N of: the replica, the worker states,
+//! the phase jobs with their takeover catch-up, the node's half of the fence
+//! and both halves of the recovery copy are the node's. The shell is a
+//! listener, one thread per connection, an inbox of replication batches with
+//! the fence barrier that drains it, the epoch checks every phase and fence
+//! request passes, and the admin queries.
 //!
 //! A serving node keeps nothing per transaction that nobody asked for: the
 //! committed-history recorder is attached only when the bootstrap says
-//! `record_history = true` (or through [`NodeServer::start_with_history`]),
-//! exactly like the engine's own `Option<Arc<HistoryRecorder>>`. And what
-//! waits, blocks on what it waits for: a fence on the condition variable the
-//! arriving replication signals, [`NodeServer::wait`] on the shutdown latch.
-//! The one poll left is the listener's (a non-blocking `accept()` every
-//! 2 ms); ROADMAP item 4 says why it is still there.
+//! `record_history = true` (or through [`NodeServer::start_with_history`]).
+//! And what waits, blocks on what it waits for: a fence on the condition
+//! variable the arriving replication signals, [`NodeServer::wait`] on the
+//! shutdown latch. The one poll left is the listener's (a non-blocking
+//! `accept()` every 2 ms); ROADMAP item 6 says why it is still there.
 //!
 //! ## The connection state machine
 //!
@@ -35,46 +34,37 @@
 //! A `Fence { epoch, expected, failed }` request carries, for every sender
 //! `s`, the cumulative number of batches `s` has shipped to this node, plus
 //! the coordinator's current failure picture. The fence waits until the
-//! arrival counts catch up, and then runs the very calls the simulated
-//! engine's fence runs, over the node's own [`EpochState`] and replica:
-//! `open_fence` (a *newly* failed node makes the fence revert the in-flight
-//! epoch, and the deterministic master election re-runs), `fence_replica`
-//! over the inbox (surviving batches are applied in arrival order — disjoint
-//! partitions in the partitioned phase and the Thomas write rule in the
-//! single-master phase make cross-link ordering irrelevant), the epoch's
-//! history is finalized as committed or reverted, `close_fence`.
+//! arrival counts catch up, then runs what the simulated engine's fence runs
+//! over the node's own [`EpochState`]: `open_fence` (a *newly* failed node
+//! makes it revert the in-flight epoch; the election re-runs),
+//! [`StarNode::fence`] over the inbox in arrival order (disjoint partitions
+//! in the partitioned phase and the Thomas write rule in the single-master
+//! phase make cross-link order irrelevant), the epoch's history finalized,
+//! `close_fence`.
 //!
 //! ## Failover and restart
 //!
-//! `RunPhase` carries per-executor transaction-attempt baselines: a node
-//! taking over a partition (or a restarted master) fast-forwards the
-//! worker's seeded RNG to the baseline, so the transaction stream continues
-//! exactly where the previous executor left it — the wire form of the
-//! engine's engine-global worker state. The cluster driver's `rejoin` brings
-//! a restarted process back with `FetchPartition` / `InstallRecords` (a
-//! Thomas-rule catch-up copy between replicas) and `Rejoin` (the driver's
+//! `RunPhase` carries the cluster's attempt baselines, to which the node's
+//! `partition_jobs` / `master_jobs` catch a worker up — the path a failover
+//! takes in the simulator too. The cluster driver's `rejoin` brings a
+//! restarted process back with `FetchPartition` / `InstallRecords` (the
+//! node's `copy_partition` / `install`) and `Rejoin` (the driver's
 //! [`EpochState`] plus the replication counter rebase).
 
 use crate::bootstrap::Bootstrap;
 use crate::transport::TcpMesh;
-use star_common::stats::RunCounters;
-use star_common::Tid;
-use star_common::{ClusterConfig, Epoch, NodeId, PartitionId, Result};
-use star_core::cluster::build_replica;
-use star_core::exec::{
-    run_master_worker, run_partition_worker, MasterWorkerState, NodeCtx, PartitionWorkerState,
-    PhaseBudget,
-};
-use star_core::failure::{fence_replica, EpochState};
+use star_common::{ClusterConfig, Epoch, Error, NodeId, PartitionId, ReplicationMode, Result};
+use star_core::exec::PhaseBudget;
+use star_core::failure::EpochState;
 use star_core::history::HistoryRecorder;
 use star_core::messages::ReplicationBatch;
+use star_core::node::{CopiedRecord, StarNode};
 use star_core::workload::Workload;
 use star_proto::{
     write_message, AdminQuery, FrameBuffer, Request, Response, WireElection, WireMessage,
     WirePhase, WireRecord, WireStatus, WireTxn,
 };
 use star_storage::Database;
-use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -83,19 +73,12 @@ use std::time::Duration;
 /// How long a fence waits for in-flight replication before giving up.
 const FENCE_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// Per-worker execution state behind one mutex: the stepped phases are
-/// single-threaded per node, exactly like the engine's stepped driver.
-struct EngineState {
-    /// Epoch, failure picture (as told by fences) and election log.
+/// The node's protocol state behind one mutex: its epoch clock (as told by
+/// fences) and its [`StarNode`]. A phase runs its jobs one after another,
+/// exactly like the engine's stepped driver.
+struct NodeState {
     clock: EpochState,
-    partition_workers: BTreeMap<PartitionId, PartitionWorkerState>,
-    master_workers: Vec<MasterWorkerState>,
-    /// Cumulative transaction attempts this node's partition workers have
-    /// actually executed (== RNG generations consumed). Compared against the
-    /// supervisor's cluster-wide baselines to fast-forward on takeover.
-    partition_attempts: BTreeMap<PartitionId, u64>,
-    /// Same, per master worker.
-    master_attempts: Vec<u64>,
+    star: StarNode<TcpMesh>,
 }
 
 /// Replication that arrived and has not been fenced yet, together with what
@@ -108,18 +91,12 @@ struct Inbox {
 }
 
 /// Shared state of one node, owned by the listener and every connection
-/// thread. Locks nest `runs` → `engine` → `inbox` (lock-order.manifest).
+/// thread. Locks nest `runs` → `node` → `inbox` (lock-order.manifest).
 pub(crate) struct NodeInner {
-    pub(crate) node: NodeId,
+    pub(crate) id: NodeId,
     pub(crate) config: ClusterConfig,
     pub(crate) addrs: Vec<String>,
-    pub(crate) db: Arc<Database>,
-    workload: Arc<dyn Workload>,
-    mesh: TcpMesh,
-    counters: RunCounters,
-    /// Attached only when the node was started with history recording on.
-    history: Option<Arc<HistoryRecorder>>,
-    engine: Mutex<EngineState>,
+    node: Mutex<NodeState>,
     /// Held for a whole `Run` (see `coordinator::run_cluster`): concurrent
     /// `Run`s take turns instead of interleaving phases of one epoch.
     pub(crate) runs: Mutex<()>,
@@ -141,7 +118,7 @@ pub struct NodeServer {
 impl std::fmt::Debug for NodeServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NodeServer")
-            .field("node", &self.inner.node)
+            .field("node", &self.inner.id)
             .field("addr", &self.addr)
             .finish()
     }
@@ -178,12 +155,10 @@ pub fn replica_digest(db: &Database) -> (u64, u64) {
 impl NodeServer {
     /// Binds node `id`'s configured address and starts serving.
     pub fn start(boot: &Bootstrap, id: NodeId) -> Result<NodeServer> {
-        let addr = boot
-            .addrs
-            .get(id)
-            .ok_or_else(|| star_common::Error::Config(format!("no address for node {id}")))?;
+        let addr =
+            boot.addrs.get(id).ok_or_else(|| Error::Config(format!("no address for node {id}")))?;
         let listener = TcpListener::bind(addr.as_str())
-            .map_err(|e| star_common::Error::Config(format!("cannot bind {addr}: {e}")))?;
+            .map_err(|e| Error::Config(format!("cannot bind {addr}: {e}")))?;
         Self::start_on(listener, boot, id)
     }
 
@@ -229,27 +204,23 @@ impl NodeServer {
         id: NodeId,
         record_history: bool,
     ) -> Result<NodeServer> {
-        config.validate().map_err(star_common::Error::Config)?;
-        let db = build_replica(&config, workload.as_ref(), id);
+        config.validate().map_err(Error::Config)?;
+        if config.replication_mode == ReplicationMode::Sync {
+            return Err(Error::Config(
+                "ReplicationMode::Sync waits for replica acknowledgements, and the wire has no \
+                 replica acknowledgements yet"
+                    .to_string(),
+            ));
+        }
         let fallback_addr = addrs.get(id).cloned().unwrap_or_default();
+        let mesh = TcpMesh::new(id, addrs.clone());
+        let mut star = StarNode::new(&config, workload, id, mesh, Arc::default());
+        star.set_history(record_history.then(|| Arc::new(HistoryRecorder::new())));
         let inner = Arc::new(NodeInner {
-            node: id,
+            id,
             config: config.clone(),
-            addrs: addrs.clone(),
-            db,
-            workload,
-            mesh: TcpMesh::new(id, addrs),
-            counters: RunCounters::new(),
-            history: record_history.then(|| Arc::new(HistoryRecorder::new())),
-            engine: Mutex::new(EngineState {
-                clock: EpochState::new(&config),
-                partition_workers: BTreeMap::new(),
-                master_workers: (0..config.workers_per_node)
-                    .map(|w| MasterWorkerState::new(&config, w))
-                    .collect(),
-                partition_attempts: BTreeMap::new(),
-                master_attempts: vec![0; config.workers_per_node],
-            }),
+            addrs,
+            node: Mutex::new(NodeState { clock: EpochState::new(&config), star }),
             runs: Mutex::new(()),
             inbox: Mutex::new(Inbox { batches: Vec::new(), received: vec![0; config.num_nodes] }),
             arrived: Condvar::new(),
@@ -259,12 +230,12 @@ impl NodeServer {
         let addr = listener.local_addr().map(|a| a.to_string()).unwrap_or(fallback_addr);
         listener
             .set_nonblocking(true)
-            .map_err(|e| star_common::Error::Config(format!("listener setup: {e}")))?;
+            .map_err(|e| Error::Config(format!("listener setup: {e}")))?;
         let accept_inner = Arc::clone(&inner);
         let listener_thread = std::thread::Builder::new()
             .name(format!("star-serverd-{id}"))
             .spawn(move || accept_loop(listener, accept_inner))
-            .map_err(|e| star_common::Error::Config(format!("spawn listener: {e}")))?;
+            .map_err(|e| Error::Config(format!("spawn listener: {e}")))?;
         Ok(NodeServer { inner, listener_thread: Some(listener_thread), addr })
     }
 
@@ -317,7 +288,7 @@ fn accept_loop(listener: TcpListener, inner: Arc<NodeInner>) {
                 let _ = stream.set_nodelay(true);
                 let conn_inner = Arc::clone(&inner);
                 let _ = std::thread::Builder::new()
-                    .name(format!("star-serverd-{}-conn", inner.node))
+                    .name(format!("star-serverd-{}-conn", inner.id))
                     .spawn(move || connection_loop(stream, conn_inner));
             }
             Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -362,7 +333,7 @@ fn connection_loop(mut stream: TcpStream, inner: Arc<NodeInner>) {
         match message {
             WireMessage::Hello { .. } => {
                 let ack = WireMessage::HelloAck {
-                    node: inner.node as u32,
+                    node: inner.id as u32,
                     num_nodes: inner.config.num_nodes as u32,
                 };
                 if write_message(&mut stream, &ack).is_err() {
@@ -423,10 +394,10 @@ fn handle_request(inner: &Arc<NodeInner>, request: Request) -> Response {
         Request::Ping => Response::Pong,
         Request::Get { table, partition, key } => handle_get(inner, table, partition as usize, key),
         Request::Run { iterations, partitioned_txns, single_master_txns } => {
-            if inner.node != inner.config.master_node() {
+            if inner.id != inner.config.master_node() {
                 return Response::Error(format!(
                     "node {} is not the coordinator (node {})",
-                    inner.node,
+                    inner.id,
                     inner.config.master_node()
                 ));
             }
@@ -448,9 +419,16 @@ fn handle_request(inner: &Arc<NodeInner>, request: Request) -> Response {
             handle_fence(inner, epoch, &expected, &failed).unwrap_or_else(Response::Error)
         }
         Request::FetchPartition { partition } => {
-            handle_fetch_partition(inner, partition as PartitionId)
+            let copy = inner.lock_node().star.copy_partition(partition as PartitionId);
+            copy.map_or_else(error, |records| {
+                Response::Records(records.into_iter().map(WireRecord::from).collect())
+            })
         }
-        Request::InstallRecords { records } => handle_install_records(inner, records),
+        Request::InstallRecords { records } => {
+            let records = records.into_iter().map(CopiedRecord::from).collect();
+            let installed = inner.lock_node().star.install(records);
+            installed.map_or_else(error, |installed| Response::InstallDone { installed })
+        }
         Request::Rejoin { epoch, last_committed, failed, elections, recv_base } => {
             handle_rejoin(inner, epoch, last_committed, &failed, elections, &recv_base)
                 .unwrap_or_else(Response::Error)
@@ -461,14 +439,21 @@ fn handle_request(inner: &Arc<NodeInner>, request: Request) -> Response {
     }
 }
 
+/// A node-side error, answered as [`Response::Error`].
+fn error(e: Error) -> Response {
+    Response::Error(e.to_string())
+}
+
 fn handle_get(inner: &NodeInner, table: u32, partition: PartitionId, key: u64) -> Response {
     if partition >= inner.config.partitions {
         return Response::Error(format!("no such partition {partition}"));
     }
-    if !inner.db.holds(partition) {
-        return Response::Error(format!("node {} does not hold partition {partition}", inner.node));
+    let node = inner.lock_node();
+    let db = node.star.db();
+    if !db.holds(partition) {
+        return Response::Error(format!("node {} does not hold partition {partition}", inner.id));
     }
-    match inner.db.get(table, partition, key) {
+    match db.get(table, partition, key) {
         Ok(record) => {
             let result = record.read();
             Response::Record { tid: result.tid.raw(), row: Some(result.row) }
@@ -510,22 +495,20 @@ fn handle_run_phase(
     failed_ids: &[u32],
 ) -> Checked<Response> {
     let failed = failed_flags(inner.config.num_nodes, failed_ids)?;
-    let mut engine_guard = inner.lock_engine();
-    check_epoch(inner.node, "phase", epoch, engine_guard.clock.epoch())?;
-    let committed = match phase {
-        WirePhase::Partitioned => {
-            run_partitioned(inner, &mut engine_guard, epoch, txns, baselines, &failed)
-        }
-        WirePhase::SingleMaster => {
-            run_single_master(inner, &mut engine_guard, epoch, txns, baselines, &failed)
-        }
+    let mut node = inner.lock_node();
+    check_epoch(inner.id, "phase", epoch, node.clock.epoch())?;
+    let NodeState { clock, star } = &mut *node;
+    let jobs = match phase {
+        WirePhase::Partitioned => star.partition_jobs(clock, &failed, baselines),
+        WirePhase::SingleMaster => star.master_jobs(clock, &failed, baselines),
     };
-    Ok(Response::PhaseDone { committed, sent: inner.mesh.sent_counts() })
+    let committed = jobs.into_iter().map(|job| job.run(PhaseBudget::Count(txns)).committed).sum();
+    Ok(Response::PhaseDone { committed, sent: star.transport().sent_counts() })
 }
 
 impl NodeInner {
-    fn lock_engine(&self) -> MutexGuard<'_, EngineState> {
-        lock(&self.engine)
+    fn lock_node(&self) -> MutexGuard<'_, NodeState> {
+        lock(&self.node)
     }
 
     fn is_shutdown(&self) -> bool {
@@ -537,96 +520,6 @@ impl NodeInner {
         *lock(&self.stopped) = true;
         self.stopped_signal.notify_all();
     }
-
-    /// What this node lends its phase workers for `epoch`: the wire has no
-    /// WAL yet, and a history recorder only when it was started with one.
-    fn ctx(&self, epoch: Epoch) -> NodeCtx<'_> {
-        NodeCtx {
-            node: self.node,
-            config: &self.config,
-            db: &self.db,
-            transport: &self.mesh,
-            workload: self.workload.as_ref(),
-            counters: &self.counters,
-            wal: None,
-            history: self.history.as_deref(),
-            epoch,
-        }
-    }
-}
-
-/// The stepped partitioned phase, restricted to the partitions this node is
-/// the *effective* primary for — the union across healthy nodes is exactly
-/// the engine's stepped partitioned phase, partition by partition, same
-/// seeds, same order. On takeover the worker's RNG is fast-forwarded to the
-/// supervisor-supplied cluster-wide attempt baseline, so the stream
-/// continues where the crashed primary left it.
-fn run_partitioned(
-    inner: &NodeInner,
-    engine_state: &mut EngineState,
-    epoch: Epoch,
-    txns: u64,
-    baselines: &[u64],
-    failed: &[bool],
-) -> u64 {
-    let config = &inner.config;
-    let ctx = inner.ctx(epoch);
-    let EngineState { partition_workers, partition_attempts, .. } = engine_state;
-    let mut committed = 0u64;
-    for partition in 0..config.partitions {
-        if config.effective_primary(failed, partition) != Some(inner.node) {
-            continue;
-        }
-        let targets = config.replica_targets(failed, inner.node, partition);
-        let worker = partition_workers
-            .entry(partition)
-            .or_insert_with(|| PartitionWorkerState::new(config, partition));
-        let attempts = partition_attempts.entry(partition).or_insert(0);
-        if let Some(&baseline) = baselines.get(partition) {
-            if *attempts < baseline {
-                worker.fast_forward(inner.workload.as_ref(), baseline - *attempts);
-                *attempts = baseline;
-            }
-        }
-        committed +=
-            run_partition_worker(&ctx, &targets, worker, PhaseBudget::Count(txns)).committed;
-        *attempts += txns;
-    }
-    committed
-}
-
-/// The stepped single-master phase; a no-op on every node but the elected
-/// master. A newly elected (or restarted) master fast-forwards each worker
-/// to its baseline before executing, continuing the dead master's streams.
-fn run_single_master(
-    inner: &NodeInner,
-    engine_state: &mut EngineState,
-    epoch: Epoch,
-    txns: u64,
-    baselines: &[u64],
-    failed: &[bool],
-) -> u64 {
-    if engine_state.clock.current_master() != Some(inner.node) {
-        return 0;
-    }
-    let config = &inner.config;
-    let ctx = inner.ctx(epoch);
-    let EngineState { master_workers, master_attempts, .. } = engine_state;
-    let healthy = config.healthy_peers(failed, inner.node);
-    let mut committed = 0u64;
-    for (worker_id, worker) in master_workers.iter_mut().enumerate() {
-        let attempts = &mut master_attempts[worker_id];
-        if let Some(&baseline) = baselines.get(worker_id) {
-            if *attempts < baseline {
-                let behind = baseline - *attempts;
-                worker.fast_forward(inner.workload.as_ref(), config.partitions, behind);
-                *attempts = baseline;
-            }
-        }
-        committed += run_master_worker(&ctx, &healthy, worker, PhaseBudget::Count(txns)).committed;
-        *attempts += txns;
-    }
-    committed
 }
 
 fn handle_fence(
@@ -642,15 +535,15 @@ fn handle_fence(
     let failed = failed_flags(num_nodes, failed_ids)?;
     // A fence for another epoch must be refused before the barrier: its
     // counts may never arrive, and the wait would pin this thread.
-    let current = inner.lock_engine().clock.epoch();
-    check_epoch(inner.node, "fence", epoch, current)?;
+    let current = inner.lock_node().clock.epoch();
+    check_epoch(inner.id, "fence", epoch, current)?;
     // Barrier: block until everything the senders shipped before the fence
     // has arrived; every arriving batch signals `arrived`. Counts are
     // cumulative, so a stale fence can never block on traffic that already
     // passed.
     let behind = |inbox: &mut Inbox| {
         let mut senders = inbox.received.iter().zip(expected).enumerate();
-        senders.any(|(s, (received, expected))| s != inner.node && received < expected)
+        senders.any(|(s, (received, expected))| s != inner.id && received < expected)
     };
     let (inbox_guard, wait) = inner
         .arrived
@@ -661,79 +554,18 @@ fn handle_fence(
         return Err(format!("fence for epoch {epoch} timed out waiting for replication"));
     }
 
-    let mut engine_guard = inner.lock_engine();
+    let mut node = inner.lock_node();
     // Again under the lock: another fence may have closed the epoch meanwhile.
-    check_epoch(inner.node, "fence", epoch, engine_guard.clock.epoch())?;
-    let clock = &mut engine_guard.clock;
+    check_epoch(inner.id, "fence", epoch, node.clock.epoch())?;
+    let NodeState { clock, star } = &mut *node;
     let reverting = clock.open_fence(&inner.config, &failed);
     let batches = std::mem::take(&mut lock(&inner.inbox).batches);
-    let mut applied = 0u64;
-    fence_replica(clock, reverting, &inner.db, batches, |entry| {
-        let _ = entry.apply(&inner.db);
-        applied += 1;
-    });
-    if let Some(history) = &inner.history {
+    let (applied, _) = star.fence(clock, reverting, batches, |_| true);
+    if let Some(history) = star.history() {
         history.finalize_epoch(epoch, !reverting);
     }
     clock.close_fence();
     Ok(Response::FenceDone { epoch, applied })
-}
-
-/// Serves one held partition's records for a supervisor-mediated catch-up
-/// copy — the wire form of the engine's memory-to-memory recovery source.
-fn handle_fetch_partition(inner: &NodeInner, partition: PartitionId) -> Response {
-    if partition >= inner.config.partitions {
-        return Response::Error(format!("no such partition {partition}"));
-    }
-    if !inner.db.holds(partition) {
-        return Response::Error(format!("node {} does not hold partition {partition}", inner.node));
-    }
-    let mut records = Vec::new();
-    inner.db.for_each_record(|table, p, key, record| {
-        if p != partition {
-            return;
-        }
-        let result = record.read();
-        records.push(WireRecord {
-            table,
-            partition: p as u32,
-            key,
-            tid: result.tid.raw(),
-            row: result.row,
-        });
-    });
-    Response::Records(records)
-}
-
-/// Installs copied records under the Thomas write rule — the recovery
-/// target's half of the catch-up copy. A freshly restarted process holds the
-/// workload's initial state, so a full copy from a healthy peer lands it in
-/// exactly the state the engine's revert-then-copy recovery produces.
-fn handle_install_records(inner: &NodeInner, records: Vec<WireRecord>) -> Response {
-    let mut installed = 0u64;
-    for record in records {
-        let partition = record.partition as PartitionId;
-        if partition >= inner.config.partitions || !inner.db.holds(partition) {
-            return Response::Error(format!(
-                "node {} cannot install into partition {partition}",
-                inner.node
-            ));
-        }
-        let fresher = inner
-            .db
-            .apply_value_write(
-                record.table,
-                partition,
-                record.key,
-                record.row,
-                Tid::from_raw(record.tid),
-            )
-            .unwrap_or(false);
-        if fresher {
-            installed += 1;
-        }
-    }
-    Response::InstallDone { installed }
 }
 
 /// Rebases a freshly restarted node onto the cluster's current epoch,
@@ -756,7 +588,7 @@ fn handle_rejoin(
     }
     let failed = failed_flags(num_nodes, failed_ids)?;
     let elections = elections.into_iter().map(WireElection::to_election).collect();
-    inner.lock_engine().clock = EpochState::resume(epoch, last_committed, failed, elections)
+    inner.lock_node().clock = EpochState::resume(epoch, last_committed, failed, elections)
         .map_err(|e| format!("rejoin refused: {e}"))?;
     let mut inbox_guard = lock(&inner.inbox);
     inbox_guard.received.copy_from_slice(recv_base);
@@ -766,26 +598,25 @@ fn handle_rejoin(
 }
 
 fn handle_admin(inner: &NodeInner, query: AdminQuery) -> Response {
+    let node = inner.lock_node();
     match query {
         AdminQuery::Status => {
-            let engine_guard = inner.lock_engine();
-            let clock = &engine_guard.clock;
             let (elected, generation) =
-                clock.elections().last().map_or((None, 0), |e| (e.master, e.generation));
+                node.clock.elections().last().map_or((None, 0), |e| (e.master, e.generation));
             Response::Status(WireStatus {
-                node: inner.node as u32,
-                epoch: clock.epoch(),
-                last_committed: clock.last_committed(),
+                node: inner.id as u32,
+                epoch: node.clock.epoch(),
+                last_committed: node.clock.last_committed(),
                 master: elected.map(|m| m as i64).unwrap_or(-1),
                 generation,
-                committed: inner.counters.snapshot().committed,
-                full_replica: inner.db.is_full_replica(),
+                committed: node.star.counters().snapshot().committed,
+                full_replica: node.star.db().is_full_replica(),
             })
         }
         AdminQuery::Elections => Response::Elections(
-            inner.lock_engine().clock.elections().iter().map(WireElection::from_election).collect(),
+            node.clock.elections().iter().map(WireElection::from_election).collect(),
         ),
-        AdminQuery::History => match &inner.history {
+        AdminQuery::History => match node.star.history() {
             Some(history) => {
                 Response::History(history.committed().iter().map(WireTxn::from_committed).collect())
             }
@@ -793,11 +624,11 @@ fn handle_admin(inner: &NodeInner, query: AdminQuery) -> Response {
             None => Response::Error(format!(
                 "history recording is off on node {}; boot it with `record_history = true` \
                  under [cluster]",
-                inner.node
+                inner.id
             )),
         },
         AdminQuery::ReplicaDigest => {
-            let (records, digest) = replica_digest(&inner.db);
+            let (records, digest) = replica_digest(node.star.db());
             Response::Digest { records, digest }
         }
     }
@@ -807,6 +638,9 @@ fn handle_admin(inner: &NodeInner, query: AdminQuery) -> Response {
 mod tests {
     use super::*;
     use crate::bootstrap::Bootstrap;
+    use star_common::row::row;
+    use star_common::{FieldValue, Tid};
+    use star_core::cluster::build_replica;
     use star_proto::{Conn, Role};
     use std::time::Instant;
 
@@ -862,10 +696,11 @@ mod tests {
             0,
         )
         .expect("start");
-        assert!(general.inner.history.is_none(), "start_with means no recorder");
+        assert!(general.inner.lock_node().star.history().is_none(), "start_with means no recorder");
         boot.record_history = true;
         let recording = NodeServer::start_on(listeners.remove(0), &boot, 1).expect("start");
-        assert!(recording.inner.history.is_some(), "record_history = true attaches one");
+        let recorder = recording.inner.lock_node().star.history().is_some();
+        assert!(recorder, "record_history = true attaches one");
     }
 
     #[test]
@@ -948,6 +783,36 @@ mod tests {
     }
 
     #[test]
+    fn the_wire_refuses_sync_replication() {
+        let (mut listeners, boot) = test_bootstrap(1);
+        let mode = ReplicationMode::Sync;
+        let config = ClusterConfig { replication_mode: mode, ..boot.config.clone() };
+        let ycsb = Arc::new(boot.ycsb());
+        let started = NodeServer::start_with(listeners.remove(0), config, boot.addrs, ycsb, 0);
+        let Err(Error::Config(message)) = started else { panic!("a Sync node started") };
+        assert!(message.contains("acknowledgements"), "{message}");
+    }
+
+    /// A row at version 9.1 for key 0 of `partition` (partition 4 does not
+    /// exist in the test cluster).
+    fn record(partition: u32) -> WireRecord {
+        let (key, tid) = (star_workloads::ycsb::ycsb_key(0, 0), Tid::new(9, 1).raw());
+        WireRecord { table: 0, partition, key, tid, row: row([FieldValue::U64(7)]) }
+    }
+
+    #[test]
+    fn an_install_naming_a_partition_held_nowhere_writes_nothing() {
+        // The good record comes first: an install that checks as it writes
+        // would have applied it before refusing.
+        let (_server, mut conn) = node_zero_of_two();
+        let digest = Request::Admin(AdminQuery::ReplicaDigest);
+        let before = conn.request(digest.clone()).expect("digest");
+        let install = Request::InstallRecords { records: vec![record(0), record(4)] };
+        assert!(matches!(conn.request(install), Ok(Response::Error(_))));
+        assert_eq!(conn.request(digest).expect("digest"), before, "it wrote something");
+    }
+
+    #[test]
     fn an_oversized_response_is_answered_as_an_error() {
         let mut out: Vec<u8> = Vec::new();
         answer(&mut out, 7, Response::Error("x".repeat(star_proto::MAX_BODY_LEN + 1)))
@@ -965,17 +830,10 @@ mod tests {
         let (_listeners, boot) = test_bootstrap(1);
         let workload: Arc<dyn Workload> = Arc::new(boot.ycsb());
         let a = build_replica(&boot.config, workload.as_ref(), 0);
-        let b = build_replica(&boot.config, workload.as_ref(), 0);
-        assert_eq!(replica_digest(&a), replica_digest(&b), "identical replicas digest equal");
-        use star_common::{row::row, FieldValue, Tid};
-        b.apply_value_write(
-            0,
-            0,
-            star_workloads::ycsb::ycsb_key(0, 0),
-            row([FieldValue::U64(1)]),
-            Tid::new(1, 1),
-        )
-        .expect("write");
-        assert_ne!(replica_digest(&a).1, replica_digest(&b).1, "a divergent row changes it");
+        let mesh = TcpMesh::new(0, boot.addrs);
+        let b = StarNode::new(&boot.config, workload, 0, mesh, Arc::default());
+        assert_eq!(replica_digest(&a), replica_digest(b.db()), "identical replicas digest equal");
+        b.install(vec![record(0).into()]).expect("write");
+        assert_ne!(replica_digest(&a).1, replica_digest(b.db()).1, "a divergent row changes it");
     }
 }

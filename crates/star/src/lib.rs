@@ -70,7 +70,7 @@ pub mod prelude {
     };
     pub use star_core::{
         AnalyticalModel, CommittedTxn, Engine, FailureCase, FailureVectorMismatch, HistoryRecorder,
-        PhasePlan, StarCluster, StarEngine, Workload, WorkloadMix,
+        PhasePlan, StarEngine, Workload, WorkloadMix,
     };
     pub use star_net::LinkFaults;
     pub use star_occ::{Procedure, TxnCtx};

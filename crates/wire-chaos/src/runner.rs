@@ -98,7 +98,7 @@ pub fn twin_violations(
             Response::Digest { records, digest } => (records, digest),
             other => return Err(format!("node {node}: expected Digest, got {other:?}")),
         };
-        match twin.cluster().nodes().get(node).map(|twin_node| replica_digest(&twin_node.db)) {
+        match twin.nodes().get(node).map(|twin_node| replica_digest(twin_node.db())) {
             Some(twin_digest) if twin_digest == digest => {}
             Some(twin_digest) => violations.push(format!(
                 "node {node} replica diverges: wire {digest:?} vs twin {twin_digest:?}"
