@@ -99,10 +99,15 @@ server-smoke:
 
 # Chaos over the wire: corpus replay + seeded socket-fault sweep +
 # SIGKILL/restart/recover cycle against real TCP clusters behind the
-# fault-injecting proxy mesh, byte-compared to the simulation twin.
+# fault-injecting proxy mesh, byte-compared to the simulation twin; then the
+# simulator's coverage-guided schedules, and its planted bugs, which must be
+# caught and shrunk over the wire.
 wire-chaos:
 	cargo build --release -p star-serverd
 	cargo run --release -p star-wire-chaos --bin star-wire-chaos -- --replay-corpus --sweep --seeds 4 --kill-recover --serverd target/release/star-serverd
+	cargo run --release -p star-wire-chaos --bin star-wire-chaos -- --synth-guided --seeds 120
+	cargo run --release -p star-wire-chaos --bin star-wire-chaos -- --inject-bug loss --seeds 24
+	cargo run --release -p star-wire-chaos --bin star-wire-chaos -- --inject-bug corrupt --seeds 24
 
 figures:
 	cargo run --release -p star-bench --bin figures -- --quick all

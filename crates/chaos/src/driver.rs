@@ -141,10 +141,9 @@ pub fn build_workload(spec: &WorkloadSpec, partitions: usize) -> Arc<dyn Workloa
 /// ([`EngineTarget`]) or a real TCP cluster (`star-wire-chaos`'s runner).
 /// An `Err` aborts the walk.
 pub trait ChaosTarget {
-    /// The walk reached injection `point`; `ops` are the operations the
-    /// schedule fires there, in insertion order — possibly none (a target
-    /// may still have work of its own to do at the point).
-    fn inject(&mut self, point: InjectionPoint, ops: &[FaultOp]) -> Result<(), String>;
+    /// The walk reached an injection point where the schedule fires `ops`
+    /// (never empty), in insertion order.
+    fn inject(&mut self, ops: &[FaultOp]) -> Result<(), String>;
     /// Runs `txns` attempts per partition of the partitioned phase.
     fn run_partitioned(&mut self, txns: u64) -> Result<(), String>;
     /// Runs `txns` attempts per master worker of the single-master phase.
@@ -155,7 +154,7 @@ pub trait ChaosTarget {
 
 /// Walks `plan.iterations` iterations of the phase-switching loop over
 /// `target`, visiting every [`InjectionPoint`] in order with the operations
-/// `schedule` pins there — the one place the iteration structure the
+/// `plan.schedule` pins there — the one place the iteration structure the
 /// schedule DSL describes is written down:
 ///
 /// ```text
@@ -163,19 +162,21 @@ pub trait ChaosTarget {
 /// ops → half phase → ops → half phase → ops → FENCE   (single-master)
 /// ops                                                  (IterationEnd)
 /// ```
-pub fn walk(
-    plan: &ChaosPlan,
-    schedule: &FaultSchedule,
-    target: &mut dyn ChaosTarget,
-) -> Result<(), String> {
+///
+/// A half phase is a count of attempts, so every target splits a phase
+/// between the same two transactions.
+pub fn walk(plan: &ChaosPlan, target: &mut dyn ChaosTarget) -> Result<(), String> {
     use InjectionPoint::*;
     let halves = |txns: u64| (txns / 2, txns - txns / 2);
     let (first_half_p, second_half_p) = halves(plan.partitioned_txns);
     let (first_half_s, second_half_s) = halves(plan.single_master_txns);
     for iteration in 0..plan.iterations {
         let inject = |target: &mut dyn ChaosTarget, point| {
-            let ops: Vec<FaultOp> = schedule.ops_at(iteration, point).cloned().collect();
-            target.inject(point, &ops)
+            let ops: Vec<FaultOp> = plan.schedule.ops_at(iteration, point).cloned().collect();
+            if ops.is_empty() {
+                return Ok(());
+            }
+            target.inject(&ops)
         };
         inject(target, PartitionedStart)?;
         target.run_partitioned(first_half_p)?;
@@ -289,7 +290,7 @@ impl EngineTarget {
 }
 
 impl ChaosTarget for EngineTarget {
-    fn inject(&mut self, _point: InjectionPoint, ops: &[FaultOp]) -> Result<(), String> {
+    fn inject(&mut self, ops: &[FaultOp]) -> Result<(), String> {
         ops.iter().for_each(|op| self.apply_op(op));
         Ok(())
     }
@@ -319,7 +320,7 @@ impl ChaosTarget for EngineTarget {
 /// for the checks performed.
 pub fn run_plan(plan: &ChaosPlan) -> star_common::Result<ChaosOutcome> {
     let mut target = EngineTarget::new(plan)?;
-    walk(plan, &plan.schedule, &mut target).map_err(star_common::Error::Config)?;
+    walk(plan, &mut target).map_err(star_common::Error::Config)?;
     let EngineTarget { engine, workload, recorder, checkpoints, cases_seen, mut violations } =
         target;
 

@@ -74,7 +74,7 @@ pub use runner::{
     canonical_config, family_plan, plan_for_seed, run_seed, sweep, ScenarioKind, SweepSummary,
 };
 pub use schedule::{FaultOp, FaultSchedule, InjectionPoint, SCHEDULE_FORMAT_VERSION};
-pub use shrink::{shrink_plan, ShrunkPlan};
+pub use shrink::{shrink_plan, shrink_with, ShrunkPlan};
 pub use synth::{
     run_synth_seed, synth_plan, synth_plan_for_seed, GuidedSynth, PlantedBug, SynthOptions,
 };

@@ -19,7 +19,9 @@
 //!
 //! The shrunk schedule is emitted in the chaos report next to the seed, so
 //! `star-chaos --synth --seed N` reproduces the full run and the report
-//! carries the minimal schedule that still shows the bug.
+//! carries the minimal schedule that still shows the bug. The loop does not
+//! care what executes a candidate ([`shrink_with`]): `star-wire-chaos`
+//! shrinks over live clusters with the same code.
 
 use crate::driver::{run_plan, ChaosPlan};
 use crate::schedule::{FaultSchedule, ScheduledOp};
@@ -93,19 +95,26 @@ pub fn shrink_plan(plan: &ChaosPlan) -> Result<Option<ShrunkPlan>> {
 /// largest schedule the shrinker would ever execute). Returns `Ok(None)` if
 /// `violations` is empty.
 pub fn shrink_plan_from(plan: &ChaosPlan, violations: &[String]) -> Result<Option<ShrunkPlan>> {
-    let Some(category) = first_category(violations) else {
-        return Ok(None);
-    };
+    Ok(shrink_with(plan, violations, |candidate| run_plan(candidate).ok().map(|o| o.violations)))
+}
+
+/// The shrinker over any executor of a plan: `run` replays a candidate and
+/// returns its violations, or `None` if it could not run (which counts as
+/// passing). `star-wire-chaos` shrinks over live clusters with it. Returns
+/// `None` if `violations` is empty.
+pub fn shrink_with(
+    plan: &ChaosPlan,
+    violations: &[String],
+    mut run: impl FnMut(&ChaosPlan) -> Option<Vec<String>>,
+) -> Option<ShrunkPlan> {
+    let category = first_category(violations)?;
     let mut runs = 0usize;
-    let still_fails = |candidate: &ChaosPlan, runs: &mut usize| -> bool {
+    let mut still_fails = |candidate: &ChaosPlan, runs: &mut usize| -> bool {
         if *runs >= MAX_SHRINK_RUNS {
             return false;
         }
         *runs += 1;
-        match run_plan(candidate) {
-            Ok(outcome) => first_category(&outcome.violations).as_deref() == Some(&category),
-            Err(_) => false,
-        }
+        run(candidate).is_some_and(|v| first_category(&v).as_deref() == Some(&category))
     };
 
     let mut ops: Vec<ScheduledOp> = plan.schedule.ops().to_vec();
@@ -153,13 +162,13 @@ pub fn shrink_plan_from(plan: &ChaosPlan, violations: &[String]) -> Result<Optio
         }
     }
 
-    Ok(Some(ShrunkPlan {
+    Some(ShrunkPlan {
         plan: with_ops(plan, &ops, iterations),
         category,
         original_ops: plan.schedule.ops().len(),
         shrunk_ops: ops.len(),
         runs,
-    }))
+    })
 }
 
 #[cfg(test)]

@@ -544,6 +544,44 @@ mod tests {
         }
     }
 
+    /// Asserts that the worker `fresh` starts, run on `node` for 12 attempts
+    /// split anywhere into two counts, sends what one count of 12 sends:
+    /// every target, sender, epoch and entry, in order.
+    fn assert_splits_are_invisible(
+        node: NodeId,
+        targets: &[NodeId],
+        fresh: impl Fn(&ClusterConfig) -> WorkerState,
+    ) {
+        let sends_of = |budgets: &[u64]| {
+            let fx = Fixture::new(node);
+            let mut state = fresh(&fx.config);
+            for &count in budgets {
+                run_worker(&fx.ctx(node), targets, &mut state, PhaseBudget::Count(count));
+            }
+            let sent = fx.sent.0.lock();
+            let sends = sent.iter().map(|(to, b)| (*to, b.from_node, b.epoch, b.entries.clone()));
+            sends.collect::<Vec<_>>()
+        };
+        let whole = sends_of(&[12]);
+        assert!(whole.len() >= 12, "node {node} shipped {} batches", whole.len());
+        for split in 0..=12 {
+            assert_eq!(sends_of(&[split, 12 - split]), whole, "node {node}, split after {split}");
+        }
+    }
+
+    #[test]
+    fn a_count_budget_split_anywhere_sends_what_the_whole_count_sends() {
+        // The chaos walk runs every phase as two count-budgeted halves, on
+        // the simulator and on the wire, and a crash may land between them:
+        // where a worker's phase is split must not change one batch it puts
+        // on any link.
+        let config = config();
+        let partition = config.replica_targets(&[false; 4], 1, 1);
+        assert_splits_are_invisible(1, &partition, |config| WorkerState::partition(config, 1));
+        let master = config.healthy_peers(&[false; 4], 0);
+        assert_splits_are_invisible(0, &master, |config| WorkerState::master(config, 0));
+    }
+
     #[test]
     fn deadline_budget_ships_the_same_entries_in_the_same_per_target_order() {
         let targets = [0, 2];

@@ -23,8 +23,9 @@ pub const FRAME_MAGIC: [u8; 4] = *b"STAR";
 
 /// The protocol version this build speaks. Version 2 added the
 /// failure-aware phase/fence fields and the recovery frames
-/// (`FetchPartition` / `InstallRecords` / `Rejoin`).
-pub const PROTOCOL_VERSION: u16 = 2;
+/// (`FetchPartition` / `InstallRecords` / `Rejoin`); version 3 pages
+/// `FetchPartition` and adds `Recovered`.
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Size of the fixed frame header.
 pub const FRAME_HEADER_LEN: usize = 12;
@@ -42,7 +43,7 @@ pub struct FrameHeader {
     pub version: u16,
     /// Frame kind (dispatches to a [`crate::WireMessage`] variant).
     pub kind: u8,
-    /// Reserved flags byte: version 2 defines no flags, so it is always 0
+    /// Reserved flags byte: no version defines a flag, so it is always 0
     /// (a header carrying anything else is refused).
     pub flags: u8,
     /// Length of the body following the header.

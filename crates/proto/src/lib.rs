@@ -38,6 +38,6 @@ pub use io::{connect_with_retry, read_message, write_message, Conn, CONNECT_TIME
 pub use message::{
     decode_entries, encode_elections, encode_entries, encode_history, replication_frame,
     replication_frame_encoded, AdminQuery, Request, Response, Role, WireElection, WireMessage,
-    WirePhase, WireRecord, WireStatus, WireTxn,
+    WirePhase, WireRecord, WireStatus, WireTxn, RECORD_PAGE_BYTES,
 };
 pub use stream::FrameBuffer;

@@ -191,6 +191,11 @@ impl WireTxn {
     }
 }
 
+/// The most record bytes one [`Request::FetchPartition`] page carries, unless
+/// its first record alone is larger: a partition of any size copies in
+/// frames well under [`crate::MAX_BODY_LEN`].
+pub const RECORD_PAGE_BYTES: usize = 4 << 20;
+
 wire_struct! {
     /// One replica record in canonical wire form, as moved by the recovery
     /// frames ([`Request::FetchPartition`] / [`Request::InstallRecords`]).
@@ -206,6 +211,23 @@ wire_struct! {
         pub tid: u64,
         /// The row.
         pub row: Row,
+    }
+}
+
+impl WireRecord {
+    /// One page of a partition copy: the records from position `start`, as
+    /// many as fit [`RECORD_PAGE_BYTES`] — and always the first, so a copy
+    /// makes progress whatever its rows weigh.
+    pub fn page(records: Vec<CopiedRecord>, start: u64) -> Vec<WireRecord> {
+        let start = usize::try_from(start).unwrap_or(usize::MAX);
+        let mut bytes = 0;
+        let fits = |record: &CopiedRecord| {
+            let first = bytes == 0;
+            // Table, partition, key and TID, then the row: the record's encoding.
+            bytes += 24 + record.row.wire_size();
+            first || bytes <= RECORD_PAGE_BYTES
+        };
+        records.into_iter().skip(start).take_while(fits).map(WireRecord::from).collect()
     }
 }
 
@@ -318,11 +340,15 @@ wire_enum! {
         5 => Admin(query: AdminQuery),
         /// Graceful shutdown of the receiving node.
         6 => Shutdown,
-        /// Supervisor: read every record of one locally held partition, in
-        /// canonical order — the source half of a recovery catch-up copy.
+        /// Supervisor: read one page of a locally held partition — its
+        /// records from position `start` of the canonical order, as many as
+        /// fit [`RECORD_PAGE_BYTES`] — the source half of a recovery
+        /// catch-up copy. An empty page ends the partition.
         7 => FetchPartition {
             /// Partition to read.
             partition: u32,
+            /// Records of the partition before the page.
+            start: u64,
         },
         /// Supervisor: install records into the local replica under the Thomas
         /// write rule (apply-if-newer) — the target half of a recovery copy.
@@ -347,6 +373,13 @@ wire_enum! {
             /// to this node's address before the restart; the node's receive
             /// counters restart from these values.
             recv_base: Vec<u64>,
+        },
+        /// Supervisor: `node` has rejoined. The receiver stops counting it as
+        /// failed at once — as the simulator's one epoch clock does — so a
+        /// crash of `node` before the next fence is news to that fence.
+        10 => Recovered {
+            /// The node that rejoined.
+            node: u32,
         },
     }
 }
@@ -627,7 +660,7 @@ mod tests {
             },
             Request::Fence { epoch: 7, expected: vec![0, 3, 9], failed: vec![] },
             Request::Fence { epoch: 8, expected: vec![1, 0, 0], failed: vec![1, 2] },
-            Request::FetchPartition { partition: 3 },
+            Request::FetchPartition { partition: 3, start: 40_000 },
             Request::InstallRecords {
                 records: vec![WireRecord {
                     table: 0,
@@ -647,6 +680,7 @@ mod tests {
                 ],
                 recv_base: vec![4, 0, 17],
             },
+            Request::Recovered { node: 2 },
             Request::Admin(AdminQuery::ReplicaDigest),
             Request::Shutdown,
         ] {
@@ -702,6 +736,38 @@ mod tests {
         ] {
             round_trip(WireMessage::Response { id: 7, body });
         }
+    }
+
+    #[test]
+    fn partition_pages_cover_every_record_once_within_the_page_bound() {
+        let row = Row::new(vec![FieldValue::Bytes(vec![7; 1000])]);
+        let copy: Vec<CopiedRecord> = (0..10_000u64)
+            .map(|key| CopiedRecord {
+                table: 0,
+                partition: 1,
+                key,
+                tid: Tid::new(1, key),
+                row: row.clone(),
+            })
+            .collect();
+        let (mut start, mut pages, mut keys) = (0, 0, Vec::new());
+        loop {
+            let page = WireRecord::page(copy.clone(), start);
+            if page.is_empty() {
+                break;
+            }
+            let frame = WireMessage::Response { id: 1, body: Response::Records(page.clone()) };
+            assert!(frame.encode().len() <= RECORD_PAGE_BYTES + 64, "a page outgrew its bound");
+            start += page.len() as u64;
+            pages += 1;
+            keys.extend(page.iter().map(|record| record.key));
+        }
+        assert_eq!(keys, (0..10_000).collect::<Vec<u64>>());
+        assert_eq!(pages, 3, "10 MB of records take three 4 MiB pages");
+        // A record larger than a page still travels, alone.
+        let row = Row::new(vec![FieldValue::Bytes(vec![0; RECORD_PAGE_BYTES])]);
+        let huge = CopiedRecord { row, ..copy[0].clone() };
+        assert_eq!(WireRecord::page(vec![huge.clone(), huge], 0).len(), 1);
     }
 
     #[test]

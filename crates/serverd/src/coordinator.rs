@@ -250,11 +250,12 @@ impl ClusterDriver {
     }
 
     /// Brings the restarted `node`, now listening on `addr`, back: dial it
-    /// (restarting nodes is a supervisor's act, so as `Role::Admin`), copy every partition it holds from the engine's recovery source (the
-    /// wire form of `recover_node`'s copy loop, Thomas write rule), and send
-    /// it the driver's epoch state — what every survivor knows — plus
-    /// `recv_base[s]`, the batches from each sender `s` that reached its
-    /// address before the restart.
+    /// (restarting nodes is a supervisor's act, so as `Role::Admin`), copy
+    /// every partition it holds from the engine's recovery source, page by
+    /// page (the wire form of `recover_node`'s copy loop, Thomas write
+    /// rule), send it the driver's epoch state — what every survivor knows —
+    /// plus `recv_base[s]`, the batches from each sender `s` that reached its
+    /// address before the restart, and tell every live node it recovered.
     pub fn rejoin(&mut self, node: usize, addr: &str, recv_base: &[u64]) -> Result<(), String> {
         let conn = Conn::connect(addr, Role::Admin, 0)
             .map_err(|e| format!("cannot reconnect to restarted node {node}: {e}"))?;
@@ -267,14 +268,21 @@ impl ClusterDriver {
         for partition in self.config.held_partitions(node) {
             let source = self.config.recovery_source(&failed, node, partition);
             let source = source.ok_or_else(|| format!("partition {partition} has no source"))?;
-            let fetch = Request::FetchPartition { partition: partition as u32 };
-            let records = match self.request(source, fetch)? {
-                Response::Records(records) => records,
-                other => return Err(format!("node {source}: expected Records, got {other:?}")),
-            };
-            match self.request(node, Request::InstallRecords { records })? {
-                Response::InstallDone { .. } => {}
-                other => return Err(format!("node {node}: expected InstallDone, got {other:?}")),
+            let mut start = 0;
+            loop {
+                let fetch = Request::FetchPartition { partition: partition as u32, start };
+                let records = match self.request(source, fetch)? {
+                    Response::Records(records) if records.is_empty() => break,
+                    Response::Records(records) => records,
+                    other => return Err(format!("node {source}: expected Records, got {other:?}")),
+                };
+                start += records.len() as u64;
+                match self.request(node, Request::InstallRecords { records })? {
+                    Response::InstallDone { .. } => {}
+                    other => {
+                        return Err(format!("node {node}: expected InstallDone, got {other:?}"))
+                    }
+                }
             }
         }
         self.state.mark_recovered(node);
@@ -286,8 +294,17 @@ impl ClusterDriver {
             recv_base: recv_base.to_vec(),
         };
         match self.request(node, rejoin)? {
-            Response::Ok => Ok(()),
-            other => Err(format!("node {node}: expected Ok to Rejoin, got {other:?}")),
+            Response::Ok => {}
+            other => return Err(format!("node {node}: expected Ok to Rejoin, got {other:?}")),
+        }
+        // The survivors' clocks learn it now, not at the next fence: if the
+        // node crashed again before that fence, they would not revert.
+        let recovered = self.request_all(|_| Request::Recovered { node: node as u32 })?;
+        match recovered.into_iter().find(|(_, answer)| *answer != Response::Ok) {
+            None => Ok(()),
+            Some((other, answer)) => {
+                Err(format!("node {other}: expected Ok to Recovered, got {answer:?}"))
+            }
         }
     }
 }

@@ -47,9 +47,10 @@
 //! `RunPhase` carries the cluster's attempt baselines, to which the node's
 //! `partition_jobs` / `master_jobs` catch a worker up — the path a failover
 //! takes in the simulator too. The cluster driver's `rejoin` brings a
-//! restarted process back with `FetchPartition` / `InstallRecords` (the
-//! node's `copy_partition` / `install`) and `Rejoin` (the driver's
-//! [`EpochState`] plus the replication counter rebase).
+//! restarted process back with `FetchPartition` / `InstallRecords` page by
+//! page (the node's `copy_partition` / `install`) and `Rejoin` (the driver's
+//! [`EpochState`] plus the replication counter rebase); `Recovered` then
+//! clears the node from every live node's failure picture.
 
 use crate::bootstrap::Bootstrap;
 use crate::transport::TcpMesh;
@@ -418,11 +419,9 @@ fn handle_request(inner: &Arc<NodeInner>, request: Request) -> Response {
         Request::Fence { epoch, expected, failed } => {
             handle_fence(inner, epoch, &expected, &failed).unwrap_or_else(Response::Error)
         }
-        Request::FetchPartition { partition } => {
+        Request::FetchPartition { partition, start } => {
             let copy = inner.lock_node().star.copy_partition(partition as PartitionId);
-            copy.map_or_else(error, |records| {
-                Response::Records(records.into_iter().map(WireRecord::from).collect())
-            })
+            copy.map_or_else(error, |records| Response::Records(WireRecord::page(records, start)))
         }
         Request::InstallRecords { records } => {
             let records = records.into_iter().map(CopiedRecord::from).collect();
@@ -433,6 +432,13 @@ fn handle_request(inner: &Arc<NodeInner>, request: Request) -> Response {
             handle_rejoin(inner, epoch, last_committed, &failed, elections, &recv_base)
                 .unwrap_or_else(Response::Error)
         }
+        Request::Recovered { node } => match failed_flags(inner.config.num_nodes, &[node]) {
+            Ok(_) => {
+                inner.lock_node().clock.mark_recovered(node as NodeId);
+                Response::Ok
+            }
+            Err(message) => Response::Error(message),
+        },
         Request::Admin(query) => handle_admin(inner, query),
         // `connection_loop` stops the node once this answer is written.
         Request::Shutdown => Response::Ok,
@@ -765,6 +771,7 @@ mod tests {
             failed: vec![2],
         };
         assert!(matches!(conn.request(phase), Ok(Response::Error(_))));
+        assert!(matches!(conn.request(Request::Recovered { node: 2 }), Ok(Response::Error(_))));
         assert_eq!(epoch_of(&mut conn), 1, "a refused fence must not close the epoch");
     }
 

@@ -3,7 +3,7 @@
 //! cycle, and the deliberately-unsafe negative control.
 
 use star_chaos::{ChaosPlan, FaultOp, FaultSchedule, InjectionPoint, WorkloadSpec};
-use star_common::ClusterConfig;
+use star_common::{ClusterConfig, ReplicationStrategy};
 use star_net::LinkFaults;
 use std::time::Duration;
 
@@ -30,9 +30,10 @@ pub fn parity_config(
 /// A probabilistic wire-fault sweep plan: duplicates, delays and reorders
 /// on every link for two full iterations, then a clean tail iteration.
 /// Drops and corruption stay out — those lose committed replication writes,
-/// which only a fence-revert (a scheduled crash) may do, and mixing kills
-/// with probabilistic faults would split the wire and twin RNG streams
-/// (see [`crate::lower`]).
+/// which only a fence-revert (a scheduled crash) may do. Reordering is safe
+/// only under value replication (the Thomas write rule), so the plan
+/// replicates values: a reordered operation stream leaves replicas that
+/// disagree with the oracle.
 pub fn sweep_plan(seed: u64) -> ChaosPlan {
     let faults = LinkFaults {
         duplicate_probability: 0.2,
@@ -41,10 +42,11 @@ pub fn sweep_plan(seed: u64) -> ChaosPlan {
         extra_delay: Duration::from_millis(1),
         ..LinkFaults::none()
     };
+    let config = parity_config(3, 1, 6, seed);
     ChaosPlan {
         seed,
         label: format!("wire-fault sweep (seed {seed})"),
-        config: parity_config(3, 1, 6, seed),
+        config: ClusterConfig { replication_strategy: ReplicationStrategy::Value, ..config },
         workload: WorkloadSpec::Ycsb { rows_per_partition: 64 },
         iterations: 3,
         partitioned_txns: 12,
@@ -56,7 +58,7 @@ pub fn sweep_plan(seed: u64) -> ChaosPlan {
     }
 }
 
-/// The kill/recover cycle the ISSUE demands: a non-coordinator partial
+/// The kill/recover cycle: a non-coordinator partial
 /// node dies mid-epoch and is caught back up, then the master itself is
 /// killed (electing nobody — no full replica remains), recovered, and
 /// deterministically re-elected.

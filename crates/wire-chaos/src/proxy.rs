@@ -26,8 +26,10 @@
 //!
 //! Frames touching a node marked failed are swallowed **without rolling
 //! the plane RNG**, mirroring the simulated network's failed-node check,
-//! which short-circuits before any fault draw — so a kill/recover cycle
-//! leaves the surviving links' fault streams untouched.
+//! which short-circuits before any fault draw. That is what a crash is: the
+//! supervisor marks the node failed at the point the schedule names, the
+//! node keeps executing and sending into the void, and every link's fault
+//! stream stays the simulator's — through the kill and the recovery too.
 //!
 //! Proxy listen addresses are bound once and never change; a restarted
 //! node gets a fresh real address ([`ProxyMesh::set_target`]) while its

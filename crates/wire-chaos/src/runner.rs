@@ -1,18 +1,34 @@
 //! The wire chaos runner: drives a [`ChaosPlan`] against a real TCP
-//! cluster behind the fault-injecting proxy mesh, runs the in-memory
-//! simulation twin on the same (lowered) schedule, and compares the two
+//! cluster behind the fault-injecting proxy mesh, walks the in-memory
+//! simulation twin over the very same schedule, and compares the two
 //! trajectories byte-for-byte.
 //!
 //! The runner is the wire-side [`ChaosTarget`] of `star_chaos::walk` (the
 //! twin is the same walk over an [`EngineTarget`]). How the cluster is
 //! driven — phases, fences, epoch state, baselines, catch-up and rejoin — is
 //! `star_serverd`'s [`ClusterDriver`], the one `star-serverd`'s own `Run`
-//! uses; the runner is the *supervisor* around it: it lowers every schedule
-//! op to wire actions — `Crash` becomes a real process/server kill at the
-//! detecting fence (see [`crate::lower`]), `Recover` becomes a restart plus
-//! the driver's `rejoin`, link ops program the proxy fault plane — and it
-//! fences on what the proxies *delivered* rather than on what the senders
-//! report.
+//! uses; the runner is the *supervisor* around it. It carries out every
+//! schedule op at the point the schedule names, as the simulator does:
+//!
+//! * `Crash` *isolates* the node: from that point the proxies swallow every
+//!   frame to or from it without rolling the fault plane, while the node
+//!   keeps executing the epoch in flight — the simulator's crashed node,
+//!   whose messages vanish. The walk runs each phase as two count-budgeted
+//!   halves, so a crash at `MidPartitioned` lands between the same two
+//!   transactions on both sides. The fence that detects the crash kills the
+//!   process (SIGKILL, or server teardown in-process) before it fences the
+//!   survivors, who revert the epoch;
+//! * `Recover` restarts the node and has the driver catch it up and rejoin
+//!   it; `RecoverInterrupted` lands only its side effect (a crashed source
+//!   is isolated like any crash, a cut link is cut); link ops program the
+//!   proxy fault plane;
+//! * `Checkpoint` captures the twin's replicas for its disk verdict and
+//!   changes nothing a trajectory reads, so it has no wire action.
+//!   `TruncateWal` tears a WAL, and the wire has none yet: a plan carrying
+//!   one is refused before it runs.
+//!
+//! The runner fences on what the proxies *delivered* rather than on what the
+//! senders report.
 //!
 //! [`twin_violations`] is the comparison every wire-vs-twin check in the
 //! workspace makes:
@@ -24,14 +40,16 @@
 //!   under `encode_elections`;
 //! * every live node's replica digest must equal the twin's replica of the
 //!   same node id;
-//! * the merged wire history must pass the serializability checker.
+//! * the merged wire history must pass the serializability checker, and the
+//!   twin's healthy replicas — which the digests just equated with the live
+//!   wire nodes — must agree with each other and with the checker's oracle.
 
 use crate::cluster::{InProcessCluster, WireCluster};
-use crate::lower::lower_schedule;
 use crate::proxy::ProxyMesh;
+use star_chaos::checker::compare_with_database;
 use star_chaos::{
     build_workload, check_history, walk, ChaosPlan, ChaosTarget, EngineTarget, FaultOp,
-    InjectionPoint, WorkloadSpec,
+    WorkloadSpec,
 };
 use star_core::history::{CommittedTxn, HistoryRecorder};
 use star_core::{RecoveryFault, StarEngine};
@@ -52,8 +70,9 @@ pub struct WireReport {
     pub seed: u64,
     /// Transactions in the merged wire history.
     pub committed: u64,
-    /// Everything that went wrong: parity mismatches, serializability
-    /// violations, infeasible recoveries. Empty means the replay passed.
+    /// Everything that went wrong: parity mismatches, serializability and
+    /// oracle violations, infeasible recoveries. Empty means the replay
+    /// passed.
     pub violations: Vec<String>,
 }
 
@@ -80,7 +99,9 @@ pub fn twin_violations(
     let twin_elections = encode_elections(twin.elections());
     let mut violations = Vec::new();
     let mut wire_history = archived;
-    for (node, _) in driver.failed().into_iter().enumerate().filter(|(_, failed)| !failed) {
+    let nodes = driver.failed().into_iter().enumerate();
+    let live: Vec<usize> = nodes.filter(|(_, failed)| !failed).map(|(node, _)| node).collect();
+    for &node in &live {
         match driver.request(node, Request::Admin(AdminQuery::History))? {
             Response::History(txns) => wire_history.extend(txns.iter().map(|t| t.to_committed())),
             other => return Err(format!("node {node}: expected History, got {other:?}")),
@@ -134,24 +155,38 @@ pub fn twin_violations(
     if !report.is_serializable() {
         violations.push(format!("wire history is not serializable: {:?}", report.violation));
     }
+    // The wire's replicas are out of reach, but each live one digests equal
+    // to its twin (or a divergence is reported above), so the twin's
+    // replicas stand in for them in the checks the simulator's run makes.
+    if let Err(e) = twin.verify_replica_consistency() {
+        violations.push(format!("replica consistency: {e}"));
+    }
+    if report.is_serializable() {
+        for (node, twin_node) in live.iter().filter_map(|&n| Some((n, twin.nodes().get(n)?))) {
+            if let Err(e) = compare_with_database(twin_node.db(), &report.final_state) {
+                violations.push(format!("oracle vs node {node}: {e}"));
+            }
+        }
+    }
     Ok((wire_history.len() as u64, violations))
 }
 
 /// Replays `plan` against a cluster the caller booted behind `proxies`,
-/// plus the simulation twin, and returns the comparison. The schedule is
-/// lowered internally; plans carrying disk-simulation ops are an error.
+/// plus the simulation twin, and returns the comparison. Both walk the
+/// plan's own schedule; a plan that tears a WAL is refused, because the wire
+/// has no WAL to tear.
 pub fn replay_plan(
     plan: &ChaosPlan,
     cluster: &mut dyn WireCluster,
     proxies: &ProxyMesh,
 ) -> Result<WireReport, String> {
-    if plan.expect_disk_recovery {
+    let ops = plan.schedule.ops();
+    if let Some(torn) = ops.iter().find(|s| matches!(s.op, FaultOp::TruncateWal(..))) {
         return Err(format!(
-            "plan `{}` expects Case-4 disk recovery, which has no wire equivalent",
-            plan.label
+            "plan `{}` tears a WAL at iteration {} ({:?}), and the wire has no WAL yet",
+            plan.label, torn.iteration, torn.op
         ));
     }
-    let schedule = lower_schedule(&plan.schedule)?;
     proxies.seed(plan.seed);
 
     let addrs: Vec<String> = (0..plan.config.num_nodes).map(|n| cluster.control_addr(n)).collect();
@@ -161,15 +196,14 @@ pub fn replay_plan(
         proxies,
         driver,
         archived_history: Vec::new(),
-        pending_kills: Vec::new(),
+        isolated: Vec::new(),
         violations: Vec::new(),
     };
-    walk(plan, &schedule, &mut runner)?;
+    walk(plan, &mut runner)?;
     let WireRunner { mut driver, archived_history, mut violations, .. } = runner;
 
-    // The simulation twin: the same walk over the same lowered schedule.
     let mut twin = EngineTarget::new(plan).map_err(|e| format!("twin engine: {e}"))?;
-    walk(plan, &schedule, &mut twin)?;
+    walk(plan, &mut twin)?;
     let EngineTarget { engine: twin, recorder, violations: twin_violations_seen, .. } = twin;
     violations.extend(twin_violations_seen.into_iter().map(|v| format!("twin: {v}")));
 
@@ -261,19 +295,19 @@ struct WireRunner<'a> {
     /// Committed histories snapshotted from nodes at kill time (their
     /// recorders are volatile and die with the process).
     archived_history: Vec<CommittedTxn>,
-    /// Kills requested by `RecoverInterrupted(SourceCrash)` side effects;
-    /// executed at the next fence point, where the lowered schedule would
-    /// place them.
-    pending_kills: Vec<usize>,
+    /// Nodes a crash has isolated and no fence has detected yet, in crash
+    /// order: they keep executing while the proxies swallow their frames,
+    /// and the next fence kills them.
+    isolated: Vec<usize>,
     violations: Vec<String>,
 }
 
 impl WireRunner<'_> {
     fn apply_op(&mut self, op: &FaultOp) -> Result<(), String> {
         match op {
-            FaultOp::Crash(node) => return self.do_kill(*node),
-            FaultOp::Recover(node) => return self.do_recover(*node),
-            FaultOp::RecoverInterrupted(node, fault) => self.do_recover_interrupted(*node, *fault),
+            FaultOp::Crash(node) => self.isolate(*node),
+            FaultOp::Recover(node) => return self.recover(*node),
+            FaultOp::RecoverInterrupted(node, fault) => self.recover_interrupted(*node, *fault),
             FaultOp::CutLink(a, b) => self.proxies.cut_link(*a, *b),
             FaultOp::HealLink(a, b) => self.proxies.heal_link(*a, *b),
             FaultOp::SetLinkFaults(from, to, faults) => {
@@ -281,20 +315,29 @@ impl WireRunner<'_> {
             }
             FaultOp::SetDefaultFaults(faults) => self.proxies.set_default_faults(*faults),
             FaultOp::ClearFaults => self.proxies.clear_faults(),
-            // `lower_schedule` rejects these before the run starts.
-            FaultOp::Checkpoint | FaultOp::TruncateWal(..) => {
-                return Err(format!("unlowerable op {op:?} reached the wire runner"))
-            }
+            // Only the twin's disk verdict reads it; no replica changes.
+            FaultOp::Checkpoint => {}
+            // `replay_plan` refuses these before the run starts.
+            FaultOp::TruncateWal(..) => return Err(format!("{op:?} reached the wire runner")),
         }
         Ok(())
     }
 
-    /// Archives the node's committed history, then kills it for real. The
-    /// driver's next fence carries the node as failed.
-    fn do_kill(&mut self, node: usize) -> Result<(), String> {
-        if self.driver.failed().get(node) != Some(&false) {
-            return Ok(());
+    /// The simulator's crash: from now on the proxies swallow every frame to
+    /// or from `node` without a fault-plane roll, while the node keeps
+    /// executing until the fence that detects it. A node that is already
+    /// down or isolated is left alone.
+    fn isolate(&mut self, node: usize) {
+        if self.driver.failed().get(node) == Some(&false) && !self.isolated.contains(&node) {
+            self.proxies.set_node_failed(node, true);
+            self.isolated.push(node);
         }
+    }
+
+    /// A fence detects an isolated node: its committed history is archived
+    /// (the recorder dies with the process), then it is killed for real, and
+    /// the driver's fence carries it as failed.
+    fn kill(&mut self, node: usize) -> Result<(), String> {
         match self.driver.request(node, Request::Admin(AdminQuery::History))? {
             Response::History(txns) => {
                 self.archived_history.extend(txns.iter().map(|t| t.to_committed()));
@@ -302,15 +345,13 @@ impl WireRunner<'_> {
             other => return Err(format!("node {node}: expected History, got {other:?}")),
         }
         self.driver.mark_failed(node);
-        self.cluster.kill(node)?;
-        self.proxies.set_node_failed(node, true);
-        Ok(())
+        self.cluster.kill(node)
     }
 
     /// Restarts `node` and has the driver catch it up and rejoin it; its
     /// receive counters restart from what the proxies delivered to its
     /// address before the restart.
-    fn do_recover(&mut self, node: usize) -> Result<(), String> {
+    fn recover(&mut self, node: usize) -> Result<(), String> {
         if !self.recoverable(node) {
             return Ok(());
         }
@@ -325,10 +366,10 @@ impl WireRunner<'_> {
 
     /// The wire form of the engine's interrupted recovery: the target stays
     /// down (a fresh process never rejoined), and only the interruption's
-    /// side effect lands — a doomed source, or a cut source→target link.
+    /// side effect lands — a crashed source, or a cut source→target link.
     /// The state the engine's partial copy would leave behind is erased by
     /// the eventual full recovery, so omitting the copy is unobservable.
-    fn do_recover_interrupted(&mut self, node: usize, fault: RecoveryFault) {
+    fn recover_interrupted(&mut self, node: usize, fault: RecoveryFault) {
         if !self.recoverable(node) {
             return;
         }
@@ -337,7 +378,7 @@ impl WireRunner<'_> {
         let first = config.held_partitions(node).into_iter().next();
         let source = first.and_then(|p| config.recovery_source(&self.driver.failed(), node, p));
         match (fault, source) {
-            (RecoveryFault::SourceCrash, Some(source)) => self.pending_kills.push(source),
+            (RecoveryFault::SourceCrash, Some(source)) => self.isolate(source),
             (RecoveryFault::LinkCut, Some(source)) => self.proxies.cut_link(source, node),
             (RecoveryFault::TargetCrash, _) | (_, None) => {}
         }
@@ -380,33 +421,22 @@ impl ChaosTarget for WireRunner<'_> {
         self.driver.run_single_master(txns).map(|_| ())
     }
 
-    /// Applies the ops scheduled at `point`, plus any pending kills when the
-    /// point is a fence boundary. Ops touch the proxy fault plane, so
-    /// in-flight frames are settled first — the simulator applies ops between
-    /// stepped halves with nothing in flight.
-    fn inject(&mut self, point: InjectionPoint, ops: &[FaultOp]) -> Result<(), String> {
-        let fence_point =
-            matches!(point, InjectionPoint::BeforeFirstFence | InjectionPoint::BeforeSecondFence);
-        let must_flush_kills = fence_point && !self.pending_kills.is_empty();
-        if ops.is_empty() && !must_flush_kills {
-            return Ok(());
-        }
+    /// Ops touch the proxy fault plane, so in-flight frames are settled
+    /// first — the simulator applies ops between stepped halves with nothing
+    /// in flight.
+    fn inject(&mut self, ops: &[FaultOp]) -> Result<(), String> {
         self.settle()?;
-        for op in ops {
-            self.apply_op(op)?;
-        }
-        if fence_point {
-            for node in std::mem::take(&mut self.pending_kills) {
-                self.do_kill(node)?;
-            }
-        }
-        Ok(())
+        ops.iter().try_for_each(|op| self.apply_op(op))
     }
 
-    /// Closes the current epoch: once the mesh has settled, every live node
-    /// waits for exactly what the proxies delivered to it.
+    /// Closes the current epoch: once the mesh has settled, the nodes a
+    /// crash isolated are killed, and every live node waits for exactly what
+    /// the proxies delivered to it.
     fn fence(&mut self) -> Result<(), String> {
         self.settle()?;
+        for node in std::mem::take(&mut self.isolated) {
+            self.kill(node)?;
+        }
         self.driver.fence(&self.proxies.delivered_matrix())
     }
 }
