@@ -1,11 +1,12 @@
-//! Blocking frame I/O over any byte stream, and the one client-side
-//! connection built on it.
+//! Blocking frame I/O over any byte stream, the one client-side connection
+//! built on it, and the one listener that serves connections.
 //!
 //! `star-serverd` and `star-client` both speak frames over [`TcpStream`]s;
-//! this module is the one place that turns a byte stream into messages. The
-//! reader trusts nothing: the header is validated before `body_len` is used
-//! as a read size, and every decode failure surfaces as a typed
-//! [`DecodeError`] wrapped in [`io::ErrorKind::InvalidData`].
+//! this module is the one place that turns a byte stream into frames:
+//! [`read_frame`] cuts one off, [`read_message`] decodes it. The reader
+//! trusts nothing: the header is validated before `body_len` is used as a
+//! read size, and every decode failure surfaces as a typed [`DecodeError`]
+//! wrapped in [`io::ErrorKind::InvalidData`].
 //!
 //! [`Conn`] is how anything *dials* a node — the `Run` coordinator, the
 //! wire-chaos supervisor, `star-client`, `star-admin`, the parity tests —
@@ -19,12 +20,23 @@
 //! for its answer — so a caller holding connections to several nodes can
 //! write to all of them before reading from any: the nodes then work in
 //! parallel without the caller spawning a thread per node.
+//!
+//! [`Listener`] is how anything *serves*: a `star-serverd` node and each
+//! link of the wire-chaos proxy mesh. It blocks in `accept()`, hands every
+//! connection to a thread of its own, and [`Listener::close`] ends all of it
+//! at once, so a handler can block in its reads without polling a flag.
+//!
+//! [`DecodeError`]: crate::DecodeError
 
 use crate::frame::{decode_frame_header, FRAME_HEADER_LEN, MAX_BODY_LEN};
 use crate::message::{Request, Response, Role, WireMessage};
+use bytes::Bytes;
+use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How long [`Conn::connect`] keeps retrying while the target node boots
@@ -183,27 +195,176 @@ pub fn write_message<W: Write>(writer: &mut W, message: &WireMessage) -> io::Res
     writer.write_all(&frame)
 }
 
-/// Reads exactly one frame from `reader` and decodes it.
+fn invalid_data(e: crate::DecodeError) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e)
+}
+
+/// Reads exactly one frame from `reader` and returns it whole, header
+/// included, as raw bytes — what a forwarding proxy wants. Only the header
+/// is validated (the body may still fail [`WireMessage::decode`]); a stream
+/// that ends before the frame does is [`io::ErrorKind::UnexpectedEof`].
+pub fn read_frame<R: Read>(reader: &mut R) -> io::Result<Bytes> {
+    let mut header = [0u8; FRAME_HEADER_LEN];
+    reader.read_exact(&mut header)?;
+    let body_len = decode_frame_header(&header).map_err(invalid_data)?.body_len;
+    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + body_len);
+    frame.extend_from_slice(&header);
+    frame.resize(FRAME_HEADER_LEN + body_len, 0);
+    reader.read_exact(frame.get_mut(FRAME_HEADER_LEN..).unwrap_or_default())?;
+    Ok(Bytes::from(frame))
+}
+
+/// Reads exactly one frame from `reader` ([`read_frame`]) and decodes it.
 ///
-/// Errors pass through from the underlying reader (including timeouts on
-/// sockets with a read deadline, which callers use to poll a shutdown flag);
-/// malformed frames become [`io::ErrorKind::InvalidData`] carrying the
+/// Errors pass through from the underlying reader; malformed frames become
+/// [`io::ErrorKind::InvalidData`] carrying the
 /// [`DecodeError`](crate::DecodeError) as their source.
 pub fn read_message<R: Read>(reader: &mut R) -> io::Result<WireMessage> {
-    let mut header_raw = [0u8; FRAME_HEADER_LEN];
-    reader.read_exact(&mut header_raw)?;
-    let header = decode_frame_header(&header_raw)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    let mut body = vec![0u8; header.body_len];
-    reader.read_exact(&mut body)?;
-    WireMessage::decode_body(header.kind, &body)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    let frame = read_frame(reader)?;
+    WireMessage::decode(&frame).map(|(message, _)| message).map_err(invalid_data)
+}
+
+/// A TCP listener that serves every connection on a thread of its own.
+///
+/// The accept thread blocks in `accept()`; each accepted stream gets
+/// `TCP_NODELAY` and is handed to the handler on a new thread. The listener
+/// keeps a registry of the connections it is serving, and drops an entry
+/// when its handler returns. [`close`](Self::close) shuts every registered
+/// connection down, so a handler blocked in a read sees end-of-stream, and
+/// stops the accept thread; dropping the listener closes it and joins the
+/// accept thread, after which the port refuses connections. A handler still
+/// busy with a request finishes it on its own thread.
+#[derive(Debug)]
+pub struct Listener {
+    closer: Closer,
+    accept: Option<JoinHandle<()>>,
+}
+
+/// Closes a [`Listener`] from anywhere, one of its own connection threads
+/// included (a `Shutdown` request answered on a connection closes the node).
+#[derive(Clone, Debug)]
+pub struct Closer(Arc<Mutex<Open>>);
+
+/// The registry of a [`Listener`]'s open connections.
+#[derive(Debug)]
+struct Open {
+    /// Where [`Closer::close`] dials to wake the blocked `accept()` (a dial
+    /// to an unspecified address such as `0.0.0.0` reaches loopback).
+    wake: SocketAddr,
+    closed: bool,
+    next_id: u64,
+    /// A clone of every stream a handler is serving, by registration id.
+    streams: BTreeMap<u64, TcpStream>,
+}
+
+/// A registration, dropped (and so removed) when its handler returns.
+struct Entry {
+    closer: Closer,
+    id: u64,
+}
+
+impl Drop for Entry {
+    fn drop(&mut self) {
+        self.closer.open().streams.remove(&self.id);
+    }
+}
+
+impl Listener {
+    /// Starts serving `listener`: the accept thread is named `name`, each
+    /// connection thread `name-conn`, and every accepted stream is handed to
+    /// `handler` together with a [`Closer`] for this listener.
+    pub fn serve<F>(listener: TcpListener, name: &str, handler: F) -> io::Result<Listener>
+    where
+        F: Fn(TcpStream, &Closer) + Send + Sync + 'static,
+    {
+        let open = Open {
+            wake: listener.local_addr()?,
+            closed: false,
+            next_id: 0,
+            streams: BTreeMap::new(),
+        };
+        let closer = Closer(Arc::new(Mutex::new(open)));
+        let accept_closer = closer.clone();
+        let conn_name = format!("{name}-conn");
+        let accept = std::thread::Builder::new()
+            .name(name.to_string())
+            .spawn(move || accept_loop(&listener, &accept_closer, &conn_name, Arc::new(handler)))?;
+        Ok(Listener { closer, accept: Some(accept) })
+    }
+
+    /// Shuts down every open connection and stops accepting; idempotent.
+    pub fn close(&self) {
+        self.closer.close();
+    }
+}
+
+impl Drop for Listener {
+    fn drop(&mut self) {
+        self.close();
+        if let Some(accept) = self.accept.take() {
+            let _ = accept.join();
+        }
+    }
+}
+
+impl Closer {
+    fn open(&self) -> MutexGuard<'_, Open> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Registers `stream` for [`close`](Self::close); `None` once closed, or
+    /// when the stream cannot be cloned (out of descriptors, which ends the
+    /// accept loop as an accept error would).
+    fn register(&self, stream: &TcpStream) -> Option<Entry> {
+        let clone = stream.try_clone().ok()?;
+        let mut open = self.open();
+        if open.closed {
+            return None;
+        }
+        open.next_id += 1;
+        let id = open.next_id;
+        open.streams.insert(id, clone);
+        Some(Entry { closer: self.clone(), id })
+    }
+
+    /// Shuts down every open connection and wakes the accept thread, which
+    /// then exits; idempotent.
+    pub fn close(&self) {
+        let (wake, streams) = {
+            let mut open = self.open();
+            if std::mem::replace(&mut open.closed, true) {
+                return;
+            }
+            (open.wake, std::mem::take(&mut open.streams))
+        };
+        for stream in streams.values() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        let _ = TcpStream::connect(wake);
+    }
+}
+
+fn accept_loop<F>(listener: &TcpListener, closer: &Closer, name: &str, handler: Arc<F>)
+where
+    F: Fn(TcpStream, &Closer) + Send + Sync + 'static,
+{
+    for stream in listener.incoming() {
+        let Ok(stream) = stream else { break };
+        let Some(entry) = closer.register(&stream) else { break };
+        let _ = stream.set_nodelay(true);
+        let handler = Arc::clone(&handler);
+        // A failed spawn drops the closure, and with it the registration.
+        let _ = std::thread::Builder::new().name(name.to_string()).spawn(move || {
+            handler(stream, &entry.closer);
+            drop(entry);
+        });
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
+    use crate::DecodeError;
 
     #[test]
     fn messages_round_trip_through_a_stream() {
@@ -212,8 +373,9 @@ mod tests {
         let b = WireMessage::Request { id: 2, body: Request::Shutdown };
         write_message(&mut buf, &a).unwrap();
         write_message(&mut buf, &b).unwrap();
+        // Back to back: the first comes off raw, its bytes kept exactly.
         let mut cursor = buf.as_slice();
-        assert_eq!(read_message(&mut cursor).unwrap(), a);
+        assert_eq!(read_frame(&mut cursor).unwrap(), a.encode());
         assert_eq!(read_message(&mut cursor).unwrap(), b);
         assert!(cursor.is_empty());
     }
@@ -244,6 +406,9 @@ mod tests {
         let mut cursor = raw.as_slice();
         let err = read_message(&mut cursor).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // The typed cause rides along as the error's source.
+        let source = err.into_inner().and_then(|e| e.downcast::<DecodeError>().ok());
+        assert!(matches!(source.as_deref(), Some(DecodeError::BadMagic(_))), "{source:?}");
     }
 
     /// A one-connection fake node: acknowledges the handshake, then answers

@@ -14,8 +14,9 @@
 //! * [`message`] — the message bodies: handshakes, correlation-id-tagged
 //!   requests/responses, and zero-copy replication batches, each layout
 //!   declared once in a table that generates its encoder and its decoder;
-//! * [`stream`] — [`FrameBuffer`], incremental frame reassembly for
-//!   non-blocking readers (server connection loops, the wire-chaos proxy);
+//! * [`io`] — blocking frame I/O: [`read_frame`] / [`read_message`] /
+//!   [`write_message`], the dialling [`Conn`], and the serving [`Listener`]
+//!   (`star-serverd`'s nodes, the wire-chaos proxy mesh);
 //! * [`error`] — typed [`DecodeError`]s. Decoding arbitrary bytes never
 //!   panics; `star-lint` keeps this crate's `src/` in panic-freedom scope.
 
@@ -27,17 +28,18 @@ pub mod error;
 pub mod frame;
 pub mod io;
 pub mod message;
-pub mod stream;
 
 pub use error::DecodeError;
 pub use frame::{
     decode_frame_header, encode_frame_header, FrameHeader, FRAME_HEADER_LEN, FRAME_MAGIC,
     MAX_BODY_LEN, PROTOCOL_VERSION,
 };
-pub use io::{connect_with_retry, read_message, write_message, Conn, CONNECT_TIMEOUT};
+pub use io::{
+    connect_with_retry, read_frame, read_message, write_message, Closer, Conn, Listener,
+    CONNECT_TIMEOUT,
+};
 pub use message::{
     decode_entries, encode_elections, encode_entries, encode_history, replication_frame,
     replication_frame_encoded, AdminQuery, Request, Response, Role, WireElection, WireMessage,
     WirePhase, WireRecord, WireStatus, WireTxn, RECORD_PAGE_BYTES,
 };
-pub use stream::FrameBuffer;

@@ -11,9 +11,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use star_common::{FieldValue, Operation, Row, Tid};
 use star_proto::{
-    decode_entries, decode_frame_header, encode_frame_header, AdminQuery, DecodeError, FrameBuffer,
-    Request, Response, Role, WireElection, WireMessage, WirePhase, WireRecord, WireStatus, WireTxn,
-    FRAME_HEADER_LEN, MAX_BODY_LEN,
+    decode_entries, decode_frame_header, encode_frame_header, read_message, AdminQuery,
+    DecodeError, Request, Response, Role, WireElection, WireMessage, WirePhase, WireRecord,
+    WireStatus, WireTxn, FRAME_HEADER_LEN, MAX_BODY_LEN,
 };
 use star_replication::{LogEntry, Payload};
 
@@ -439,43 +439,49 @@ fn oversized_lengths_are_typed() {
     }
 }
 
-/// Byte-dribble lane: every generated frame fed one byte at a time through
-/// the buffered incremental reader decodes to exactly the all-at-once result,
-/// with no message surfacing early and no panic at any intermediate length.
+/// A reader that hands over one byte per `read` call: the most chunked
+/// stream a socket can produce.
+struct Dribble<'a>(&'a [u8]);
+
+impl std::io::Read for Dribble<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let (Some(slot), Some((&byte, rest))) = (buf.first_mut(), self.0.split_first()) else {
+            return Ok(0);
+        };
+        *slot = byte;
+        self.0 = rest;
+        Ok(1)
+    }
+}
+
+/// Byte-dribble lane: every generated frame read one byte at a time through
+/// the blocking reader decodes to exactly the all-at-once result, and the
+/// reader stops at the frame's last byte.
 #[test]
 fn byte_dribble_matches_whole_frame_decode() {
     let mut rng = StdRng::seed_from_u64(0xD81B);
     for case in 0..300 {
-        let msg = gen_message(&mut rng);
-        let frame = msg.encode();
-        let mut fb = FrameBuffer::new();
-        for (i, byte) in frame.iter().enumerate() {
-            fb.push(std::slice::from_ref(byte));
-            let got = fb.next_message().unwrap_or_else(|e| panic!("case {case} byte {i}: {e}"));
-            if i + 1 < frame.len() {
-                assert!(got.is_none(), "case {case}: message surfaced at byte {i}");
-            } else {
-                assert_eq!(got, Some(msg.clone()), "case {case}");
-            }
-        }
-        assert!(!fb.has_partial(), "case {case}: bytes left over");
+        let frame = gen_message(&mut rng).encode();
+        let (whole, _) = WireMessage::decode(&frame).unwrap();
+        let mut dribble = Dribble(&frame);
+        let got = read_message(&mut dribble).unwrap_or_else(|e| panic!("case {case}: {e}"));
+        assert_eq!(got, whole, "case {case}");
+        assert!(dribble.0.is_empty(), "case {case}: bytes left over");
     }
 }
 
-/// Mid-frame EOF through the incremental reader: any strict prefix of a
-/// valid frame leaves the buffer waiting (a partial frame), never panicking
-/// and never yielding a message.
+/// Mid-frame EOF through the blocking reader: any strict prefix of a valid
+/// frame, dribbled, ends in `UnexpectedEof` — never a message, never a panic.
 #[test]
 fn dribbled_prefixes_never_yield_or_panic() {
     let mut rng = StdRng::seed_from_u64(0xE0F);
     for case in 0..120 {
         let frame = gen_message(&mut rng).encode();
         let cut = rng.gen_range(0..frame.len());
-        let mut fb = FrameBuffer::new();
-        fb.push(&frame[..cut]);
-        let got = fb.next_message().unwrap_or_else(|e| panic!("case {case} cut {cut}: {e}"));
-        assert!(got.is_none(), "case {case}: message from a strict prefix");
-        assert_eq!(fb.has_partial(), cut > 0, "case {case}");
+        match read_message(&mut Dribble(&frame[..cut])) {
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "case {case}"),
+            Ok(message) => panic!("case {case} cut {cut}: a strict prefix yielded {message:?}"),
+        }
     }
 }
 

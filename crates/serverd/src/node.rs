@@ -11,10 +11,10 @@
 //! A serving node keeps nothing per transaction that nobody asked for: the
 //! committed-history recorder is attached only when the bootstrap says
 //! `record_history = true` (or through [`NodeServer::start_with_history`]).
-//! And what waits, blocks on what it waits for: a fence on the condition
-//! variable the arriving replication signals, [`NodeServer::wait`] on the
-//! shutdown latch. The one poll left is the listener's (a non-blocking
-//! `accept()` every 2 ms); ROADMAP item 6 says why it is still there.
+//! And what waits, blocks on what it waits for: the listener in `accept()`,
+//! a connection in its read, a fence on the condition variable the arriving
+//! replication signals, [`NodeServer::wait`] on the shutdown latch. Shutting
+//! down closes the [`Listener`], which ends every connection's read at once.
 //!
 //! ## The connection state machine
 //!
@@ -62,11 +62,11 @@ use star_core::messages::ReplicationBatch;
 use star_core::node::{CopiedRecord, StarNode};
 use star_core::workload::Workload;
 use star_proto::{
-    write_message, AdminQuery, FrameBuffer, Request, Response, WireElection, WireMessage,
-    WirePhase, WireRecord, WireStatus, WireTxn,
+    read_message, write_message, AdminQuery, Closer, Listener, Request, Response, WireElection,
+    WireMessage, WirePhase, WireRecord, WireStatus, WireTxn,
 };
 use star_storage::Database;
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -91,8 +91,8 @@ struct Inbox {
     received: Vec<u64>,
 }
 
-/// Shared state of one node, owned by the listener and every connection
-/// thread. Locks nest `runs` → `node` → `inbox` (lock-order.manifest).
+/// Shared state of one node, owned by every connection thread. Locks nest
+/// `runs` → `node` → `inbox` (lock-order.manifest).
 pub(crate) struct NodeInner {
     pub(crate) id: NodeId,
     pub(crate) config: ClusterConfig,
@@ -109,10 +109,10 @@ pub(crate) struct NodeInner {
     stopped_signal: Condvar,
 }
 
-/// A running node: its listener thread plus shared state.
+/// A running node: its listener plus shared state.
 pub struct NodeServer {
     inner: Arc<NodeInner>,
-    listener_thread: Option<std::thread::JoinHandle<()>>,
+    listener: Listener,
     addr: String,
 }
 
@@ -229,15 +229,11 @@ impl NodeServer {
             stopped_signal: Condvar::new(),
         });
         let addr = listener.local_addr().map(|a| a.to_string()).unwrap_or(fallback_addr);
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| Error::Config(format!("listener setup: {e}")))?;
-        let accept_inner = Arc::clone(&inner);
-        let listener_thread = std::thread::Builder::new()
-            .name(format!("star-serverd-{id}"))
-            .spawn(move || accept_loop(listener, accept_inner))
+        let conn_inner = Arc::clone(&inner);
+        let handler = move |stream, closer: &Closer| connection_loop(stream, &conn_inner, closer);
+        let listener = Listener::serve(listener, &format!("star-serverd-{id}"), handler)
             .map_err(|e| Error::Config(format!("spawn listener: {e}")))?;
-        Ok(NodeServer { inner, listener_thread: Some(listener_thread), addr })
+        Ok(NodeServer { inner, listener, addr })
     }
 
     /// The address the node is actually listening on.
@@ -245,10 +241,11 @@ impl NodeServer {
         &self.addr
     }
 
-    /// Requests shutdown; the listener and connection threads exit within
-    /// one poll interval.
+    /// Shuts the node down: sets the latch [`wait`](Self::wait) parks on,
+    /// and closes the listener and every connection it serves.
     pub fn shutdown(&self) {
         self.inner.shutdown();
+        self.listener.close();
     }
 
     /// Whether a shutdown has been requested (over the wire or locally).
@@ -268,11 +265,9 @@ impl NodeServer {
 }
 
 impl Drop for NodeServer {
+    /// Shuts down; dropping the listener then joins its accept thread.
     fn drop(&mut self) {
         self.shutdown();
-        if let Some(handle) = self.listener_thread.take() {
-            let _ = handle.join();
-        }
     }
 }
 
@@ -282,62 +277,23 @@ pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn accept_loop(listener: TcpListener, inner: Arc<NodeInner>) {
-    while !inner.is_shutdown() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nodelay(true);
-                let conn_inner = Arc::clone(&inner);
-                let _ = std::thread::Builder::new()
-                    .name(format!("star-serverd-{}-conn", inner.id))
-                    .spawn(move || connection_loop(stream, conn_inner));
-            }
-            Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => break,
+/// Serves one connection until its peer hangs up, it sends something a
+/// server never expects, or the node shuts down.
+fn connection_loop(stream: TcpStream, inner: &NodeInner, closer: &Closer) {
+    let mut reader = BufReader::with_capacity(64 * 1024, &stream);
+    let mut writer = &stream;
+    while let Ok(message) = read_message(&mut reader) {
+        // A shut-down socket still hands over what was already buffered.
+        if inner.is_shutdown() {
+            break;
         }
-    }
-}
-
-/// Reads one frame from `stream`, buffering partial data in `buf` across
-/// read timeouts so a timeout can never split a frame.
-fn poll_frame(stream: &mut TcpStream, buf: &mut FrameBuffer) -> io::Result<WireMessage> {
-    loop {
-        if let Some(message) =
-            buf.next_message().map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
-        {
-            return Ok(message);
-        }
-        let mut chunk = [0u8; 64 * 1024];
-        match stream.read(&mut chunk) {
-            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-            Ok(n) => buf.push(&chunk[..n]),
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-fn connection_loop(mut stream: TcpStream, inner: Arc<NodeInner>) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let mut buf = FrameBuffer::new();
-    while !inner.is_shutdown() {
-        let message = match poll_frame(&mut stream, &mut buf) {
-            Ok(message) => message,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => break,
-        };
         match message {
             WireMessage::Hello { .. } => {
                 let ack = WireMessage::HelloAck {
                     node: inner.id as u32,
                     num_nodes: inner.config.num_nodes as u32,
                 };
-                if write_message(&mut stream, &ack).is_err() {
+                if write_message(&mut writer, &ack).is_err() {
                     break;
                 }
             }
@@ -365,9 +321,10 @@ fn connection_loop(mut stream: TcpStream, inner: Arc<NodeInner>) {
                 // A shutdown is acknowledged before it happens: once the
                 // latch is set, `wait` returns and the process may exit.
                 let stop = matches!(body, Request::Shutdown);
-                let written = answer(&mut stream, id, handle_request(&inner, body));
+                let written = answer(&mut writer, id, handle_request(inner, body));
                 if stop {
                     inner.shutdown();
+                    closer.close();
                 }
                 if written.is_err() {
                     break;
@@ -390,7 +347,7 @@ fn answer(stream: &mut impl Write, id: u64, response: Response) -> io::Result<()
     }
 }
 
-fn handle_request(inner: &Arc<NodeInner>, request: Request) -> Response {
+fn handle_request(inner: &NodeInner, request: Request) -> Response {
     match request {
         Request::Ping => Response::Pong,
         Request::Get { table, partition, key } => handle_get(inner, table, partition as usize, key),
@@ -842,5 +799,24 @@ mod tests {
         assert_eq!(replica_digest(&a), replica_digest(b.db()), "identical replicas digest equal");
         b.install(vec![record(0).into()]).expect("write");
         assert_ne!(replica_digest(&a).1, replica_digest(b.db()).1, "a divergent row changes it");
+    }
+
+    #[test]
+    fn shutdown_closes_an_idle_connection_and_drop_frees_the_port() {
+        let (mut listeners, boot) = test_bootstrap(1);
+        let server = NodeServer::start_on(listeners.remove(0), &boot, 0).expect("start");
+        let addr = server.local_addr().to_string();
+        // Handshaken, so the node is serving it, and silent since.
+        let mut idle = Conn::connect(&addr, Role::Client, 0).expect("connect");
+
+        server.shutdown();
+        // An answer to a request never sent: all it can read is the end.
+        let eof = idle.recv(0..1).expect_err("a closed connection");
+        assert_eq!(eof.kind(), io::ErrorKind::UnexpectedEof);
+        let started = Instant::now();
+        drop(server);
+        assert!(started.elapsed() < Duration::from_secs(1), "drop took {:?}", started.elapsed());
+        let refused = TcpStream::connect(&addr).expect_err("the port still accepts");
+        assert_eq!(refused.kind(), io::ErrorKind::ConnectionRefused);
     }
 }

@@ -78,11 +78,9 @@ impl WireCluster for InProcessCluster {
     }
 
     fn kill(&mut self, node: usize) -> Result<(), String> {
-        if let Some(server) = self.servers[node].take() {
-            server.shutdown();
-            // Dropping joins the listener; connection threads notice the
-            // shutdown flag within their read timeout.
-        }
+        // Dropping a server shuts it down: every connection's read ends,
+        // the accept thread is joined and the port is freed.
+        self.servers[node] = None;
         Ok(())
     }
 
@@ -91,14 +89,6 @@ impl WireCluster for InProcessCluster {
         let addr = server.local_addr().to_string();
         self.servers[node] = Some(server);
         Ok(addr)
-    }
-}
-
-impl Drop for InProcessCluster {
-    fn drop(&mut self) {
-        for server in self.servers.iter().flatten() {
-            server.shutdown();
-        }
     }
 }
 

@@ -4,8 +4,9 @@
 //! Every `star-serverd` node is booted with an address book that points at
 //! proxies instead of peers: node `i`'s entry for peer `j` is the listen
 //! address of proxy link `i → j`, whose forward side dials node `j`'s real
-//! address. The proxy reassembles replication frames with the shared
-//! [`FrameBuffer`] and rolls each one through the *same*
+//! address. Each link serves its inbound connections with the shared
+//! [`Listener`], cuts replication frames off them with the shared blocking
+//! [`read_frame`], and rolls each one through the *same*
 //! [`FaultPlane`] the simulator uses — same seed and same per-link frame
 //! sequence produce byte-for-byte the same drop / delay / duplicate /
 //! reorder / corrupt / cut verdicts at the socket layer.
@@ -38,13 +39,13 @@
 
 use bytes::Bytes;
 use star_net::{FaultPlane, FaultVerdict, LinkFaults};
-use star_proto::{FrameBuffer, WireMessage};
+use star_proto::{read_frame, Closer, Listener, WireMessage};
 use star_replication::{encode_entry_block, split_entry_block};
 use std::collections::BTreeSet;
-use std::io::{Read, Write};
+use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How long forward connects retry (the destination may be restarting).
@@ -80,12 +81,23 @@ struct MeshInner {
     failed: Mutex<BTreeSet<usize>>,
     /// Dense `(from, to)` table; the diagonal entries are `None`.
     links: Vec<Option<Arc<Link>>>,
-    shutdown: AtomicBool,
+    /// Held while a link's `settled` count moves, so that
+    /// [`ProxyMesh::wait_settled`] can sleep on `settled_moved` without
+    /// missing a wake-up.
+    settling: Mutex<()>,
+    settled_moved: Condvar,
 }
 
 impl MeshInner {
     fn link(&self, from: usize, to: usize) -> &Arc<Link> {
         self.links[from * self.num_nodes + to].as_ref().expect("no self link")
+    }
+
+    /// Counts one frame of `link` as settled and wakes `wait_settled`.
+    fn settle(&self, link: &Link) {
+        let _settling = self.settling.lock().unwrap_or_else(PoisonError::into_inner);
+        link.settled.fetch_add(1, Ordering::SeqCst);
+        self.settled_moved.notify_all();
     }
 }
 
@@ -93,11 +105,11 @@ impl MeshInner {
 /// fault plane and failed-node set.
 pub struct ProxyMesh {
     inner: Arc<MeshInner>,
-    accept_threads: Vec<std::thread::JoinHandle<()>>,
+    listeners: Vec<Listener>,
 }
 
 impl ProxyMesh {
-    /// Binds one listener per directed link and starts the accept loops.
+    /// Binds one listener per directed link and starts serving them.
     pub fn start(num_nodes: usize) -> std::io::Result<ProxyMesh> {
         let mut links: Vec<Option<Arc<Link>>> = Vec::with_capacity(num_nodes * num_nodes);
         let mut listeners: Vec<(Arc<Link>, TcpListener)> = Vec::new();
@@ -108,7 +120,6 @@ impl ProxyMesh {
                     continue;
                 }
                 let listener = TcpListener::bind("127.0.0.1:0")?;
-                listener.set_nonblocking(true)?;
                 let link = Arc::new(Link {
                     from,
                     to,
@@ -128,16 +139,19 @@ impl ProxyMesh {
             plane: FaultPlane::default(),
             failed: Mutex::new(BTreeSet::new()),
             links,
-            shutdown: AtomicBool::new(false),
+            settling: Mutex::new(()),
+            settled_moved: Condvar::new(),
         });
-        let accept_threads = listeners
+        let listeners = listeners
             .into_iter()
             .map(|(link, listener)| {
+                let name = format!("star-proxy-{}-{}", link.from, link.to);
                 let inner = Arc::clone(&inner);
-                std::thread::spawn(move || accept_loop(inner, link, listener))
+                let serve = move |stream, _: &Closer| serve_inbound(&inner, &link, stream);
+                Listener::serve(listener, &name, serve)
             })
-            .collect();
-        Ok(ProxyMesh { inner, accept_threads })
+            .collect::<std::io::Result<_>>()?;
+        Ok(ProxyMesh { inner, listeners })
     }
 
     /// Number of nodes the mesh proxies for.
@@ -242,6 +256,7 @@ impl ProxyMesh {
     /// converges for dead senders too.
     pub fn wait_settled(&self, shipped: &[Vec<u64>], timeout: Duration) -> Result<(), String> {
         let deadline = Instant::now() + timeout;
+        let mut settling = self.inner.settling.lock().unwrap_or_else(PoisonError::into_inner);
         for (from, row) in shipped.iter().enumerate().take(self.inner.num_nodes) {
             for (to, &sent) in row.iter().enumerate().take(self.inner.num_nodes) {
                 if from == to {
@@ -254,13 +269,19 @@ impl ProxyMesh {
                     if ingested >= sent && settled == ingested {
                         break;
                     }
-                    if Instant::now() >= deadline {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
                         return Err(format!(
                             "link {from}→{to} not settled: shipped {sent}, ingested {ingested}, \
                              settled {settled}"
                         ));
                     }
-                    std::thread::sleep(Duration::from_millis(1));
+                    settling = self
+                        .inner
+                        .settled_moved
+                        .wait_timeout(settling, left)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0;
                 }
             }
         }
@@ -280,70 +301,23 @@ impl ProxyMesh {
         }
     }
 
-    /// Stops the accept loops. Forwarding threads drain on their own.
+    /// Stops accepting and ends every inbound connection; a frame already
+    /// being processed finishes. Dropping the mesh does the same and joins
+    /// the accept threads.
     pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-    }
-}
-
-impl Drop for ProxyMesh {
-    fn drop(&mut self) {
-        self.shutdown();
-        for handle in self.accept_threads.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn accept_loop(inner: Arc<MeshInner>, link: Arc<Link>, listener: TcpListener) {
-    while !inner.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let inner = Arc::clone(&inner);
-                let link = Arc::clone(&link);
-                std::thread::spawn(move || serve_inbound(inner, link, stream));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => break,
+        for listener in &self.listeners {
+            listener.close();
         }
     }
 }
 
 /// Reads frames off one inbound connection (the sender's mesh stream) and
-/// pushes each through the fault plane.
-fn serve_inbound(inner: Arc<MeshInner>, link: Arc<Link>, stream: TcpStream) {
-    let mut stream = stream;
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let mut frames = FrameBuffer::new();
-    let mut chunk = [0u8; 64 * 1024];
-    loop {
-        // Drain completed frames before reading more.
-        loop {
-            match frames.next_frame() {
-                Ok(Some(frame)) => process_frame(&inner, &link, frame),
-                Ok(None) => break,
-                // Not self-resynchronising: drop the connection like the
-                // server's own reader does.
-                Err(_) => return,
-            }
-        }
-        if inner.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return,
-            Ok(n) => frames.push(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => return,
-        }
+/// pushes each through the fault plane. A malformed frame ends the
+/// connection, as it does at a node.
+fn serve_inbound(inner: &MeshInner, link: &Arc<Link>, stream: TcpStream) {
+    let mut reader = BufReader::with_capacity(64 * 1024, stream);
+    while let Ok(frame) = read_frame(&mut reader) {
+        process_frame(inner, link, frame);
     }
 }
 
@@ -356,7 +330,7 @@ fn process_frame(inner: &MeshInner, link: &Arc<Link>, frame: Bytes) {
     if touching_failed {
         // Mirrors the simulated network: the failed-node check precedes any
         // fault draw, so the surviving links' RNG streams are unperturbed.
-        link.settled.fetch_add(1, Ordering::SeqCst);
+        inner.settle(link);
         return;
     }
     match inner.plane.roll(link.from, link.to) {
@@ -382,7 +356,7 @@ fn process_frame(inner: &MeshInner, link: &Arc<Link>, frame: Bytes) {
             flush_stash(inner, link);
         }
     }
-    link.settled.fetch_add(1, Ordering::SeqCst);
+    inner.settle(link);
 }
 
 fn sleep_nonzero(delay: Duration) {
@@ -465,59 +439,35 @@ fn connect_forward(link: &Arc<Link>) -> Option<TcpStream> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use star_proto::replication_frame_encoded;
+    use star_proto::{read_message, replication_frame_encoded};
     use star_replication::{EncodedEntry, LogEntry, Payload};
+    use std::io::Read;
 
-    /// A little sink server that counts and returns the frames it receives.
+    /// A little sink server that collects the frames it receives.
     struct Sink {
         addr: String,
         frames: Arc<Mutex<Vec<WireMessage>>>,
-        done: Arc<AtomicBool>,
-        handle: Option<std::thread::JoinHandle<()>>,
+        _listener: Listener,
     }
 
     impl Sink {
         fn start() -> Sink {
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            listener.set_nonblocking(true).unwrap();
             let addr = listener.local_addr().unwrap().to_string();
-            let frames: Arc<Mutex<Vec<WireMessage>>> = Arc::new(Mutex::new(Vec::new()));
-            let done = Arc::new(AtomicBool::new(false));
-            let (frames2, done2) = (Arc::clone(&frames), Arc::clone(&done));
-            let handle = std::thread::spawn(move || {
-                let mut conns: Vec<(TcpStream, FrameBuffer)> = Vec::new();
-                let mut chunk = [0u8; 4096];
-                while !done2.load(Ordering::SeqCst) {
-                    if let Ok((s, _)) = listener.accept() {
-                        s.set_nonblocking(true).unwrap();
-                        conns.push((s, FrameBuffer::new()));
-                    }
-                    for (stream, fb) in &mut conns {
-                        match stream.read(&mut chunk) {
-                            Ok(n) if n > 0 => fb.push(&chunk[..n]),
-                            _ => {}
-                        }
-                        while let Ok(Some(message)) = fb.next_message() {
-                            frames2.lock().unwrap().push(message);
-                        }
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
+            let frames: Arc<Mutex<Vec<WireMessage>>> = Arc::default();
+            let collected = Arc::clone(&frames);
+            let serve = move |stream, _: &Closer| {
+                let mut reader = BufReader::new(stream);
+                while let Ok(message) = read_message(&mut reader) {
+                    collected.lock().unwrap().push(message);
                 }
-            });
-            Sink { addr, frames, done, handle: Some(handle) }
+            };
+            let listener = Listener::serve(listener, "sink", serve).unwrap();
+            Sink { addr, frames, _listener: listener }
         }
 
         fn received(&self) -> Vec<WireMessage> {
             self.frames.lock().unwrap().clone()
-        }
-    }
-
-    impl Drop for Sink {
-        fn drop(&mut self) {
-            self.done.store(true, Ordering::SeqCst);
-            if let Some(h) = self.handle.take() {
-                let _ = h.join();
-            }
         }
     }
 
@@ -637,5 +587,26 @@ mod tests {
             entry(0).decode().unwrap().payload,
             "payload must be corrupted"
         );
+    }
+
+    /// Closing the mesh ends an idle inbound connection, dropping it returns
+    /// at once, and the link's port then refuses connections.
+    #[test]
+    fn shutdown_closes_an_idle_inbound_connection_and_drop_frees_the_port() {
+        let mesh = ProxyMesh::start(2).unwrap();
+        let addr = mesh.proxy_addr(0, 1);
+        let mut idle = TcpStream::connect(&addr).unwrap();
+        idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        // One frame, settled, proves the link is serving the connection.
+        idle.write_all(&replication_frame_encoded(0, 1, &[entry(0)]).encode()).unwrap();
+        mesh.wait_settled(&[vec![0, 1], vec![0, 0]], Duration::from_secs(10)).unwrap();
+
+        mesh.shutdown();
+        assert_eq!(idle.read(&mut [0u8; 1]).unwrap(), 0, "the connection must read EOF");
+        let started = Instant::now();
+        drop(mesh);
+        assert!(started.elapsed() < Duration::from_secs(1), "drop took {:?}", started.elapsed());
+        let refused = TcpStream::connect(&addr).unwrap_err();
+        assert_eq!(refused.kind(), std::io::ErrorKind::ConnectionRefused);
     }
 }
