@@ -5,8 +5,10 @@
 //! [`EpochState`] (advanced at every fence by the very calls the nodes make),
 //! the cluster-wide attempt baselines and the replication counts the nodes
 //! report. The node that receives a client's `Run` drives its cluster through
-//! one (`run_cluster`); so does the wire-chaos supervisor, which adds kills,
-//! restarts and fault-injecting proxies around the same calls.
+//! one (`run_cluster`) and keeps it for the next `Run`, so a `Run` pays for
+//! its connections only when it has none; the wire-chaos supervisor drives
+//! through one too, adding kills, restarts and fault-injecting proxies around
+//! the same calls.
 //!
 //! Every node is a `star_core::node::StarNode`, as in the simulator; the
 //! driver is what the simulator's `StarEngine` is around its nodes, minus
@@ -40,7 +42,9 @@ pub struct ClusterDriver {
     /// Cumulative transaction attempts per partition / per master worker
     /// since the driver attached — the catch-up baselines of every
     /// `RunPhase`. A node never rewinds to a baseline, so they are exact for
-    /// a driver attached at the cluster's birth and inert for a later one.
+    /// a driver attached at the cluster's birth (the kept `Run` driver stays
+    /// exact for as long as no other driver moves the cluster) and inert for
+    /// a later one.
     partition_baselines: Vec<u64>,
     master_baselines: Vec<u64>,
     /// `last_sent[s][r]`: cumulative batches node `s` reported shipping to
@@ -309,22 +313,29 @@ impl ClusterDriver {
     }
 }
 
-/// What a node does with a client's `Run`: attaches a driver to its own
-/// cluster (itself included, through its own listener — one uniform path)
-/// and runs `iterations` stepped iterations, fencing on what the senders
-/// report. Returns total committed transactions and the epochs closed.
+/// What a node does with a client's `Run`: drives its own cluster (itself
+/// included, through its own listener — one uniform path) through
+/// `iterations` stepped iterations, fencing on what the senders report.
+/// Returns total committed transactions and the epochs closed.
 ///
-/// The node's `runs` lock is held for the whole `Run`, so concurrent `Run`s
-/// take turns instead of interleaving phases of one epoch.
+/// The driver is the one the last `Run` left in the node's `runs` slot, or a
+/// freshly attached one when there is none or another driver has fenced the
+/// cluster since (the kept driver's epoch is not the node's). Only a `Run`
+/// that succeeds puts its driver back, so an error drops it. The `runs` lock
+/// is held for the whole `Run`, so concurrent `Run`s take turns instead of
+/// interleaving phases of one epoch.
 pub(crate) fn run_cluster(
     inner: &NodeInner,
     iterations: u32,
     partitioned_txns: u64,
     single_master_txns: u64,
 ) -> Result<(u64, u32), String> {
-    let _turn = lock(&inner.runs);
-    let mut driver =
-        ClusterDriver::attach(&inner.config, &inner.addrs, Role::Coordinator, inner.id as u32)?;
+    let mut kept = lock(&inner.runs);
+    let (id, role) = (inner.id as u32, Role::Coordinator);
+    let mut driver = match kept.take() {
+        Some(driver) if driver.state().epoch() == inner.epoch() => driver,
+        _ => ClusterDriver::attach(&inner.config, &inner.addrs, role, id)?,
+    };
     let mut committed = 0;
     for _ in 0..iterations {
         committed += driver.run_partitioned(partitioned_txns)?;
@@ -332,5 +343,6 @@ pub(crate) fn run_cluster(
         committed += driver.run_single_master(single_master_txns)?;
         driver.fence_on_last_sent()?;
     }
+    *kept = Some(driver);
     Ok((committed, iterations.saturating_mul(2)))
 }

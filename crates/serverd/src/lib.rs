@@ -13,10 +13,11 @@
 //! between the two.
 //!
 //! A cluster is driven through one [`ClusterDriver`] ([`coordinator`]): the
-//! node that receives a client's `Run` attaches one and walks the same
-//! two-fences-per-iteration stepped schedule as the engine's
-//! `run_iteration_stepped`; the wire-chaos supervisor attaches one and adds
-//! kills, restarts and fault-injecting proxies around the same calls.
+//! node that receives a client's `Run` attaches one (or reuses the one its
+//! last `Run` kept) and walks the same two-fences-per-iteration stepped
+//! schedule as the engine's `run_iteration_stepped`; the wire-chaos
+//! supervisor attaches one and adds kills, restarts and fault-injecting
+//! proxies around the same calls.
 //!
 //! A serving node ([`node`]) records committed history only when the
 //! bootstrap says `record_history = true`, its fences block on the

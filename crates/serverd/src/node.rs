@@ -25,9 +25,10 @@
 //!   arrival count bumps and waiting fences are woken; no response (one-way
 //!   stream);
 //! * `Request` → handled, and a `Response` with the same correlation id is
-//!   written back. `Run` makes the receiving node attach a
-//!   [`ClusterDriver`](crate::coordinator::ClusterDriver) to its own cluster
-//!   for a whole clustered run; concurrent `Run`s take turns.
+//!   written back. `Run` makes the receiving node drive its own cluster
+//!   through a [`ClusterDriver`](crate::coordinator::ClusterDriver) — the one
+//!   the last `Run` attached, kept between `Run`s; concurrent `Run`s take
+//!   turns.
 //!
 //! ## The fence barrier
 //!
@@ -53,6 +54,7 @@
 //! clears the node from every live node's failure picture.
 
 use crate::bootstrap::Bootstrap;
+use crate::coordinator::ClusterDriver;
 use crate::transport::TcpMesh;
 use star_common::{ClusterConfig, Epoch, Error, NodeId, PartitionId, ReplicationMode, Result};
 use star_core::exec::PhaseBudget;
@@ -99,8 +101,10 @@ pub(crate) struct NodeInner {
     pub(crate) addrs: Vec<String>,
     node: Mutex<NodeState>,
     /// Held for a whole `Run` (see `coordinator::run_cluster`): concurrent
-    /// `Run`s take turns instead of interleaving phases of one epoch.
-    pub(crate) runs: Mutex<()>,
+    /// `Run`s take turns instead of interleaving phases of one epoch. Between
+    /// `Run`s it keeps the driver the last successful one used, so the next
+    /// reuses its connections instead of attaching afresh.
+    pub(crate) runs: Mutex<Option<ClusterDriver>>,
     inbox: Mutex<Inbox>,
     /// Signalled, under the inbox lock, whenever a batch arrives.
     arrived: Condvar,
@@ -222,7 +226,7 @@ impl NodeServer {
             config: config.clone(),
             addrs,
             node: Mutex::new(NodeState { clock: EpochState::new(&config), star }),
-            runs: Mutex::new(()),
+            runs: Mutex::new(None),
             inbox: Mutex::new(Inbox { batches: Vec::new(), received: vec![0; config.num_nodes] }),
             arrived: Condvar::new(),
             stopped: Mutex::new(false),
@@ -466,12 +470,21 @@ fn handle_run_phase(
         WirePhase::SingleMaster => star.master_jobs(clock, &failed, baselines),
     };
     let committed = jobs.into_iter().map(|job| job.run(PhaseBudget::Count(txns)).committed).sum();
+    // One write per link for the whole phase. A link that cannot be written
+    // is what a failed send is to the jobs: its frames are not counted as
+    // sent, so no fence waits for them.
+    let _ = star.transport().flush();
     Ok(Response::PhaseDone { committed, sent: star.transport().sent_counts() })
 }
 
 impl NodeInner {
     fn lock_node(&self) -> MutexGuard<'_, NodeState> {
         lock(&self.node)
+    }
+
+    /// The epoch the node's clock reads.
+    pub(crate) fn epoch(&self) -> Epoch {
+        self.lock_node().clock.epoch()
     }
 
     fn is_shutdown(&self) -> bool {
@@ -498,8 +511,7 @@ fn handle_fence(
     let failed = failed_flags(num_nodes, failed_ids)?;
     // A fence for another epoch must be refused before the barrier: its
     // counts may never arrive, and the wait would pin this thread.
-    let current = inner.lock_node().clock.epoch();
-    check_epoch(inner.id, "fence", epoch, current)?;
+    check_epoch(inner.id, "fence", epoch, inner.epoch())?;
     // Barrier: block until everything the senders shipped before the fence
     // has arrived; every arriving batch signals `arrived`. Counts are
     // cumulative, so a stale fence can never block on traffic that already
@@ -799,6 +811,76 @@ mod tests {
         assert_eq!(replica_digest(&a), replica_digest(b.db()), "identical replicas digest equal");
         b.install(vec![record(0).into()]).expect("write");
         assert_ne!(replica_digest(&a).1, replica_digest(b.db()).1, "a divergent row changes it");
+    }
+
+    /// Both nodes of a two-node test cluster, started, and a client
+    /// connection to the coordinator (node 0).
+    fn two_nodes() -> (Vec<NodeServer>, Bootstrap, Conn) {
+        let (listeners, boot) = test_bootstrap(2);
+        let servers: Vec<NodeServer> = listeners
+            .into_iter()
+            .enumerate()
+            .map(|(id, listener)| NodeServer::start_on(listener, &boot, id).expect("start"))
+            .collect();
+        let client = Conn::connect(servers[0].local_addr(), Role::Client, 0).expect("connect");
+        (servers, boot, client)
+    }
+
+    fn run(client: &mut Conn, iterations: u32) -> Response {
+        let run = Request::Run { iterations, partitioned_txns: 4, single_master_txns: 2 };
+        client.request(run).expect("the Run is answered")
+    }
+
+    /// The local address of each connection of the driver `server` keeps,
+    /// read off the streams' `Debug` form; `None` when it keeps none.
+    fn kept_sockets(server: &NodeServer) -> Option<Vec<String>> {
+        let debug = format!("{:?}", lock(&server.inner.runs).as_ref()?);
+        let addrs = debug.split("TcpStream { addr: ").skip(1);
+        Some(addrs.map(|rest| rest.split(',').next().unwrap_or_default().to_string()).collect())
+    }
+
+    #[test]
+    fn a_run_reuses_the_connections_the_last_run_attached() {
+        let (servers, _boot, mut client) = two_nodes();
+        assert_eq!(kept_sockets(&servers[0]), None, "no driver before the first Run");
+        assert!(matches!(run(&mut client, 1), Response::RunDone { epochs: 2, .. }));
+        let first = kept_sockets(&servers[0]).expect("the Run keeps its driver");
+        assert_eq!(first.len(), 2, "one connection per node: {first:?}");
+        assert!(matches!(run(&mut client, 1), Response::RunDone { epochs: 2, .. }));
+        assert_eq!(kept_sockets(&servers[0]), Some(first), "the second Run dialled again");
+    }
+
+    #[test]
+    fn a_failed_run_drops_the_kept_driver_and_the_next_attaches_afresh() {
+        let (mut servers, boot, mut client) = two_nodes();
+        // No iteration: the driver is attached and kept, and no epoch closes,
+        // so a restarted peer is at the cluster's epoch.
+        assert!(matches!(run(&mut client, 0), Response::RunDone { committed: 0, epochs: 0 }));
+        let before = kept_sockets(&servers[0]).expect("the Run keeps its driver");
+        drop(servers.pop());
+        let listener = TcpListener::bind(&boot.addrs[1]).expect("rebind the peer's port");
+        servers.push(NodeServer::start_on(listener, &boot, 1).expect("restart the peer"));
+
+        // The kept connection went down with the peer's old process.
+        assert!(matches!(run(&mut client, 1), Response::Error(_)));
+        assert_eq!(kept_sockets(&servers[0]), None, "a failed Run keeps its driver");
+        assert!(matches!(run(&mut client, 1), Response::RunDone { epochs: 2, .. }));
+        let after = kept_sockets(&servers[0]).expect("the Run keeps its new driver");
+        assert_ne!(after, before, "the new driver reuses the dead one's sockets");
+    }
+
+    #[test]
+    fn dropping_a_node_that_keeps_a_driver_frees_its_port() {
+        let (mut servers, _boot, mut client) = two_nodes();
+        assert!(matches!(run(&mut client, 1), Response::RunDone { .. }));
+        assert!(kept_sockets(&servers[0]).is_some(), "the Run keeps its driver");
+        let coordinator = servers.remove(0);
+        let addr = coordinator.local_addr().to_string();
+        let started = Instant::now();
+        drop(coordinator);
+        assert!(started.elapsed() < Duration::from_secs(1), "drop took {:?}", started.elapsed());
+        let refused = TcpStream::connect(&addr).expect_err("the port still accepts");
+        assert_eq!(refused.kind(), io::ErrorKind::ConnectionRefused);
     }
 
     #[test]

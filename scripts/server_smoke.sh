@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Boots a real 3-node localhost star-serverd cluster, drives the seeded YCSB
-# client end-to-end, inspects it with star-admin — including the typed
+# client end-to-end from two processes in turn (the second `Run` reuses the
+# coordinator's kept driver), inspects it with star-admin — including the typed
 # refusal of `history` on a cluster booted without record_history — shuts it
 # down cleanly, and then runs the transport-parity suite (wire == simulation,
 # byte for byte).
@@ -126,11 +127,21 @@ if [[ "$booted" != true ]]; then
     exit 1
 fi
 
-echo "== server-smoke: driving seeded YCSB through the wire"
-"$CLIENT" --bootstrap "$BOOTSTRAP" --iterations 3 --partitioned-txns 50 --single-master-txns 20
+# Two client processes, three iterations (six epochs) each: the second
+# one's Run rides the driver the first one's Run left on the coordinator.
+echo "== server-smoke: driving seeded YCSB through the wire, twice"
+for run in 1 2; do
+    "$CLIENT" --bootstrap "$BOOTSTRAP" --iterations 3 --partitioned-txns 50 --single-master-txns 20
+done
 
 echo "== server-smoke: inspecting the live cluster"
-"$ADMIN" --bootstrap "$BOOTSTRAP" status
+status="$("$ADMIN" --bootstrap "$BOOTSTRAP" status)"
+echo "$status"
+closed="$(grep -c "(last committed 12)" <<< "$status" || true)"
+if [[ "$closed" != 3 ]]; then
+    echo "== server-smoke: expected 3 nodes at 'last committed 12', got $closed" >&2
+    exit 1
+fi
 "$ADMIN" --bootstrap "$BOOTSTRAP" elections
 "$ADMIN" --bootstrap "$BOOTSTRAP" digest
 # The bootstrap above does not set record_history, so every node must say so.
