@@ -2,7 +2,7 @@
 
 SEED ?= 42
 
-.PHONY: build test lint loc star-lint star-lint-baseline lock-witness bench bench-baseline bench-smoke steadybench-smoke profile chaos chaos-synth chaos-guided chaos-corpus chaos-nightly chaos-smoke chaos-parity server-smoke wire-chaos figures ci
+.PHONY: build test lint loc alloc-budget star-lint star-lint-baseline lock-witness bench bench-baseline bench-smoke steadybench-smoke profile chaos chaos-synth chaos-guided chaos-corpus chaos-nightly chaos-smoke chaos-parity server-smoke wire-chaos figures ci
 
 build:
 	cargo build --release
@@ -17,6 +17,12 @@ lint:
 # Lines of Rust under crates/*/src — the number CHANGES.md tracks per PR.
 loc:
 	@find crates -path '*/src/*' -name '*.rs' | xargs cat | wc -l
+
+# The storage layer's allocation budgets: prints what a read-only and a
+# one-column-write transaction and a replica install allocate, and fails
+# when a change brings an allocation back.
+alloc-budget:
+	cargo test --release -p star-occ --test alloc_budget -- --nocapture
 
 # Full-scale exploration run; writes into target/bench, never the committed
 # quick-scale baselines (the two scales are not comparable).
@@ -112,4 +118,4 @@ wire-chaos:
 figures:
 	cargo run --release -p star-bench --bin figures -- --quick all
 
-ci: lint loc star-lint build test lock-witness bench-smoke steadybench-smoke chaos-smoke chaos-corpus server-smoke wire-chaos
+ci: lint loc star-lint build test alloc-budget lock-witness bench-smoke steadybench-smoke chaos-smoke chaos-corpus server-smoke wire-chaos

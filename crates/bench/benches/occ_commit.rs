@@ -30,7 +30,7 @@ fn bench_occ(c: &mut Criterion) {
             for i in 0..10u64 {
                 let k = (key + i * 37) % 10_000;
                 let r = ctx.read(0, 0, k).unwrap();
-                ctx.update(0, 0, k, r);
+                ctx.update(0, 0, k, r.unpack());
             }
             key = (key + 1) % 10_000;
             let (rs, ws) = ctx.into_sets();
@@ -46,7 +46,7 @@ fn bench_occ(c: &mut Criterion) {
             for i in 0..10u64 {
                 let k = (1u64 << 32) | ((key + i * 37) % 10_000);
                 let r = ctx.read(0, 1, k).unwrap();
-                ctx.update(0, 1, k, r);
+                ctx.update(0, 1, k, r.unpack());
             }
             key = (key + 1) % 10_000;
             let (rs, ws) = ctx.into_sets();

@@ -15,12 +15,18 @@
 //!   record's epoch stash copies nothing;
 //! * its bytes *are* the row's encoding in a log entry and on the wire, so
 //!   a digest or a checkpoint can hash or copy them as they are;
-//! * reading a record unpacks the buffer into a [`Row`], installing a row
-//!   packs it (one allocation).
+//! * reading a record hands out the stored buffer itself: a transaction
+//!   reads fields straight out of it ([`PackedRow::field`] yields borrowed
+//!   [`FieldRef`]s), and only a procedure that edits the row unpacks it into
+//!   a [`Row`] — once — to build the new version;
+//! * installing a row packs it (one allocation), and a replica installs a
+//!   single-field write by splicing the field into the stored encoding
+//!   ([`PackedRow::with_field`], one allocation) without unpacking.
 //!
 //! The whole row codec lives here — [`FieldRef::encode`],
 //! [`FieldValue::decode`], [`Row::encode`], [`Row::decode`],
-//! [`PackedRow::decode`] — over plain byte slices; `star_replication`
+//! [`PackedRow::decode`], and the allocation-free validators [`split_field`]
+//! and [`split_row`] — over plain byte slices; `star_replication`
 //! adapts it to `bytes` cursors and `star_proto` calls it directly. Everything that
 //! parses bytes returns typed errors and never panics; the file is in
 //! `star-lint`'s panic-freedom scope in full.
@@ -61,8 +67,9 @@ impl FieldValue {
 }
 
 /// A single typed field borrowed from a packed row's buffer or from a
-/// [`FieldValue`]: what the decoder yields and the encoder takes.
-#[derive(Clone, Copy)]
+/// [`FieldValue`]: what the decoder yields, the encoder takes and a
+/// transaction reads a stored row's fields as.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FieldRef<'a> {
     /// Unsigned 64-bit integer.
     U64(u64),
@@ -84,6 +91,46 @@ impl<'a> FieldRef<'a> {
             FieldRef::U64(_) | FieldRef::I64(_) | FieldRef::F64(_) => 9,
             FieldRef::Str(s) => 5 + s.len(),
             FieldRef::Bytes(b) => 5 + b.len(),
+        }
+    }
+
+    /// The inner `u64`, if this field is a `U64`.
+    pub fn as_u64(self) -> Option<u64> {
+        match self {
+            FieldRef::U64(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// The inner `i64`, if this field is an `I64`.
+    pub fn as_i64(self) -> Option<i64> {
+        match self {
+            FieldRef::I64(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// The inner `f64`, if this field is an `F64`.
+    pub fn as_f64(self) -> Option<f64> {
+        match self {
+            FieldRef::F64(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// The borrowed string, if this field is a `Str`.
+    pub fn as_str(self) -> Option<&'a str> {
+        match self {
+            FieldRef::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The borrowed bytes, if this field is `Bytes`.
+    pub fn as_bytes(self) -> Option<&'a [u8]> {
+        match self {
+            FieldRef::Bytes(b) => Some(b),
+            _ => None,
         }
     }
 
@@ -131,8 +178,8 @@ fn take<const N: usize>(input: &[u8]) -> Option<([u8; N], &[u8])> {
 }
 
 /// Parses and validates the field at the front of `input`; returns it and
-/// the bytes that follow it.
-fn split_field(input: &[u8]) -> crate::Result<(FieldRef<'_>, &[u8])> {
+/// the bytes that follow it. Borrows, never allocates.
+pub fn split_field(input: &[u8]) -> crate::Result<(FieldRef<'_>, &[u8])> {
     let (&tag, rest) = input.split_first().ok_or_else(|| malformed("truncated field"))?;
     let truncated = || malformed("truncated field payload");
     match tag {
@@ -197,16 +244,46 @@ impl PackedRow {
         if row.is_empty() {
             return PackedRow::empty();
         }
-        let len = row.wire_size();
+        PackedRow::write(row.wire_size(), |out| row.encode(&mut |bytes| out.put(bytes)))
+    }
+
+    /// One exactly sized allocation of `len` bytes, filled front to back by
+    /// `fill`.
+    fn write(len: usize, fill: impl FnOnce(&mut RowWriter<'_>)) -> Self {
         // A length-exact iterator collects into the reference-counted slice
         // with a single allocation.
         let mut buf: Arc<[u8]> = std::iter::repeat(0u8).take(len).collect();
         if let Some(dst) = Arc::get_mut(&mut buf) {
             let mut out = RowWriter { dst, at: 0 };
-            row.encode(&mut |bytes| out.put(bytes));
+            fill(&mut out);
             debug_assert_eq!(out.at, len, "the row writer filled its buffer exactly");
         }
         PackedRow { buf: Some(buf) }
+    }
+
+    /// Field `index`, borrowed from the buffer; `None` past the last field.
+    pub fn field(&self, index: usize) -> Option<FieldRef<'_>> {
+        self.fields().nth(index)
+    }
+
+    /// This row with field `index` replaced by `value`, in one allocation and
+    /// without unpacking: the encoding before and after the field is copied
+    /// around the new field's. `None` (and no allocation) if the row has no
+    /// field `index`.
+    pub fn with_field(&self, index: usize, value: FieldRef<'_>) -> Option<PackedRow> {
+        let bytes = self.as_bytes();
+        let mut rest = bytes.get(4..)?;
+        for _ in 0..index {
+            rest = split_field(rest).ok()?.1;
+        }
+        let after = split_field(rest).ok()?.1;
+        let head = bytes.get(..bytes.len() - rest.len())?;
+        let len = head.len() + value.wire_size() + after.len();
+        Some(PackedRow::write(len, |out| {
+            out.put(head);
+            value.encode(&mut |bytes| out.put(bytes));
+            out.put(after);
+        }))
     }
 
     /// The row a transaction works on: every field as an owned value.
@@ -229,12 +306,8 @@ impl PackedRow {
     /// buffer — a decoded row never keeps the block it arrived in alive.
     /// Malformed input yields a typed error and leaves `input` where it was.
     pub fn decode(input: &mut &[u8]) -> crate::Result<PackedRow> {
-        let (count, mut rest) = split_count(input)?;
-        for _ in 0..count {
-            rest = split_field(rest)?.1;
-        }
-        let used = input.len() - rest.len();
-        let row = PackedRow::from_encoded(input.get(..used).unwrap_or(EMPTY_ROW));
+        let (encoded, rest) = split_row(input)?;
+        let row = PackedRow::from_encoded(encoded);
         *input = rest;
         Ok(row)
     }
@@ -280,6 +353,12 @@ impl PartialEq for PackedRow {
     }
 }
 
+impl PartialEq<Row> for PackedRow {
+    fn eq(&self, other: &Row) -> bool {
+        self.len() == other.len() && self.fields().zip(other.iter()).all(|(a, b)| a == b.as_ref())
+    }
+}
+
 impl fmt::Debug for PackedRow {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.unpack().fmt(f)
@@ -308,6 +387,18 @@ fn split_count(input: &[u8]) -> crate::Result<(usize, &[u8])> {
         return Err(malformed("truncated row"));
     }
     Ok((count, body))
+}
+
+/// Validates the row encoding at the front of `input` — exactly what
+/// [`Row::decode`] accepts — without materialising it; returns the row's
+/// bytes and the bytes that follow them. Borrows, never allocates.
+pub fn split_row(input: &[u8]) -> crate::Result<(&[u8], &[u8])> {
+    let (count, mut rest) = split_count(input)?;
+    for _ in 0..count {
+        rest = split_field(rest)?.1;
+    }
+    let used = input.len() - rest.len();
+    Ok((input.get(..used).unwrap_or(EMPTY_ROW), rest))
 }
 
 impl Row {

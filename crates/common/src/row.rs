@@ -47,42 +47,27 @@ impl FieldValue {
 
     /// Returns the inner `u64`, if this field is a `U64`.
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            FieldValue::U64(v) => Some(*v),
-            _ => None,
-        }
+        self.as_ref().as_u64()
     }
 
     /// Returns the inner `i64`, if this field is an `I64`.
     pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            FieldValue::I64(v) => Some(*v),
-            _ => None,
-        }
+        self.as_ref().as_i64()
     }
 
     /// Returns the inner `f64`, if this field is an `F64`.
     pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            FieldValue::F64(v) => Some(*v),
-            _ => None,
-        }
+        self.as_ref().as_f64()
     }
 
     /// Returns the inner string slice, if this field is a `Str`.
     pub fn as_str(&self) -> Option<&str> {
-        match self {
-            FieldValue::Str(s) => Some(s),
-            _ => None,
-        }
+        self.as_ref().as_str()
     }
 
     /// Returns the inner byte slice, if this field is `Bytes`.
     pub fn as_bytes(&self) -> Option<&[u8]> {
-        match self {
-            FieldValue::Bytes(b) => Some(b),
-            _ => None,
-        }
+        self.as_ref().as_bytes()
     }
 
     /// Byzantine corruption: flips one bit of the value (or appends a

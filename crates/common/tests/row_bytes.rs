@@ -15,11 +15,14 @@
 //! * every truncation and every malformed edit of those bytes — an unknown
 //!   tag, a length or a count running past the end, invalid UTF-8 — is a
 //!   typed error from both decoders, never a panic, and leaves the input
-//!   where it was.
+//!   where it was;
+//! * the packed row's field views agree with the unpacked row: field `i`
+//!   read in place is the unpacked field `i`, and splicing a field in place
+//!   writes the bytes packing the edited row would.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use star_common::{Error, FieldValue, PackedRow, Row, RowBuilder};
+use star_common::{Error, FieldRef, FieldValue, PackedRow, Row, RowBuilder};
 
 const ROWS: usize = 2_400;
 
@@ -113,9 +116,12 @@ fn bits(fields: impl IntoIterator<Item = FieldValue>) -> Vec<u8> {
 // Properties.
 // ---------------------------------------------------------------------------
 
+/// The seed of the rows the encoding and field-view properties run over.
+const ROW_SEED: u64 = 0x000B_17E5;
+
 #[test]
 fn the_bytes_are_the_old_encoding() {
-    let mut rng = StdRng::seed_from_u64(0x000B_17E5);
+    let mut rng = StdRng::seed_from_u64(ROW_SEED);
     let mut builder = RowBuilder::new();
     let mut kinds_seen = [false; 5];
     for _ in 0..ROWS {
@@ -219,4 +225,35 @@ fn malformed_bytes_are_typed_errors() {
         }
         assert_eq!(at, bytes.len());
     }
+}
+
+#[test]
+fn packed_field_views_match_the_unpacked_row() {
+    // A field's bytes, so that floats compare by bit pattern.
+    let field_bits = |field: Option<FieldRef<'_>>| field.map(|f| bits([f.to_owned()]));
+    let mut rng = StdRng::seed_from_u64(ROW_SEED);
+    let mut spliced = 0;
+    for _ in 0..ROWS {
+        let packed = PackedRow::pack(&Row::new(arb_fields(&mut rng)));
+        let unpacked = packed.unpack();
+        for i in 0..packed.len() {
+            let expected = unpacked.field(i).map(FieldValue::as_ref);
+            assert_eq!(field_bits(packed.field(i)), field_bits(expected), "field {i}");
+
+            let value = arb_field(&mut rng);
+            let mut edited = unpacked.clone();
+            edited.set(i, value.clone());
+            let with_field = packed.with_field(i, value.as_ref()).expect("field in range");
+            assert_eq!(with_field.as_bytes(), PackedRow::pack(&edited).as_bytes(), "field {i}");
+            spliced += 1;
+        }
+        // Out of range: no field, no row, and the source is untouched.
+        let before = packed.as_bytes().to_vec();
+        for i in [packed.len(), packed.len() + rng.gen_range(1..64usize), usize::MAX] {
+            assert!(packed.field(i).is_none(), "field {i} of {}", packed.len());
+            assert!(packed.with_field(i, FieldRef::U64(7)).is_none(), "field {i}");
+        }
+        assert_eq!(packed.as_bytes(), &before[..]);
+    }
+    assert!(spliced > ROWS, "only {spliced} fields spliced");
 }

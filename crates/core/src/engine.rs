@@ -1021,13 +1021,13 @@ mod tests {
             let (a, b) = (engine.nodes()[0].db(), engine.nodes()[1].db());
             let mut written = 0;
             a.for_each_record(|table, partition, key, record| {
-                let (row, tid) = record.read_packed();
+                let star_storage::ReadResult { row, tid } = record.read();
                 if tid == star_common::Tid::ZERO || written == 64 {
                     return;
                 }
-                let (copy, copy_tid) = b.get(table, partition, key).unwrap().read_packed();
-                assert_eq!((&copy, copy_tid), (&row, tid));
-                assert!(!PackedRow::ptr_eq(&copy, &row), "two nodes share a row buffer");
+                let copy = b.get(table, partition, key).unwrap().read();
+                assert_eq!((&copy.row, copy.tid), (&row, tid));
+                assert!(!PackedRow::ptr_eq(&copy.row, &row), "two nodes share a row buffer");
                 written += 1;
             });
             assert!(written >= 32, "only {written} written keys to compare");

@@ -317,7 +317,8 @@ impl<T: Transport<ReplicationBatch>> StarNode<T> {
         self.db.for_each_record(|table, p, key, record| {
             if p == partition {
                 let read = record.read();
-                records.push(CopiedRecord { table, partition, key, tid: read.tid, row: read.row });
+                let row = read.row.unpack();
+                records.push(CopiedRecord { table, partition, key, tid: read.tid, row });
             }
         });
         Ok(records)

@@ -10,7 +10,7 @@ use crate::workload::{Workload, WorkloadMix};
 use rand::rngs::StdRng;
 use rand::Rng;
 use star_common::row::row;
-use star_common::{FieldValue, PartitionId, Result};
+use star_common::{FieldRef, FieldValue, PartitionId, Result};
 use star_occ::{Procedure, TxnCtx};
 use star_storage::{Database, TableSpec};
 
@@ -64,7 +64,7 @@ impl Procedure for KvRmw {
     fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<()> {
         for &(partition, key) in &self.targets {
             let current = ctx.read(0, partition, key)?;
-            let value = current.field(0).and_then(FieldValue::as_u64).unwrap_or(0);
+            let value = current.field(0).and_then(FieldRef::as_u64).unwrap_or(0);
             ctx.update(0, partition, key, row([FieldValue::U64(value + 1)]));
         }
         Ok(())

@@ -1,7 +1,16 @@
 //! The transaction execution context handed to stored procedures.
+//!
+//! A read hands the procedure the record's stored version — the
+//! reference-counted [`PackedRow`] — and records the TID it was read at for
+//! validation; nothing is copied. A procedure reads fields straight out of
+//! it ([`PackedRow::field`]) and, to write, unpacks it once into the
+//! [`Row`] it edits and registers with [`TxnCtx::update`]. The write set
+//! keeps that unpacked row until commit.
 
 use crate::rwset::{ReadEntry, ReadSet, WriteEntry, WriteSet};
-use star_common::{AbortReason, Error, Key, Operation, PartitionId, Result, Row, TableId};
+use star_common::{
+    AbortReason, Error, Key, Operation, PackedRow, PartitionId, Result, Row, TableId,
+};
 use star_storage::{Database, ReadResult};
 
 /// Source of record reads during the execution (read) phase of a transaction.
@@ -100,11 +109,12 @@ impl<'a> TxnCtx<'a> {
             .position(|w| w.table == table && w.partition == partition && w.key == key)
     }
 
-    /// Reads a record, recording it in the read set. Re-reads of a key this
-    /// transaction already wrote return the pending value.
-    pub fn read(&mut self, table: TableId, partition: PartitionId, key: Key) -> Result<Row> {
+    /// Reads a record, recording it in the read set: the stored version, by
+    /// reference count. Re-reads of a key this transaction already wrote
+    /// return the pending value, packed.
+    pub fn read(&mut self, table: TableId, partition: PartitionId, key: Key) -> Result<PackedRow> {
         if let Some(idx) = self.find_in_write_set(table, partition, key) {
-            return Ok(self.write_set[idx].row.clone());
+            return Ok(PackedRow::pack(&self.write_set[idx].row));
         }
         let result = if self.single_threaded {
             self.source.read_record_unsynchronized(table, partition, key)?

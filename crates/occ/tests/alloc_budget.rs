@@ -1,15 +1,18 @@
 //! Allocation and footprint budgets of the storage layer under the
-//! transaction hot path.
+//! transaction hot path and the replica's install path.
 //!
 //! A record stores its versions packed — one reference-counted buffer per
 //! version, behind one lock — so installing a row is one allocation, a
 //! cross-epoch write moves the outgoing version into the stash, and a loaded
-//! record costs a third of what a vector of owned fields did. Reading still
-//! unpacks the buffer into the vector of fields a transaction works on, and
-//! that is what a transaction's allocations are made of. These tests count
-//! heap allocations with a counting `#[global_allocator]` (per thread, so the
-//! tests of this binary can run in parallel) and fail when a change brings
-//! back per-hop row copies, a second buffer per version or a fatter record.
+//! record costs a third of what a vector of owned fields did. A read hands
+//! out the stored buffer itself, so a read-only transaction allocates only
+//! its read set; a write unpacks the one row it edits. A replica installs a
+//! value entry by packing the shipped row, and a `SetField` entry by
+//! splicing the field into the stored version — one allocation each. These
+//! tests count heap allocations with a counting `#[global_allocator]` (per
+//! thread, so the tests of this binary can run in parallel) and fail when a
+//! change brings back per-hop row copies, a second buffer per version, an
+//! unpacking read or a fatter record.
 //!
 //! The rows have YCSB's shape — ten 10-byte columns — and the transactions
 //! do what `YcsbTransaction::execute` does, through the same `TxnCtx` and
@@ -17,6 +20,7 @@
 
 use star_common::{FieldValue, Operation, RowBuilder, Tid, TidGenerator};
 use star_occ::{commit_partitioned, TxnCtx};
+use star_replication::{LogEntry, Payload};
 use star_storage::{Database, DatabaseBuilder, Record, TableSpec};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -104,7 +108,7 @@ fn write_transaction(db: &Database, key: u64, epoch: u32, tid_gen: &mut TidGener
     let column = (key % COLUMNS as u64) as usize;
     let bytes = [epoch as u8; COLUMN_BYTES];
     let mut ctx = TxnCtx::new_single_threaded(db);
-    let mut new_row = ctx.read(TABLE, 0, key).unwrap();
+    let mut new_row = ctx.read(TABLE, 0, key).unwrap().unpack();
     new_row.set(column, FieldValue::Bytes(bytes.to_vec()));
     ctx.update_with_operation(
         TABLE,
@@ -121,17 +125,17 @@ fn write_transaction(db: &Database, key: u64, epoch: u32, tid_gen: &mut TidGener
 const UNPACK: u64 = 1 + COLUMNS as u64;
 
 #[test]
-fn installing_a_version_is_one_allocation_and_reading_only_unpacks() {
+fn installing_a_version_is_one_allocation_and_reading_allocates_nothing() {
     let db = loaded_partition(8);
     let record = db.get(TABLE, 0, 3).unwrap();
 
     let before = allocations();
-    let (packed, _) = record.read_packed();
+    let read = record.read();
+    let unsynchronized = record.read_unsynchronized();
     assert_eq!(allocations() - before, 0, "the stored version is handed out by reference count");
-    let before = allocations();
-    let row = record.read().row;
-    assert_eq!(allocations() - before, UNPACK, "a read allocates the row it returns, no more");
-    assert_eq!(row, packed.unpack());
+    assert_eq!(read, unsynchronized);
+    let row = read.row.unpack();
+    assert_eq!(read.row, row);
 
     // Epoch 1 over a loaded (epoch 0) row, then epoch 2 over that: each
     // install packs the new row into one buffer and *moves* the outgoing
@@ -149,16 +153,16 @@ fn installing_a_version_is_one_allocation_and_reading_only_unpacks() {
 }
 
 #[test]
-fn a_transactions_allocations_are_its_unpacked_reads() {
+fn a_transactions_allocations_are_its_read_set_and_the_rows_it_edits() {
     let db = loaded_partition(64);
     let mut tid_gen = TidGenerator::new();
     read_transaction(&db, 0..10, &mut tid_gen);
     let before = allocations();
     read_transaction(&db, 10..20, &mut tid_gen);
     let spent = allocations() - before;
-    // Ten unpacked rows and the read set growing 4 → 8 → 16 entries.
+    // The read set growing 4 → 8 → 16 entries; the rows are not copied.
     println!("10-read transaction: {spent} allocations");
-    assert!(spent <= 10 * UNPACK + 6, "a 10-read transaction performed {spent} allocations");
+    assert!(spent <= 3, "a 10-read transaction performed {spent} allocations");
 
     write_transaction(&db, 0, 1, &mut tid_gen);
     let before = allocations();
@@ -166,14 +170,37 @@ fn a_transactions_allocations_are_its_unpacked_reads() {
     // outgoing version — by moving it.
     write_transaction(&db, 1, 1, &mut tid_gen);
     let spent = allocations() - before;
-    // One unpacked row, two copies of the written column, the read and
-    // write sets, the record handles, the packed version.
+    // The edited row unpacked once, two copies of the written column, the
+    // read and write sets, the record handles, the packed version.
     println!("one-column write: {spent} allocations");
     assert!(spent <= UNPACK + 8, "a one-column write performed {spent} allocations");
     let record = db.get(TABLE, 0, 1).unwrap();
     let (_, stashed) = record.stable_version().expect("the cross-epoch write stashed");
     assert_eq!(stashed.field(1).unwrap().as_bytes(), Some(&[1u8 ^ 1; COLUMN_BYTES][..]));
     assert_eq!(record.read().row.field(1).unwrap().as_bytes(), Some(&[1u8; COLUMN_BYTES][..]));
+}
+
+#[test]
+fn a_replica_installs_a_value_or_set_field_entry_in_one_allocation() {
+    let db = loaded_partition(8);
+    let column = 4;
+    let shipped = db.get(TABLE, 0, 2).unwrap().read().row.unpack();
+    let set_field =
+        Operation::SetField { field: column, value: FieldValue::Bytes(vec![0xAB; COLUMN_BYTES]) };
+    let entries = [("value", Payload::Value(shipped)), ("SetField", Payload::Operation(set_field))];
+    for (epoch, (what, payload)) in (1..).zip(entries) {
+        let entry =
+            LogEntry { table: TABLE, partition: 0, key: 1, tid: Tid::new(epoch, 1), payload };
+        let before = allocations();
+        entry.apply(&db).unwrap();
+        let spent = allocations() - before;
+        println!("{what} entry install: {spent} allocations");
+        assert_eq!(spent, 1, "a {what} entry install performed {spent} allocations");
+        assert_eq!(db.get(TABLE, 0, 1).unwrap().tid(), Tid::new(epoch, 1), "{what} installed");
+    }
+    let installed = db.get(TABLE, 0, 1).unwrap().read().row;
+    assert_eq!(installed.field(column).unwrap().as_bytes(), Some(&[0xAB; COLUMN_BYTES][..]));
+    assert_eq!(installed.field(0), db.get(TABLE, 0, 2).unwrap().read().row.field(0));
 }
 
 #[test]

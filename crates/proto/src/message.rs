@@ -29,7 +29,7 @@ use star_core::history::{CommittedTxn, RecordedRead, RecordedWrite};
 use star_core::node::CopiedRecord;
 use star_core::MasterElection;
 use star_replication::{
-    encode_entry_block, map_entry_block, EncodedEntry, ExecutionPhase, LogEntry,
+    check_entry_block, encode_entry_block, map_entry_block, EncodedEntry, ExecutionPhase, LogEntry,
 };
 
 // ---------------------------------------------------------------------------
@@ -576,10 +576,10 @@ impl WireMessage {
                 let from = Wire::take(cur)?;
                 let epoch = Wire::take(cur)?;
                 // Validate the entry block eagerly so a malformed batch is
-                // rejected at the frame boundary, but carry it as bytes so
-                // the receiver can defer (or skip) materialising entries.
-                map_entry_block(cur, |_, _| ())
-                    .map_err(|_| DecodeError::Malformed("entry block"))?;
+                // rejected at the frame boundary — walking it in place,
+                // materialising nothing — but carry it as bytes: the
+                // receiver decodes its entries once, when it applies them.
+                check_entry_block(cur).map_err(|_| DecodeError::Malformed("entry block"))?;
                 return Ok(WireMessage::Replication { from, epoch, entries: Bytes::from(*cur) });
             }
             kind => return Err(DecodeError::UnknownKind(kind)),

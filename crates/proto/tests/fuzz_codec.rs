@@ -15,7 +15,7 @@ use star_proto::{
     DecodeError, Request, Response, Role, WireElection, WireMessage, WirePhase, WireRecord,
     WireStatus, WireTxn, FRAME_HEADER_LEN, MAX_BODY_LEN,
 };
-use star_replication::{LogEntry, Payload};
+use star_replication::{check_entry_block, LogEntry, Payload};
 
 // ---------------------------------------------------------------------------
 // Seeded generators
@@ -331,6 +331,44 @@ fn entry_blocks_round_trip() {
         let decoded = decode_entries(&block).unwrap_or_else(|e| panic!("case {case}: {e}"));
         assert_eq!(decoded, entries, "case {case}");
     }
+}
+
+/// The allocation-free check a replication frame's entry block gets at the
+/// frame boundary accepts exactly the blocks the full decode accepts: every
+/// truncation of 200 seeded blocks, and 10 000 seeded single-bit flips.
+#[test]
+fn the_entry_block_check_accepts_exactly_what_the_decode_accepts() {
+    let mut rng = StdRng::seed_from_u64(0xC4EC);
+    let blocks: Vec<Vec<u8>> = (0..200)
+        .map(|_| {
+            let n = rng.gen_range(0..6usize);
+            let entries: Vec<LogEntry> = (0..n).map(|_| gen_log_entry(&mut rng)).collect();
+            star_proto::encode_entries(&entries).to_vec()
+        })
+        .collect();
+    let agree = |raw: &[u8], what: &str| {
+        let checked = check_entry_block(raw).is_ok();
+        assert_eq!(checked, decode_entries(raw).is_ok(), "{what}: the check said {checked}");
+        checked
+    };
+    let mut truncations = 0usize;
+    for (case, block) in blocks.iter().enumerate() {
+        assert!(agree(block, &format!("block {case}")), "block {case} is valid");
+        for cut in 0..block.len() {
+            assert!(!agree(&block[..cut], &format!("block {case} cut at {cut}")));
+            truncations += 1;
+        }
+    }
+    let mut accepted = 0usize;
+    for flip in 0..10_000 {
+        let mut raw = blocks[rng.gen_range(0..blocks.len())].clone();
+        let at = rng.gen_range(0..raw.len());
+        raw[at] ^= 1 << rng.gen_range(0..8u8);
+        accepted += agree(&raw, &format!("flip {flip} at byte {at}")) as usize;
+    }
+    assert!(truncations >= 1000, "only {truncations} truncations ran");
+    // Both outcomes occur: payload flips survive, length and tag flips do not.
+    assert!(accepted > 0 && accepted < 10_000, "{accepted} of 10000 flips accepted");
 }
 
 /// Every strict prefix of a valid frame is rejected as `Truncated` — never a

@@ -38,7 +38,7 @@ impl Checkpoint {
                 partition,
                 key,
                 tid: read.tid,
-                payload: Payload::Value(read.row),
+                payload: Payload::Value(read.row.unpack()),
             });
         });
         Checkpoint { epoch, entries }

@@ -14,9 +14,20 @@
 //! in — and `decode_front` only adapts its slice decoders to `bytes` cursors;
 //! the entry header, the operation layout and the count-prefixed entry block
 //! (`star-proto`'s replication frames carry it as is) live here.
+//!
+//! A replica installs an entry without unpacking the stored row: a value
+//! entry packs the shipped row into the replica's own version, and a
+//! `SetField` splices its field into the stored version — one allocation
+//! either way. A received block is checked at the frame boundary by
+//! [`check_entry_block`], which walks it in place, and decoded once, by
+//! [`split_entry_block`], where it is applied.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use star_common::{Error, FieldValue, Key, Operation, PartitionId, Result, Row, TableId, Tid};
+use star_common::packed::{split_field, split_row};
+use star_common::row::OperationError;
+use star_common::{
+    Error, FieldValue, Key, Operation, PackedRow, PartitionId, Result, Row, TableId, Tid,
+};
 use star_storage::Database;
 use std::ops::Range;
 use std::sync::Arc;
@@ -67,27 +78,37 @@ impl LogEntry {
     /// Applies this entry to a replica database.
     ///
     /// * Value payloads go through the Thomas write rule (and upsert missing
-    ///   keys), so they may be applied in any order.
+    ///   keys), so they may be applied in any order. The replica packs the
+    ///   borrowed row into a version of its own — one allocation, and only
+    ///   if the write is not stale.
     /// * Operation payloads are applied to the current row **in stream
-    ///   order**; the produced full row is then installed under the entry's
-    ///   TID. Returns the materialised full row so that the caller can log it
-    ///   (the WAL always stores whole records, Section 5).
-    pub fn apply(&self, db: &Database) -> Result<Row> {
-        let full_row = match &self.payload {
-            Payload::Value(row) => row.clone(),
-            Payload::Operation(op) => {
-                let mut new_row = match db.try_get(self.table, self.partition, self.key)? {
-                    Some(rec) => rec.read().row,
-                    None => Row::empty(),
-                };
-                op.apply(&mut new_row)?;
-                new_row
+    ///   order**, and the new row is installed under the entry's TID. A
+    ///   `SetField` splices the field into the stored version without
+    ///   unpacking it ([`PackedRow::with_field`], one allocation); any other
+    ///   operation unpacks the row, applies, and packs the result.
+    pub fn apply(&self, db: &Database) -> Result<()> {
+        match &self.payload {
+            Payload::Value(row) => {
+                db.apply_value_write(self.table, self.partition, self.key, row, self.tid)?;
             }
-        };
-        // The replica packs the row into a version of its own (and only if
-        // the Thomas write rule lets it in); nothing is cloned on the way.
-        db.apply_value_write(self.table, self.partition, self.key, &full_row, self.tid)?;
-        Ok(full_row)
+            Payload::Operation(op) => {
+                let current = match db.try_get(self.table, self.partition, self.key)? {
+                    Some(rec) => rec.read().row,
+                    None => PackedRow::empty(),
+                };
+                if let Operation::SetField { field, value } = op {
+                    let new_row = current.with_field(*field, value.as_ref()).ok_or_else(|| {
+                        OperationError { message: format!("field {field} out of range") }
+                    })?;
+                    db.apply_value_write(self.table, self.partition, self.key, new_row, self.tid)?;
+                } else {
+                    let mut new_row = current.unpack();
+                    op.apply(&mut new_row)?;
+                    db.apply_value_write(self.table, self.partition, self.key, &new_row, self.tid)?;
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Encodes the entry onto a buffer.
@@ -147,7 +168,7 @@ impl LogEntry {
 ///
 /// The decoded form rides along behind the same refcount: the committing
 /// worker already holds the `LogEntry`, and the wire receive path decodes
-/// once anyway to validate entry boundaries, so every subsequent apply — the
+/// each received block once ([`split_entry_block`]), so every apply — the
 /// fence's synchronous pass and each replica's deferred drain — is
 /// allocation-free instead of re-parsing the payload per replica. The bytes
 /// stay the entry's identity (equality, corruption, the wire) and the cache
@@ -216,7 +237,7 @@ impl EncodedEntry {
 
     /// Applies the entry to a replica database — no decoding, no allocation
     /// beyond what [`LogEntry::apply`] itself does.
-    pub fn apply(&self, db: &Database) -> Result<Row> {
+    pub fn apply(&self, db: &Database) -> Result<()> {
         self.decoded.apply(db)
     }
 
@@ -274,25 +295,100 @@ pub fn map_entry_block<T>(
     block: &[u8],
     mut f: impl FnMut(Range<usize>, LogEntry) -> T,
 ) -> Result<Vec<T>> {
-    let truncated = || Error::Durability("truncated entry block".into());
-    let mut cur = block;
-    if cur.remaining() < 4 {
-        return Err(truncated());
-    }
-    let count = cur.get_u32_le() as usize;
-    if count.saturating_mul(ENTRY_HEADER_LEN) > cur.remaining() {
-        return Err(truncated());
-    }
+    let (count, mut cur) = split_entry_count(block)?;
     let mut mapped = Vec::with_capacity(count);
     for _ in 0..count {
         let start = block.len() - cur.len();
         let entry = LogEntry::decode(&mut cur)?;
         mapped.push(f(start..block.len() - cur.len(), entry));
     }
-    if !cur.is_empty() {
+    end_of_block(cur)?;
+    Ok(mapped)
+}
+
+/// Checks that `block` is an entry block [`map_entry_block`] would accept,
+/// without materialising anything: each entry's header, row fields and
+/// operation operands are walked in place (UTF-8 checked where the decoder
+/// checks it), so a frame boundary can refuse a malformed block without
+/// allocating.
+pub fn check_entry_block(block: &[u8]) -> Result<()> {
+    let (count, mut cur) = split_entry_count(block)?;
+    for _ in 0..count {
+        cur = skip_entry(cur)?;
+    }
+    end_of_block(cur)
+}
+
+/// Splits a block's entry count off its front, refusing a count the bytes
+/// behind it cannot hold.
+fn split_entry_count(block: &[u8]) -> Result<(usize, &[u8])> {
+    let truncated = || Error::Durability("truncated entry block".into());
+    let (count, rest) = split_u32(block).ok_or_else(truncated)?;
+    if (count as usize).saturating_mul(ENTRY_HEADER_LEN) > rest.len() {
+        return Err(truncated());
+    }
+    Ok((count as usize, rest))
+}
+
+/// Refuses bytes after a block's last entry.
+fn end_of_block(rest: &[u8]) -> Result<()> {
+    if !rest.is_empty() {
         return Err(Error::Durability("trailing bytes after entry block".into()));
     }
-    Ok(mapped)
+    Ok(())
+}
+
+/// A `u32le` off the front of `input`, and the bytes after it.
+fn split_u32(input: &[u8]) -> Option<(u32, &[u8])> {
+    let head = input.get(..4)?.try_into().ok()?;
+    Some((u32::from_le_bytes(head), input.get(4..)?))
+}
+
+/// Walks one encoded entry at the front of `input` — the layout
+/// [`LogEntry::decode`] reads — and returns the bytes after it.
+fn skip_entry(input: &[u8]) -> Result<&[u8]> {
+    let (&tag, payload) = input
+        .get(ENTRY_HEADER_LEN - 1..)
+        .and_then(<[u8]>::split_first)
+        .ok_or_else(|| Error::Durability("truncated log entry header".into()))?;
+    match tag {
+        0 => Ok(split_row(payload)?.1),
+        1 => skip_operation(payload),
+        other => Err(Error::Durability(format!("unknown payload tag {other}"))),
+    }
+}
+
+/// Walks one encoded operation — the layout `decode_operation` reads — and
+/// returns the bytes after it.
+fn skip_operation(input: &[u8]) -> Result<&[u8]> {
+    let truncated = || Error::Durability("truncated operation".into());
+    let (&tag, operands) = input.split_first().ok_or_else(truncated)?;
+    let after = |len: usize| operands.get(len..).ok_or_else(truncated);
+    match tag {
+        0 => Ok(split_field(after(4)?)?.1),
+        1 | 2 => after(12),
+        3 => {
+            let (len, rest) = split_u32(after(8)?).ok_or_else(truncated)?;
+            let len = len as usize;
+            let (prefix, rest) = rest.get(..len).zip(rest.get(len..)).ok_or_else(truncated)?;
+            std::str::from_utf8(prefix)
+                .map_err(|_| Error::Durability("invalid utf-8 in concat prefix".into()))?;
+            Ok(rest)
+        }
+        4 => Ok(split_row(operands)?.1),
+        5 => {
+            let (count, mut rest) = split_u32(operands).ok_or_else(truncated)?;
+            // Each nested operation is at least one byte.
+            if count as usize > rest.len() {
+                return Err(truncated());
+            }
+            for _ in 0..count {
+                rest = skip_operation(rest)?;
+            }
+            Ok(rest)
+        }
+        other => Err(Error::Durability(format!("unknown operation tag {other}"))),
+    }
 }
 
 /// Runs a slice decoder of `star_common::packed` against the front of
@@ -547,12 +643,12 @@ mod tests {
                 max_len: 100,
             }),
         };
-        let full = entry.apply(&d).unwrap();
+        entry.apply(&d).unwrap();
+        let full = d.get(0, 0, 1).unwrap().read().row;
         assert_eq!(full.field(3).unwrap().as_str(), Some("x|abc"));
-        assert_eq!(d.get(0, 0, 1).unwrap().read().row.field(3).unwrap().as_str(), Some("x|abc"));
-        // The materialised row is what the WAL must log, and it contains
-        // every field, not just the updated one.
+        // The installed row contains every field, not just the updated one.
         assert_eq!(full.len(), 5);
+        assert_eq!(full.field(0).unwrap().as_u64(), Some(1));
     }
 
     #[test]
@@ -596,9 +692,8 @@ mod tests {
             tid: Tid::new(1, 9),
             payload: Payload::Operation(Operation::AddI64 { field: 1, delta: 4 }),
         };
-        let direct = entry.apply(&a).unwrap();
-        let via_encoded = EncodedEntry::from_entry(&entry).apply(&b).unwrap();
-        assert_eq!(direct, via_encoded);
+        entry.apply(&a).unwrap();
+        EncodedEntry::from_entry(&entry).apply(&b).unwrap();
         assert_eq!(a.get(0, 0, 1).unwrap().read().row, b.get(0, 0, 1).unwrap().read().row);
     }
 

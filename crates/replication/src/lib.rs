@@ -32,7 +32,8 @@ pub mod wal;
 
 pub use commit_queue::{CommitQueue, DrainMode, EpochDrain};
 pub use entry::{
-    encode_entry_block, map_entry_block, split_entry_block, EncodedEntry, LogEntry, Payload,
+    check_entry_block, encode_entry_block, map_entry_block, split_entry_block, EncodedEntry,
+    LogEntry, Payload,
 };
 pub use strategy::{build_log_entries, ExecutionPhase};
 pub use wal::{truncate_wal_tail, WalReader, WalWriter};

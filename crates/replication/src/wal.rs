@@ -114,9 +114,10 @@ impl WalWriter {
     }
 
     /// Appends one committed write. The entry is normalised to a value
-    /// payload (`full_row`) before logging — operation entries from the
-    /// replication stream must be materialised by the caller via
-    /// [`LogEntry::apply`], which returns the full row.
+    /// payload (`full_row`) before logging: the caller supplies the whole
+    /// row the write produced, since an operation entry carries only the
+    /// edit ([`LogEntry::apply`] installs it on a replica and returns
+    /// nothing).
     pub fn append(&mut self, entry: &LogEntry, full_row: &Row) -> Result<()> {
         let normalised = LogEntry {
             table: entry.table,

@@ -67,7 +67,7 @@ use star_proto::{
     read_message, write_message, AdminQuery, Closer, Listener, Request, Response, WireElection,
     WireMessage, WirePhase, WireRecord, WireStatus, WireTxn,
 };
-use star_storage::Database;
+use star_storage::{Database, ReadResult};
 use std::io::{self, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -137,7 +137,7 @@ pub fn replica_digest(db: &Database) -> (u64, u64) {
     let mut record_count = 0u64;
     let mut acc = 0u64;
     db.for_each_record(|table, partition, key, record| {
-        let (row, tid) = record.read_packed();
+        let ReadResult { row, tid } = record.read();
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
         let mut feed = |bytes: &[u8]| {
             for &byte in bytes {
@@ -422,8 +422,9 @@ fn handle_get(inner: &NodeInner, table: u32, partition: PartitionId, key: u64) -
     }
     match db.get(table, partition, key) {
         Ok(record) => {
+            // The wire's record carries the row's fields.
             let result = record.read();
-            Response::Record { tid: result.tid.raw(), row: Some(result.row) }
+            Response::Record { tid: result.tid.raw(), row: Some(result.row.unpack()) }
         }
         Err(_) => Response::Record { tid: 0, row: None },
     }

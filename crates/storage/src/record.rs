@@ -6,11 +6,12 @@
 //! [`PackedRow`]: one reference-counted buffer holding the row's encoding
 //! (see `star_common::packed`). Installing a row packs it (one allocation);
 //! a cross-epoch write *moves* the outgoing version into the stash instead
-//! of cloning it; reading unpacks the buffer into the [`Row`] a transaction
-//! works on, outside the record's lock.
+//! of cloning it; reading hands out the stored version itself — a
+//! reference-count bump under the lock, no allocation. A transaction reads
+//! fields straight out of it and unpacks only the rows it edits.
 
 use parking_lot::RwLock;
-use star_common::{Epoch, PackedRow, Row, Tid};
+use star_common::{Epoch, PackedRow, Tid};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Bit in the meta word marking the record as locked by a committing
@@ -53,8 +54,9 @@ impl RecordMeta {
 /// Result of an optimistic read: the row value and the TID it was read at.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReadResult {
-    /// Copy of the row at the time of the read.
-    pub row: Row,
+    /// The version that was read: the stored buffer, shared by reference
+    /// count.
+    pub row: PackedRow,
     /// TID of the version that was read.
     pub tid: Tid,
 }
@@ -119,16 +121,9 @@ impl Record {
 
     /// Optimistic, consistent read of the record (Silo's read protocol):
     /// re-reads the meta word after taking the version and retries if a
-    /// concurrent writer was active.
+    /// concurrent writer was active. The version is handed out by reference
+    /// count; nothing is allocated.
     pub fn read(&self) -> ReadResult {
-        let (packed, tid) = self.read_packed();
-        ReadResult { row: packed.unpack(), tid }
-    }
-
-    /// [`Record::read`] without unpacking: the stored version itself (a
-    /// reference-count bump) and the TID it was read at. For readers that
-    /// want the row's bytes — digests — rather than its fields.
-    pub fn read_packed(&self) -> (PackedRow, Tid) {
         let mut spins = 0;
         loop {
             let before = self.meta.load(Ordering::Acquire);
@@ -136,10 +131,10 @@ impl Record {
                 spin_backoff(&mut spins);
                 continue;
             }
-            let packed = self.versions.read().current.clone();
+            let row = self.versions.read().current.clone();
             let after = self.meta.load(Ordering::Acquire);
             if before == after {
-                return (packed, Tid::from_raw(before));
+                return ReadResult { row, tid: Tid::from_raw(before) };
             }
         }
     }
@@ -148,8 +143,7 @@ impl Record {
     /// knows there are no concurrent writers — i.e. the partitioned phase,
     /// where a partition is touched by exactly one worker thread.
     pub fn read_unsynchronized(&self) -> ReadResult {
-        let packed = self.versions.read().current.clone();
-        ReadResult { row: packed.unpack(), tid: self.tid() }
+        ReadResult { row: self.versions.read().current.clone(), tid: self.tid() }
     }
 
     /// Attempts to acquire the commit lock. Returns `false` if the record is
@@ -248,9 +242,8 @@ impl Record {
     /// record's *current* TID: it is only meaningful while that epoch is in
     /// flight, and becomes unreachable garbage (overwritten by the next
     /// cross-epoch write) once the epoch commits.
-    pub fn stable_version(&self) -> Option<(Tid, Row)> {
-        let stable = self.versions.read().stable.clone();
-        stable.map(|(tid, packed)| (tid, packed.unpack()))
+    pub fn stable_version(&self) -> Option<(Tid, PackedRow)> {
+        self.versions.read().stable.clone()
     }
 
     /// Reverts the record to its stable version if its current version was
@@ -285,7 +278,7 @@ impl Record {
 mod tests {
     use super::*;
     use star_common::row::row;
-    use star_common::FieldValue;
+    use star_common::{FieldValue, Row};
     use std::sync::Arc;
 
     fn r(v: u64) -> Row {

@@ -6,7 +6,7 @@
 //! engines without consulting a random-number generator.
 
 use super::schema::{self as s, table};
-use star_common::{Error, FieldValue, Operation, PartitionId, Result};
+use star_common::{Error, FieldRef, FieldValue, Operation, PartitionId, Result};
 use star_occ::{Procedure, TxnCtx};
 
 /// Maximum length of the customer's `C_DATA` field (TPC-C clause 2.5.3.4 uses
@@ -69,9 +69,9 @@ impl Procedure for NewOrder {
         let district_row = ctx.read(table::DISTRICT, home, s::district_key(w, d))?;
         let next_o_id = district_row
             .field(s::district::D_NEXT_O_ID)
-            .and_then(FieldValue::as_u64)
+            .and_then(FieldRef::as_u64)
             .ok_or_else(|| Error::Config("district row missing D_NEXT_O_ID".into()))?;
-        let mut new_district = district_row.clone();
+        let mut new_district = district_row.unpack();
         new_district.set(s::district::D_NEXT_O_ID, FieldValue::U64(next_o_id + 1));
         ctx.update_with_operation(
             table::DISTRICT,
@@ -123,22 +123,21 @@ impl Procedure for NewOrder {
                 Err(Error::KeyNotFound { .. }) => return Err(ctx.abort()),
                 Err(e) => return Err(e),
             };
-            let price =
-                item_row.field(s::item::I_PRICE).and_then(FieldValue::as_f64).unwrap_or(1.0);
+            let price = item_row.field(s::item::I_PRICE).and_then(FieldRef::as_f64).unwrap_or(1.0);
 
             let supply_w = line.supply_warehouse;
             let supply_partition = s::warehouse_partition(supply_w);
             let stock_key = s::stock_key(supply_w, item_id);
             let stock_row = ctx.read(table::STOCK, supply_partition, stock_key)?;
             let quantity =
-                stock_row.field(s::stock::S_QUANTITY).and_then(FieldValue::as_i64).unwrap_or(0);
+                stock_row.field(s::stock::S_QUANTITY).and_then(FieldRef::as_i64).unwrap_or(0);
             let new_quantity = if quantity - (line.quantity as i64) >= 10 {
                 quantity - line.quantity as i64
             } else {
                 quantity - line.quantity as i64 + 91
             };
             let remote = supply_w != w;
-            let mut new_stock = stock_row.clone();
+            let mut new_stock = stock_row.unpack();
             new_stock.set(s::stock::S_QUANTITY, FieldValue::I64(new_quantity));
             let ytd = new_stock.field(s::stock::S_YTD).and_then(FieldValue::as_f64).unwrap_or(0.0);
             new_stock.set(s::stock::S_YTD, FieldValue::F64(ytd + line.quantity as f64));
@@ -248,8 +247,8 @@ impl Procedure for Payment {
         // Warehouse YTD.
         let warehouse_row = ctx.read(table::WAREHOUSE, home, s::warehouse_key(w))?;
         let w_ytd =
-            warehouse_row.field(s::warehouse::W_YTD).and_then(FieldValue::as_f64).unwrap_or(0.0);
-        let mut new_warehouse = warehouse_row.clone();
+            warehouse_row.field(s::warehouse::W_YTD).and_then(FieldRef::as_f64).unwrap_or(0.0);
+        let mut new_warehouse = warehouse_row.unpack();
         new_warehouse.set(s::warehouse::W_YTD, FieldValue::F64(w_ytd + self.amount));
         ctx.update_with_operation(
             table::WAREHOUSE,
@@ -262,8 +261,8 @@ impl Procedure for Payment {
         // District YTD.
         let district_row = ctx.read(table::DISTRICT, home, s::district_key(w, d))?;
         let d_ytd =
-            district_row.field(s::district::D_YTD).and_then(FieldValue::as_f64).unwrap_or(0.0);
-        let mut new_district = district_row.clone();
+            district_row.field(s::district::D_YTD).and_then(FieldRef::as_f64).unwrap_or(0.0);
+        let mut new_district = district_row.unpack();
         new_district.set(s::district::D_YTD, FieldValue::F64(d_ytd + self.amount));
         ctx.update_with_operation(
             table::DISTRICT,
@@ -277,22 +276,20 @@ impl Procedure for Payment {
         let c_key = s::customer_key(self.customer_warehouse, self.customer_district, self.customer);
         let customer_row = ctx.read(table::CUSTOMER, remote, c_key)?;
         let balance =
-            customer_row.field(s::customer::C_BALANCE).and_then(FieldValue::as_f64).unwrap_or(0.0);
+            customer_row.field(s::customer::C_BALANCE).and_then(FieldRef::as_f64).unwrap_or(0.0);
         let ytd_payment = customer_row
             .field(s::customer::C_YTD_PAYMENT)
-            .and_then(FieldValue::as_f64)
+            .and_then(FieldRef::as_f64)
             .unwrap_or(0.0);
-        let payment_cnt = customer_row
-            .field(s::customer::C_PAYMENT_CNT)
-            .and_then(FieldValue::as_u64)
-            .unwrap_or(0);
+        let payment_cnt =
+            customer_row.field(s::customer::C_PAYMENT_CNT).and_then(FieldRef::as_u64).unwrap_or(0);
         let bad_credit = customer_row
             .field(s::customer::C_CREDIT)
-            .and_then(FieldValue::as_str)
+            .and_then(FieldRef::as_str)
             .map(|c| c == "BC")
             .unwrap_or(false);
 
-        let mut new_customer = customer_row.clone();
+        let mut new_customer = customer_row.unpack();
         new_customer.set(s::customer::C_BALANCE, FieldValue::F64(balance - self.amount));
         new_customer.set(s::customer::C_YTD_PAYMENT, FieldValue::F64(ytd_payment + self.amount));
         new_customer.set(s::customer::C_PAYMENT_CNT, FieldValue::U64(payment_cnt + 1));
@@ -315,7 +312,7 @@ impl Procedure for Payment {
                 self.customer, self.customer_district, self.customer_warehouse, d, w, self.amount
             );
             let old_data =
-                customer_row.field(s::customer::C_DATA).and_then(FieldValue::as_str).unwrap_or("");
+                customer_row.field(s::customer::C_DATA).and_then(FieldRef::as_str).unwrap_or("");
             let mut new_data = String::with_capacity(C_DATA_MAX);
             new_data.push_str(&prefix);
             new_data.push_str(old_data);
@@ -486,7 +483,7 @@ mod tests {
             for c in 1..=10u64 {
                 let key = s::customer_key(0, d, c);
                 let row = db.get(table::CUSTOMER, 0, key).unwrap().read().row;
-                if row.field(s::customer::C_CREDIT).and_then(FieldValue::as_str) == Some("BC") {
+                if row.field(s::customer::C_CREDIT).and_then(FieldRef::as_str) == Some("BC") {
                     bad_credit_customer = Some((d, c));
                     break 'outer;
                 }

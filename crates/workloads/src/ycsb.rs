@@ -94,7 +94,7 @@ impl Procedure for YcsbTransaction {
         for op in &self.ops {
             let current = ctx.read(YCSB_TABLE, op.partition, op.key)?;
             if let Some((column, bytes)) = &op.write {
-                let mut new_row = current;
+                let mut new_row = current.unpack();
                 new_row.set(*column, FieldValue::Bytes(bytes.clone()));
                 // A single-column update is exactly the case where operation
                 // replication saves bandwidth over shipping all 10 columns.
