@@ -2,13 +2,20 @@
 
 SEED ?= 42
 
-.PHONY: build test lint loc alloc-budget star-lint star-lint-baseline lock-witness bench bench-baseline bench-smoke steadybench-smoke profile chaos chaos-synth chaos-guided chaos-corpus chaos-nightly chaos-smoke chaos-parity server-smoke wire-chaos figures ci
+.PHONY: build test examples lint loc alloc-budget star-lint star-lint-baseline lock-witness bench bench-baseline bench-smoke steadybench-smoke profile chaos chaos-synth chaos-guided chaos-corpus chaos-nightly chaos-smoke chaos-parity server-smoke wire-chaos figures ci
 
 build:
 	cargo build --release
 
 test:
 	cargo test -q
+
+# Every example end to end, a few seconds each; tpcc_phase_switching is the
+# one that drives the baselines.
+examples:
+	for example in quickstart fault_tolerance ycsb_adaptivity tpcc_phase_switching; do \
+		cargo run --release --example $$example || exit 1; \
+	done
 
 lint:
 	cargo fmt --check
@@ -118,4 +125,4 @@ wire-chaos:
 figures:
 	cargo run --release -p star-bench --bin figures -- --quick all
 
-ci: lint loc star-lint build test alloc-budget lock-witness bench-smoke steadybench-smoke chaos-smoke chaos-corpus server-smoke wire-chaos
+ci: lint loc star-lint build test examples alloc-budget lock-witness bench-smoke steadybench-smoke chaos-smoke chaos-corpus server-smoke wire-chaos

@@ -196,8 +196,7 @@ impl FigureRunner {
                 self.record(figure, "STAR", pct, &report);
             }
             let mode = if sync { ReplicationMode::Sync } else { ReplicationMode::Async };
-            let bconfig =
-                BaselineConfig::new(config.to_builder().replication_mode(mode).build().unwrap());
+            let cluster = config.to_builder().replication_mode(mode).build().unwrap();
 
             let pb_cluster = self
                 .cluster(2)
@@ -206,15 +205,17 @@ impl FigureRunner {
                 .replication_mode(mode)
                 .build()
                 .unwrap();
-            let mut pb = PbOcc::new(BaselineConfig::new(pb_cluster), workload.clone()).unwrap();
+            let mut pb = PbOcc::new(pb_cluster, workload.clone()).unwrap();
             let report = pb.run_for(self.scale.window());
             self.record(figure, "PB. OCC", pct, &report);
 
-            let mut docc = DistOcc::new(bconfig.clone(), workload.clone()).unwrap();
+            let mut docc =
+                PartitionedEngine::new(cluster.clone(), DistCc::Occ, workload.clone()).unwrap();
             let report = docc.run_for(self.scale.window());
             self.record(figure, "Dist. OCC", pct, &report);
 
-            let mut s2pl = DistS2pl::new(bconfig, workload.clone()).unwrap();
+            let mut s2pl =
+                PartitionedEngine::new(cluster, DistCc::S2plNoWait, workload.clone()).unwrap();
             let report = s2pl.run_for(self.scale.window());
             self.record(figure, "Dist. S2PL", pct, &report);
         }
@@ -275,16 +276,17 @@ impl FigureRunner {
                     .replication_mode(mode)
                     .build()
                     .unwrap();
-                let mut pb = PbOcc::new(BaselineConfig::new(pb_cluster), ycsb.clone()).unwrap();
+                let mut pb = PbOcc::new(pb_cluster, ycsb.clone()).unwrap();
                 let report = pb.run_for(self.scale.window());
                 self.record("fig12", &label("PB. OCC"), pct, &report);
 
-                let bconfig = BaselineConfig::new(cluster.clone());
-                let mut docc = DistOcc::new(bconfig.clone(), ycsb.clone()).unwrap();
+                let mut docc =
+                    PartitionedEngine::new(cluster.clone(), DistCc::Occ, ycsb.clone()).unwrap();
                 let report = docc.run_for(self.scale.window());
                 self.record("fig12", &label("Dist. OCC"), pct, &report);
 
-                let mut s2pl = DistS2pl::new(bconfig, ycsb.clone()).unwrap();
+                let mut s2pl =
+                    PartitionedEngine::new(cluster, DistCc::S2plNoWait, ycsb.clone()).unwrap();
                 let report = s2pl.run_for(self.scale.window());
                 self.record("fig12", &label("Dist. S2PL"), pct, &report);
             }
@@ -307,12 +309,8 @@ impl FigureRunner {
                 // fewer worker threads per node, dedicate x/2 to the lock
                 // manager (minimum 1).
                 let lock_managers = (x / 2).max(1);
-                let mut calvin = Calvin::new(
-                    BaselineConfig::new(config.clone()),
-                    CalvinConfig::with_lock_managers(lock_managers),
-                    workload.clone(),
-                )
-                .unwrap();
+                let mut calvin =
+                    Calvin::new(config.clone(), lock_managers, workload.clone()).unwrap();
                 let report = calvin.run_for(self.scale.window());
                 self.record(figure, &format!("Calvin-{x}"), pct, &report);
             }
@@ -449,15 +447,16 @@ impl FigureRunner {
             let report = self.run_star(config.clone(), workload.clone());
             self.record(figure, "STAR", nodes as f64, &report);
 
-            let bconfig = BaselineConfig::new(config.clone());
-            let mut docc = DistOcc::new(bconfig.clone(), workload.clone()).unwrap();
+            let mut docc =
+                PartitionedEngine::new(config.clone(), DistCc::Occ, workload.clone()).unwrap();
             let report = docc.run_for(self.scale.window());
             self.record(figure, "Dist. OCC", nodes as f64, &report);
-            let mut s2pl = DistS2pl::new(bconfig.clone(), workload.clone()).unwrap();
+            let mut s2pl =
+                PartitionedEngine::new(config.clone(), DistCc::S2plNoWait, workload.clone())
+                    .unwrap();
             let report = s2pl.run_for(self.scale.window());
             self.record(figure, "Dist. S2PL", nodes as f64, &report);
-            let mut calvin =
-                Calvin::new(bconfig, CalvinConfig::default(), workload.clone()).unwrap();
+            let mut calvin = Calvin::new(config, 2, workload.clone()).unwrap();
             let report = calvin.run_for(self.scale.window());
             self.record(figure, "Calvin", nodes as f64, &report);
         }

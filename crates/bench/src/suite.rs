@@ -243,23 +243,19 @@ impl BenchSuite {
                     .workers_per_node(config.workers_per_node)
                     .build()
                     .expect("PB. OCC cluster configuration is valid");
-                Box::new(
-                    PbOcc::new(BaselineConfig::new(pb_cluster), workload)
-                        .expect("PB. OCC construction failed"),
-                )
+                Box::new(PbOcc::new(pb_cluster, workload).expect("PB. OCC construction failed"))
             }
             EngineKind::DistOcc => Box::new(
-                DistOcc::new(BaselineConfig::new(config), workload)
+                PartitionedEngine::new(config, DistCc::Occ, workload)
                     .expect("Dist. OCC construction failed"),
             ),
             EngineKind::DistS2pl => Box::new(
-                DistS2pl::new(BaselineConfig::new(config), workload)
+                PartitionedEngine::new(config, DistCc::S2plNoWait, workload)
                     .expect("Dist. S2PL construction failed"),
             ),
             EngineKind::Calvin => {
                 let mut calvin =
-                    Calvin::new(BaselineConfig::new(config), CalvinConfig::default(), workload)
-                        .expect("Calvin construction failed");
+                    Calvin::new(config, 2, workload).expect("Calvin construction failed");
                 // Calvin-2 means two replica groups (paper Section 7.2: every
                 // system runs at replication factor 2). The second group
                 // re-executes each sequenced batch on its own copy; in this

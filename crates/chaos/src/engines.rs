@@ -17,7 +17,7 @@
 //! below proves it does.
 
 use crate::checker::{check_history, compare_with_database, CheckReport};
-use star_baselines::{BaselineConfig, Calvin, CalvinConfig, DistOcc, DistS2pl, PbOcc, ReplicaLink};
+use star_baselines::{Baseline, Calvin, DistCc, PartitionedEngine, PbOcc, Protocol, ReplicaLink};
 use star_common::{ClusterConfig, Result};
 use star_core::history::HistoryRecorder;
 use star_core::testing::KvWorkload;
@@ -27,8 +27,8 @@ use star_storage::Database;
 use std::sync::Arc;
 use std::time::Duration;
 
-fn baseline_config(seed: u64) -> BaselineConfig {
-    let cluster = ClusterConfig::builder()
+fn baseline_config(seed: u64) -> ClusterConfig {
+    ClusterConfig::builder()
         .nodes(4)
         .partitions(4)
         .workers_per_node(2)
@@ -36,8 +36,7 @@ fn baseline_config(seed: u64) -> BaselineConfig {
         .network_latency(Duration::from_micros(10))
         .seed(seed)
         .build()
-        .expect("chaos baseline config is valid");
-    BaselineConfig::new(cluster)
+        .expect("chaos baseline config is valid")
 }
 
 fn workload() -> Arc<KvWorkload> {
@@ -90,42 +89,42 @@ struct PreparedBaseline {
     link: Arc<ReplicaLink>,
 }
 
+impl PreparedBaseline {
+    fn new<P: Protocol + 'static>(
+        mut engine: Baseline<P>,
+        faults: LinkFaults,
+        faulted: bool,
+    ) -> Self {
+        if faulted {
+            engine.set_replication_faults(faults);
+        }
+        PreparedBaseline {
+            backup: engine.backup().cloned(),
+            link: Arc::clone(engine.replica_link()),
+            engine: Box::new(engine),
+        }
+    }
+}
+
 fn prepare_baselines(
     seed: u64,
     faults: LinkFaults,
     faulted: bool,
 ) -> Result<Vec<PreparedBaseline>> {
-    let mut pb = PbOcc::new(baseline_config(seed), workload())?;
-    let mut occ = DistOcc::new(baseline_config(seed), workload())?;
-    let mut s2pl = DistS2pl::new(baseline_config(seed), workload())?;
-    let mut calvin = Calvin::new(baseline_config(seed), CalvinConfig::default(), workload())?;
-    if faulted {
-        pb.set_replication_faults(faults);
-        occ.set_replication_faults(faults);
-        s2pl.set_replication_faults(faults);
-        calvin.set_replication_faults(faults);
-    }
+    let cluster = baseline_config(seed);
     Ok(vec![
-        PreparedBaseline {
-            backup: Some(Arc::clone(pb.backup())),
-            link: Arc::clone(pb.replica_link()),
-            engine: Box::new(pb),
-        },
-        PreparedBaseline {
-            backup: Some(Arc::clone(occ.backup())),
-            link: Arc::clone(occ.replica_link()),
-            engine: Box::new(occ),
-        },
-        PreparedBaseline {
-            backup: Some(Arc::clone(s2pl.backup())),
-            link: Arc::clone(s2pl.replica_link()),
-            engine: Box::new(s2pl),
-        },
-        PreparedBaseline {
-            backup: calvin.backup().cloned(),
-            link: Arc::clone(calvin.replica_link()),
-            engine: Box::new(calvin),
-        },
+        PreparedBaseline::new(PbOcc::new(cluster.clone(), workload())?, faults, faulted),
+        PreparedBaseline::new(
+            PartitionedEngine::new(cluster.clone(), DistCc::Occ, workload())?,
+            faults,
+            faulted,
+        ),
+        PreparedBaseline::new(
+            PartitionedEngine::new(cluster.clone(), DistCc::S2plNoWait, workload())?,
+            faults,
+            faulted,
+        ),
+        PreparedBaseline::new(Calvin::new(cluster, 2, workload())?, faults, faulted),
     ])
 }
 
@@ -133,9 +132,9 @@ fn prepare_baselines(
 /// with `faults` injected into its replication path, recording and checking
 /// its committed history and comparing its backup against the oracle.
 ///
-/// All four engines are driven through the shared [`Engine`] trait: only
-/// construction and fault arming are engine-specific, the record/run/check
-/// loop is written once.
+/// All four engines are driven through the shared [`Engine`] trait and armed
+/// through the shared [`Baseline`] shell: only construction is
+/// engine-specific, the record/run/check loop is written once.
 ///
 /// With `LinkFaults::none()` no fault plane is armed and the backup
 /// comparison is skipped (reported as `Ok(0)`): the engines behave exactly
@@ -226,15 +225,15 @@ mod tests {
         // workers makes the race window hot; the committed history must stay
         // serializable every time, and no lock may leak.
         for round in 0..3u64 {
-            let mut config = baseline_config(100 + round);
-            config.cluster = config.cluster.to_builder().workers_per_node(3).build().unwrap();
+            let config =
+                baseline_config(100 + round).to_builder().workers_per_node(3).build().unwrap();
             let workload = Arc::new(KvWorkload {
                 partitions: 4,
                 rows_per_partition: 4,
                 cross_partition_fraction: 0.5,
             });
             let recorder = Arc::new(HistoryRecorder::new());
-            let mut s2pl = DistS2pl::new(config, workload).unwrap();
+            let mut s2pl = PartitionedEngine::new(config, DistCc::S2plNoWait, workload).unwrap();
             s2pl.set_history_recorder(Arc::clone(&recorder));
             s2pl.run_for(Duration::from_millis(40));
             let report = check_history(&recorder.committed());

@@ -854,17 +854,12 @@ impl crate::engine_api::Engine for StarEngine {
     }
 
     fn report(&self) -> RunReport {
-        match &self.last_report {
-            Some(report) => report.clone(),
-            None => RunReport::new(
-                "STAR",
-                self.workload.name(),
-                self.workload.mix().percentage(),
-                Duration::ZERO,
-                self.counters.snapshot(),
-                LatencyHistogram::new(),
-            ),
-        }
+        crate::engine_api::last_or_idle_report(
+            self.last_report.as_ref(),
+            "STAR",
+            self.workload.as_ref(),
+            &self.counters,
+        )
     }
 
     fn set_history_recorder(&mut self, recorder: Arc<HistoryRecorder>) {

@@ -13,7 +13,8 @@
 //! (execution, fence wait, replication flush, WAL fsync, lock/validate).
 
 use crate::history::HistoryRecorder;
-use star_common::stats::{RunCounters, RunReport};
+use crate::workload::Workload;
+use star_common::stats::{LatencyHistogram, RunCounters, RunReport};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -48,6 +49,28 @@ pub trait Engine: Send {
     /// replication only.
     fn wal_paths(&self) -> Vec<PathBuf> {
         Vec::new()
+    }
+}
+
+/// The [`Engine::report`] every engine gives: the report of its last run,
+/// or — before the first run — a zero-duration report of `engine` running
+/// `workload` over the cumulative `counters`.
+pub fn last_or_idle_report(
+    last: Option<&RunReport>,
+    engine: &str,
+    workload: &dyn Workload,
+    counters: &RunCounters,
+) -> RunReport {
+    match last {
+        Some(report) => report.clone(),
+        None => RunReport::new(
+            engine,
+            workload.name(),
+            workload.mix().percentage(),
+            Duration::ZERO,
+            counters.snapshot(),
+            LatencyHistogram::new(),
+        ),
     }
 }
 

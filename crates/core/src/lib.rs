@@ -32,9 +32,14 @@
 //!   reverted epochs vanish exactly as their effects do); the `star-chaos`
 //!   serializability checker consumes these histories.
 //!
-//! The cluster is simulated in one process (see `DESIGN.md` for the
-//! substitution argument); all the protocol logic — TID rules, Thomas write
-//! rule, replication fences, hybrid replication — is the real thing.
+//! The cluster is simulated in one process: N [`node::StarNode`]s that
+//! exchange every replication batch and fence message over a
+//! [`star_net::SimNetwork`], which delivers each message the configured
+//! one-way latency after it was sent. All the protocol logic — TID rules,
+//! Thomas write rule, replication fences, hybrid replication — is the real
+//! thing: `star-serverd` runs the same `StarNode` over TCP, and its
+//! transport-parity suite checks that the wire commits byte-for-byte what
+//! the simulation does.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

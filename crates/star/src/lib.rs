@@ -60,7 +60,7 @@ pub use star_workloads as workloads;
 
 /// The most commonly used types, re-exported for `use star::prelude::*`.
 pub mod prelude {
-    pub use star_baselines::{BaselineConfig, Calvin, CalvinConfig, DistOcc, DistS2pl, PbOcc};
+    pub use star_baselines::{Calvin, DistCc, PartitionedEngine, PbOcc};
     pub use star_common::stats::{
         CounterSnapshot, LatencyHistogram, PhaseBreakdown, RunReport, BREAKDOWN_VERSION,
     };

@@ -45,9 +45,9 @@ fn main() {
     // The baselines are all driven through the shared `Engine` trait: one
     // loop, no per-engine glue, `RunReport` as the common result type.
     let mut baselines: Vec<Box<dyn Engine>> = vec![
-        Box::new(PbOcc::new(BaselineConfig::new(cluster()), workload()).unwrap()),
-        Box::new(DistOcc::new(BaselineConfig::new(cluster()), workload()).unwrap()),
-        Box::new(DistS2pl::new(BaselineConfig::new(cluster()), workload()).unwrap()),
+        Box::new(PbOcc::new(cluster(), workload()).unwrap()),
+        Box::new(PartitionedEngine::new(cluster(), DistCc::Occ, workload()).unwrap()),
+        Box::new(PartitionedEngine::new(cluster(), DistCc::S2plNoWait, workload()).unwrap()),
     ];
     for engine in &mut baselines {
         println!("running {}...", engine.name());

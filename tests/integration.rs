@@ -88,41 +88,41 @@ fn star_hybrid_replication_ships_fewer_bytes_than_value_replication_on_tpcc() {
 
 #[test]
 fn all_baselines_run_ycsb() {
-    let config = BaselineConfig::new(small_cluster(4, 8));
+    let config = small_cluster(4, 8);
     let wl = ycsb(8, 20.0);
 
-    let mut pb = PbOcc::new(BaselineConfig::new(small_cluster(2, 8)), wl.clone()).unwrap();
+    let mut pb = PbOcc::new(small_cluster(2, 8), wl.clone()).unwrap();
     let report = pb.run_for(Duration::from_millis(40));
     assert!(report.counters.committed > 0, "PB. OCC committed nothing");
 
-    let mut docc = DistOcc::new(config.clone(), wl.clone()).unwrap();
+    let mut docc = PartitionedEngine::new(config.clone(), DistCc::Occ, wl.clone()).unwrap();
     let report = docc.run_for(Duration::from_millis(40));
     assert!(report.counters.committed > 0, "Dist. OCC committed nothing");
 
-    let mut s2pl = DistS2pl::new(config.clone(), wl.clone()).unwrap();
+    let mut s2pl = PartitionedEngine::new(config.clone(), DistCc::S2plNoWait, wl.clone()).unwrap();
     let report = s2pl.run_for(Duration::from_millis(40));
     assert!(report.counters.committed > 0, "Dist. S2PL committed nothing");
 
-    let mut calvin = Calvin::new(config, CalvinConfig::with_lock_managers(2), wl).unwrap();
+    let mut calvin = Calvin::new(config, 2, wl).unwrap();
     let report = calvin.run_for(Duration::from_millis(40));
     assert!(report.counters.committed > 0, "Calvin committed nothing");
 }
 
 #[test]
 fn all_baselines_run_tpcc() {
-    let config = BaselineConfig::new(small_cluster(4, 4));
+    let config = small_cluster(4, 4);
     let wl = tpcc(4, 12.5);
 
-    let mut pb = PbOcc::new(BaselineConfig::new(small_cluster(2, 4)), wl.clone()).unwrap();
+    let mut pb = PbOcc::new(small_cluster(2, 4), wl.clone()).unwrap();
     assert!(pb.run_for(Duration::from_millis(40)).counters.committed > 0);
 
-    let mut docc = DistOcc::new(config.clone(), wl.clone()).unwrap();
+    let mut docc = PartitionedEngine::new(config.clone(), DistCc::Occ, wl.clone()).unwrap();
     assert!(docc.run_for(Duration::from_millis(40)).counters.committed > 0);
 
-    let mut s2pl = DistS2pl::new(config.clone(), wl.clone()).unwrap();
+    let mut s2pl = PartitionedEngine::new(config.clone(), DistCc::S2plNoWait, wl.clone()).unwrap();
     assert!(s2pl.run_for(Duration::from_millis(40)).counters.committed > 0);
 
-    let mut calvin = Calvin::new(config, CalvinConfig::default(), wl).unwrap();
+    let mut calvin = Calvin::new(config, 2, wl).unwrap();
     assert!(calvin.run_for(Duration::from_millis(40)).counters.committed > 0);
 }
 

@@ -48,33 +48,29 @@ fn star_engine_via_prelude() {
 
 #[test]
 fn pb_occ_via_prelude() {
-    let mut engine = PbOcc::new(BaselineConfig::new(tiny_cluster(2)), tiny_ycsb()).unwrap();
+    let mut engine = PbOcc::new(tiny_cluster(2), tiny_ycsb()).unwrap();
     let report = engine.run_for(BURST);
     assert_burst_commits(EngineKind::PbOcc, &report);
 }
 
 #[test]
 fn dist_occ_via_prelude() {
-    let mut engine = DistOcc::new(BaselineConfig::new(tiny_cluster(2)), tiny_ycsb()).unwrap();
+    let mut engine = PartitionedEngine::new(tiny_cluster(2), DistCc::Occ, tiny_ycsb()).unwrap();
     let report = engine.run_for(BURST);
     assert_burst_commits(EngineKind::DistOcc, &report);
 }
 
 #[test]
 fn dist_s2pl_via_prelude() {
-    let mut engine = DistS2pl::new(BaselineConfig::new(tiny_cluster(2)), tiny_ycsb()).unwrap();
+    let mut engine =
+        PartitionedEngine::new(tiny_cluster(2), DistCc::S2plNoWait, tiny_ycsb()).unwrap();
     let report = engine.run_for(BURST);
     assert_burst_commits(EngineKind::DistS2pl, &report);
 }
 
 #[test]
 fn calvin_via_prelude() {
-    let mut engine = Calvin::new(
-        BaselineConfig::new(tiny_cluster(2)),
-        CalvinConfig::with_lock_managers(1),
-        tiny_ycsb(),
-    )
-    .unwrap();
+    let mut engine = Calvin::new(tiny_cluster(2), 1, tiny_ycsb()).unwrap();
     let report = engine.run_for(BURST);
     assert_burst_commits(EngineKind::Calvin, &report);
 }
@@ -85,21 +81,18 @@ fn all_five_engines_run_through_the_engine_trait() {
     // one loop, no duck typing, RunReport as the single typed result.
     let mut engines: Vec<Box<dyn Engine>> = vec![
         Box::new(StarEngine::new(tiny_cluster(2), tiny_ycsb()).unwrap()),
-        Box::new(PbOcc::new(BaselineConfig::new(tiny_cluster(2)), tiny_ycsb()).unwrap()),
-        Box::new(DistOcc::new(BaselineConfig::new(tiny_cluster(2)), tiny_ycsb()).unwrap()),
-        Box::new(DistS2pl::new(BaselineConfig::new(tiny_cluster(2)), tiny_ycsb()).unwrap()),
-        Box::new(
-            Calvin::new(
-                BaselineConfig::new(tiny_cluster(2)),
-                CalvinConfig::with_lock_managers(1),
-                tiny_ycsb(),
-            )
-            .unwrap(),
-        ),
+        Box::new(PbOcc::new(tiny_cluster(2), tiny_ycsb()).unwrap()),
+        Box::new(PartitionedEngine::new(tiny_cluster(2), DistCc::Occ, tiny_ycsb()).unwrap()),
+        Box::new(PartitionedEngine::new(tiny_cluster(2), DistCc::S2plNoWait, tiny_ycsb()).unwrap()),
+        Box::new(Calvin::new(tiny_cluster(2), 1, tiny_ycsb()).unwrap()),
     ];
     for engine in &mut engines {
         let name = engine.name();
-        assert_eq!(engine.report().counters.committed, 0, "{name}: pre-run report not empty");
+        // Before any run, `report()` is the shared zero-window fallback.
+        let idle = engine.report();
+        assert_eq!(idle.engine, name, "{name}: pre-run report names another engine");
+        assert_eq!(idle.duration, Duration::ZERO, "{name}: pre-run report has a window");
+        assert_eq!(idle.counters.committed, 0, "{name}: pre-run report not empty");
         let report = engine.run_for(BURST);
         assert!(report.counters.committed > 0, "{name} committed nothing via the trait");
         assert_eq!(report.engine, name);
