@@ -104,6 +104,7 @@ mod tests {
             }],
             files_scanned: 2,
             suppressions_used: 1,
+            ..AnalysisOutput::default()
         };
         let diff = Baseline::default().diff(&out.findings);
         let json = render_json(&out, &diff);

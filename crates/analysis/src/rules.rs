@@ -23,6 +23,8 @@ pub struct Finding {
 /// ascending level order within a function.
 #[derive(Debug, Clone)]
 pub struct LockLevel {
+    /// The manifest line the entry is on (1-based).
+    pub line: u32,
     pub level: u32,
     /// The identifier the guard is acquired through (`wal` in `wal.lock()`).
     pub name: String,
@@ -51,10 +53,14 @@ pub fn parse_manifest(text: &str) -> Result<Vec<LockLevel>, String> {
         if parts.next().is_some() {
             return Err(format!("manifest line {}: trailing tokens", lineno + 1));
         }
-        out.push(LockLevel { level, name: name.to_owned(), path_filter });
+        let line = u32::try_from(lineno + 1).unwrap_or(u32::MAX);
+        out.push(LockLevel { line, level, name: name.to_owned(), path_filter });
     }
     Ok(out)
 }
+
+/// Where findings about the lock manifest itself are reported.
+pub const MANIFEST_PATH: &str = "lock-order.manifest";
 
 /// Analyzer configuration: currently just the lock manifest.
 #[derive(Debug, Default)]
@@ -161,6 +167,9 @@ pub struct AnalysisOutput {
     pub findings: Vec<Finding>,
     pub files_scanned: usize,
     pub suppressions_used: usize,
+    /// Indexes of the manifest entries whose name is an identifier in
+    /// non-test code of some scanned file in the entry's path scope.
+    pub lock_entries_named: BTreeSet<usize>,
 }
 
 /// Runs every lint family over one file, appending to `out`.
@@ -172,6 +181,7 @@ pub fn analyze_source(path: &str, source: &str, cfg: &AnalysisConfig, out: &mut 
     determinism_pass(path, &lexed.tokens, &ctxs, &mut raw);
     panic_pass(path, &lexed.tokens, &ctxs, &mut raw);
     lock_order_pass(path, &lexed.tokens, &ctxs, cfg, &mut raw);
+    note_named_lock_entries(path, &lexed.tokens, &ctxs, cfg, &mut out.lock_entries_named);
 
     let mut findings = Vec::new();
     let supps = parse_suppressions(&lexed.comments, path, &mut findings);
@@ -373,6 +383,50 @@ fn lock_order_pass(
     }
 }
 
+/// Records which manifest entries `path` names: an entry is named when its
+/// name is an identifier in the file's non-test code and the file is in the
+/// entry's path scope.
+fn note_named_lock_entries(
+    path: &str,
+    tokens: &[Token],
+    ctxs: &FileContexts,
+    cfg: &AnalysisConfig,
+    named: &mut BTreeSet<usize>,
+) {
+    for (index, entry) in cfg.lock_manifest.iter().enumerate() {
+        let in_scope = entry.path_filter.as_deref().map_or(true, |f| path.contains(f));
+        if in_scope
+            && tokens.iter().zip(&ctxs.ctx).any(|(t, ctx)| !ctx.in_test && t.is_ident(&entry.name))
+        {
+            named.insert(index);
+        }
+    }
+}
+
+/// Stale manifest entries: once every file is analyzed, an entry no file
+/// named orders a lock that no longer exists, and would silently order a
+/// new lock that happens to reuse the name. Reported against the manifest
+/// line.
+pub fn stale_lock_entries(cfg: &AnalysisConfig, out: &mut AnalysisOutput) {
+    for (index, entry) in cfg.lock_manifest.iter().enumerate() {
+        if out.lock_entries_named.contains(&index) {
+            continue;
+        }
+        let scope = entry.path_filter.as_deref().unwrap_or("the workspace");
+        out.findings.push(Finding {
+            path: MANIFEST_PATH.to_owned(),
+            line: entry.line,
+            column: 1,
+            rule: "lock::stale-entry".to_owned(),
+            message: format!(
+                "manifest entry `{} {}` names no identifier in non-test code of {scope}; \
+                 remove it",
+                entry.level, entry.name
+            ),
+        });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -565,6 +619,30 @@ mod tests {
         let cfg = AnalysisConfig { lock_manifest: parse_manifest("10 low\n20 high").unwrap() };
         let src = "fn swap() { let a = high.lock(); let b = low.lock(); let c = low.lock(); }";
         assert_eq!(rules(&run("crates/x/src/l.rs", src, &cfg)), vec!["lock::order"]);
+    }
+
+    #[test]
+    fn manifest_entries_unnamed_in_their_scope_are_stale() {
+        let cfg = AnalysisConfig {
+            lock_manifest: parse_manifest("10 low crates/a\n20 high\n30 gone crates/a\n").unwrap(),
+        };
+        let mut out = AnalysisOutput::default();
+        // `gone` appears only in test code and outside its scope; `high` is
+        // named anywhere, which is its scope.
+        let src =
+            "fn f() { let a = low.lock(); }\n#[cfg(test)] mod tests { fn t() { gone.lock(); } }";
+        analyze_source("crates/a/src/l.rs", src, &cfg, &mut out);
+        analyze_source(
+            "crates/b/src/l.rs",
+            "fn g() { let b = high.lock(); gone(); }",
+            &cfg,
+            &mut out,
+        );
+        stale_lock_entries(&cfg, &mut out);
+        assert_eq!(rules(&out.findings), vec!["lock::stale-entry"]);
+        let stale = &out.findings[0];
+        assert_eq!((stale.path.as_str(), stale.line), (MANIFEST_PATH, 3));
+        assert!(stale.message.contains("`30 gone`"), "{}", stale.message);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! tests are test-only by construction. Files are visited in sorted path
 //! order so output and reports are deterministic.
 
-use crate::rules::{analyze_source, AnalysisConfig, AnalysisOutput};
+use crate::rules::{analyze_source, stale_lock_entries, AnalysisConfig, AnalysisOutput};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -62,13 +62,15 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Runs the full analysis over a set of files. Findings come back sorted by
-/// (path, line, column, rule).
+/// Runs the full analysis over a set of files, then flags the manifest
+/// entries none of them names. Findings come back sorted by (path, line,
+/// column, rule).
 pub fn analyze_files(files: &[SourceFile], cfg: &AnalysisConfig) -> AnalysisOutput {
     let mut out = AnalysisOutput::default();
     for f in files {
         analyze_source(&f.path, &f.content, cfg, &mut out);
     }
+    stale_lock_entries(cfg, &mut out);
     out.findings.sort();
     out
 }

@@ -22,6 +22,7 @@
 //!   garbage silently and the backup-vs-oracle comparison must flag it.
 
 use parking_lot::Mutex;
+use star_net::fault::apply_verdict;
 use star_net::{FaultPlane, FaultVerdict, LinkFaults};
 use star_replication::{LogEntry, Payload};
 use star_storage::Database;
@@ -47,23 +48,20 @@ pub struct ReplicaLink {
     faulted: AtomicBool,
     /// Entries delivered but not yet applied (async group-commit mode).
     pending: Mutex<Vec<LogEntry>>,
-    /// Entries held back by reorder faults; released by the next delivered
-    /// entry or by the group commit.
+    /// Entries held back by reorder faults; released behind the next entry
+    /// that is not stashed too, or by the group commit.
     stash: Mutex<Vec<LogEntry>>,
     dropped: AtomicU64,
-    duplicated: AtomicU64,
-    reordered: AtomicU64,
-    corrupted: AtomicU64,
 }
 
 /// Corrupts one entry's payload with the shared salt-driven mutation
 /// (`star_common`'s `Row::corrupt` / `Operation::corrupt`), so the STAR and
 /// baseline harnesses inject identical byzantine faults for the same salt.
-fn corrupt_entry(entry: &mut LogEntry, salt: u64) -> bool {
+fn corrupt_entry(entry: &mut LogEntry, salt: u64) {
     match &mut entry.payload {
         Payload::Value(row) => row.corrupt(salt),
         Payload::Operation(op) => op.corrupt(salt),
-    }
+    };
 }
 
 impl ReplicaLink {
@@ -86,53 +84,15 @@ impl ReplicaLink {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Entries delivered twice so far.
-    pub fn duplicated(&self) -> u64 {
-        self.duplicated.load(Ordering::Relaxed)
-    }
-
-    /// Entries that were overtaken by a later entry so far.
-    pub fn reordered(&self) -> u64 {
-        self.reordered.load(Ordering::Relaxed)
-    }
-
-    /// Entries delivered with a bit-flipped payload so far.
-    pub fn corrupted(&self) -> u64 {
-        self.corrupted.load(Ordering::Relaxed)
-    }
-
     /// Rolls the fate of one entry, pushing the survivors onto `out`.
     fn admit(&self, entry: LogEntry, out: &mut Vec<LogEntry>) {
-        match self.plane.roll(PRIMARY, BACKUP) {
-            FaultVerdict::Deliver { .. } => {
-                out.push(entry);
-                // The link made progress: anything stashed behind this entry
-                // has now been overtaken.
-                out.append(&mut self.stash.lock());
-            }
-            FaultVerdict::Drop => {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-                out.append(&mut self.stash.lock());
-            }
-            FaultVerdict::Duplicate { .. } => {
-                self.duplicated.fetch_add(1, Ordering::Relaxed);
-                out.push(entry.clone());
-                out.push(entry);
-                out.append(&mut self.stash.lock());
-            }
-            FaultVerdict::Reorder => {
-                self.reordered.fetch_add(1, Ordering::Relaxed);
-                self.stash.lock().push(entry);
-            }
-            FaultVerdict::Corrupt { salt, .. } => {
-                let mut entry = entry;
-                if corrupt_entry(&mut entry, salt) {
-                    self.corrupted.fetch_add(1, Ordering::Relaxed);
-                }
-                out.push(entry);
-                out.append(&mut self.stash.lock());
-            }
+        let verdict = self.plane.roll(PRIMARY, BACKUP);
+        if verdict == FaultVerdict::Drop {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
         }
+        apply_verdict(verdict, entry, &mut self.stash.lock(), corrupt_entry, |entry, _| {
+            out.push(entry)
+        });
     }
 
     /// Offers committed entries to the link for asynchronous replication:
@@ -210,7 +170,7 @@ mod tests {
         assert_eq!(db.len(), 0, "async entries wait for the group commit");
         assert_eq!(link.group_commit(&db), 2);
         assert_eq!(db.len(), 2);
-        assert_eq!(link.dropped() + link.duplicated() + link.reordered(), 0);
+        assert_eq!(link.dropped(), 0);
     }
 
     #[test]
@@ -231,7 +191,6 @@ mod tests {
         let db = backup();
         link.offer(vec![entry(1, 1, 10)]);
         assert_eq!(link.group_commit(&db), 2, "both copies are delivered");
-        assert_eq!(link.duplicated(), 1);
         let rec = db.get(0, 0, 1).unwrap();
         assert_eq!(rec.read().row, row([FieldValue::U64(10)]));
     }
@@ -244,8 +203,7 @@ mod tests {
         link.offer(vec![entry(1, 1, 10), entry(1, 2, 11)]);
         // Every entry was stashed (reorder probability 1.0), so nothing is
         // pending yet — the group commit must still deliver them all.
-        link.group_commit(&db);
-        assert_eq!(link.reordered(), 2);
+        assert_eq!(link.group_commit(&db), 2);
         // The Thomas write rule keeps the newest version regardless of the
         // apply order.
         let rec = db.get(0, 0, 1).unwrap();
@@ -254,7 +212,7 @@ mod tests {
 
     #[test]
     fn fault_decisions_reproduce_from_the_seed() {
-        let outcomes = |seed: u64| -> (u64, u64, u64) {
+        let outcomes = |seed: u64| -> (u64, Vec<usize>) {
             let link = ReplicaLink::new();
             link.set_faults(
                 seed,
@@ -266,11 +224,14 @@ mod tests {
                 },
             );
             let db = backup();
-            for i in 0..100u64 {
-                link.offer(vec![entry(i % 8, i + 1, i)]);
-            }
-            link.group_commit(&db);
-            (link.dropped(), link.duplicated(), link.reordered())
+            // The applied count of each group commit traces the verdicts.
+            let applied = (0..100u64)
+                .map(|i| {
+                    link.offer(vec![entry(i % 8, i + 1, i)]);
+                    link.group_commit(&db)
+                })
+                .collect();
+            (link.dropped(), applied)
         };
         assert_eq!(outcomes(3), outcomes(3));
         assert_ne!(outcomes(3), outcomes(4), "different seeds should diverge");

@@ -10,9 +10,6 @@
 //! * [`packed`] — the byte encoding of a row: the codec, and the
 //!   one-allocation [`packed::PackedRow`] a record stores.
 //! * [`config`] — cluster, replication and workload configuration.
-//! * [`clock`] — injectable time sources ([`clock::WallClock`],
-//!   [`clock::VirtualClock`]) the transport layer stamps delivery deadlines
-//!   with.
 //! * [`rng`] — uniform / Zipfian / TPC-C `NURand` distributions.
 //! * [`stats`] — latency histograms and throughput counters used by the
 //!   benchmark harness to report the paper's tables and figures.
@@ -24,7 +21,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod clock;
 pub mod config;
 pub mod error;
 pub mod packed;
@@ -33,7 +29,6 @@ pub mod row;
 pub mod stats;
 pub mod tid;
 
-pub use clock::{Clock, VirtualClock, WallClock};
 pub use config::{
     ClusterConfig, ClusterConfigBuilder, EngineKind, ReplicationMode, ReplicationStrategy,
 };

@@ -138,11 +138,6 @@ impl TidGenerator {
         self.last = candidate;
         candidate
     }
-
-    /// Resets the generator, e.g. after a recovery that reverted an epoch.
-    pub fn reset_to(&mut self, tid: Tid) {
-        self.last = tid;
-    }
 }
 
 #[cfg(test)]

@@ -305,7 +305,7 @@ impl StarEngine {
         &self.nodes
     }
 
-    /// The simulated network (failure injection, traffic statistics).
+    /// The simulated network (failure and fault injection).
     pub fn network(&self) -> &SimNetwork {
         &self.network
     }
@@ -633,7 +633,7 @@ impl StarEngine {
         let healthy = self.nodes.iter().filter(|node| !failed[node.id()]);
         for node in healthy.clone() {
             let n = node.id();
-            let queued = node.transport().drain().into_iter().map(|envelope| envelope.payload);
+            let queued = node.transport().drain();
             let (_, deferred_entries) =
                 node.fence(&self.clock, reverting, queued, |entry| match next {
                     None => true,
@@ -925,8 +925,6 @@ mod tests {
         let report = engine.run_for(Duration::from_millis(20));
         assert!(report.counters.replication_bytes > 0);
         assert!(report.counters.fences >= 2);
-        // The simulated network saw actual messages.
-        assert!(engine.network().stats().bytes() > 0);
     }
 
     #[test]

@@ -7,19 +7,21 @@
 //! configuration, message sequence)` alone — the FoundationDB-style
 //! "re-run the seed to reproduce the bug" workflow.
 //!
-//! Fault semantics (what the protocol layer may assume):
+//! Every link that injects faults — the in-process [`crate::Endpoint`], the
+//! baselines' replica link and the wire-chaos proxy — turns a
+//! [`FaultVerdict`] into deliveries through the one rule in
+//! [`apply_verdict`]. Fault semantics (what the protocol layer may assume):
 //!
-//! * **drop / cut link** — the message is lost silently; the sender still
-//!   pays the wire bytes (the packet was transmitted, then lost in flight).
-//!   STAR's replication fence cannot detect silent loss, so schedules must
-//!   confine losses to epochs that end in a failure detection (the epoch
-//!   revert of Figure 6 discards every in-flight message of the epoch), or
-//!   to links whose receiver is later rebuilt via node recovery.
+//! * **drop / cut link** — the message is lost silently. STAR's replication
+//!   fence cannot detect silent loss, so schedules must confine losses to
+//!   epochs that end in a failure detection (the epoch revert of Figure 6
+//!   discards every in-flight message of the epoch), or to links whose
+//!   receiver is later rebuilt via node recovery.
 //! * **delay** — delivery is postponed by `extra_delay`; ordering within the
 //!   link is preserved, so this is always protocol-safe.
-//! * **duplicate** — the message is enqueued (and the bytes accounted)
-//!   twice. Safe for value *and* operation payloads because replica
-//!   application is TID-gated (the Thomas write rule rejects the replay).
+//! * **duplicate** — the message is delivered twice. Safe for value *and*
+//!   operation payloads because replica application is TID-gated (the
+//!   Thomas write rule rejects the replay).
 //! * **reorder** — the message is stashed and released only after a later
 //!   message on the same link, so one message overtakes another. Safe only
 //!   under value replication (Thomas write rule); operation replication
@@ -133,6 +135,45 @@ pub enum FaultVerdict {
     },
 }
 
+/// Turns one verdict into deliveries on a link — the rule every link
+/// shares:
+///
+/// * `Deliver` delivers `msg` with its extra delay;
+/// * `Duplicate` delivers it twice;
+/// * `Reorder` pushes it onto `stash`;
+/// * `Corrupt` delivers it after `corrupt` flipped it with the verdict's
+///   salt;
+/// * every verdict but `Reorder` then releases `stash`, in order and without
+///   extra delay, behind what it delivered — `Drop` too: the link made
+///   progress, so whatever was stashed has been overtaken.
+///
+/// `deliver(msg, extra_delay)` hands one message to the receiving side.
+/// Nothing allocates unless a message is stashed.
+pub fn apply_verdict<M: Clone>(
+    verdict: FaultVerdict,
+    mut msg: M,
+    stash: &mut Vec<M>,
+    corrupt: impl FnOnce(&mut M, u64),
+    mut deliver: impl FnMut(M, Duration),
+) {
+    match verdict {
+        FaultVerdict::Deliver { extra_delay } => deliver(msg, extra_delay),
+        FaultVerdict::Drop => {}
+        FaultVerdict::Duplicate { extra_delay } => {
+            deliver(msg.clone(), extra_delay);
+            deliver(msg, extra_delay);
+        }
+        FaultVerdict::Reorder => return stash.push(msg),
+        FaultVerdict::Corrupt { salt, extra_delay } => {
+            corrupt(&mut msg, salt);
+            deliver(msg, extra_delay);
+        }
+    }
+    for stashed in stash.drain(..) {
+        deliver(stashed, Duration::ZERO);
+    }
+}
+
 #[derive(Debug, Default)]
 struct FaultState {
     seed: u64,
@@ -205,11 +246,6 @@ impl FaultPlane {
         state.cut.remove(&(b, a));
     }
 
-    /// Restores every cut link.
-    pub fn heal_all_links(&self) {
-        self.state.lock().unwrap().cut.clear();
-    }
-
     /// Whether the directed link `from → to` is currently cut.
     pub fn is_link_cut(&self, from: usize, to: usize) -> bool {
         self.state.lock().unwrap().cut.contains(&(from, to))
@@ -263,6 +299,45 @@ impl FaultPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Applies `verdict` to `msg` over `stash`, returning what was delivered.
+    fn deliveries(verdict: FaultVerdict, msg: u64, stash: &mut Vec<u64>) -> Vec<(u64, Duration)> {
+        let mut out = Vec::new();
+        apply_verdict(
+            verdict,
+            msg,
+            stash,
+            |m, salt| *m ^= 1 << (salt % 64),
+            |m, d| out.push((m, d)),
+        );
+        out
+    }
+
+    #[test]
+    fn every_verdict_but_reorder_releases_the_stash() {
+        let delay = Duration::from_micros(7);
+        let zero = Duration::ZERO;
+        let mut stash = Vec::new();
+        assert!(deliveries(FaultVerdict::Reorder, 1, &mut stash).is_empty());
+        assert_eq!(deliveries(FaultVerdict::Drop, 2, &mut stash), vec![(1, zero)]);
+        deliveries(FaultVerdict::Reorder, 3, &mut stash);
+        assert_eq!(
+            deliveries(FaultVerdict::Duplicate { extra_delay: delay }, 4, &mut stash),
+            vec![(4, delay), (4, delay), (3, zero)]
+        );
+        deliveries(FaultVerdict::Reorder, 5, &mut stash);
+        assert_eq!(
+            deliveries(FaultVerdict::Corrupt { salt: 1, extra_delay: zero }, 6, &mut stash),
+            vec![(6 ^ 2, zero), (5, zero)]
+        );
+        deliveries(FaultVerdict::Reorder, 7, &mut stash);
+        deliveries(FaultVerdict::Reorder, 8, &mut stash);
+        assert_eq!(
+            deliveries(FaultVerdict::Deliver { extra_delay: delay }, 9, &mut stash),
+            vec![(9, delay), (7, zero), (8, zero)]
+        );
+        assert!(stash.is_empty());
+    }
 
     #[test]
     fn default_plane_always_delivers() {

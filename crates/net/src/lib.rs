@@ -3,29 +3,25 @@
 //! The paper runs on four EC2 nodes connected by a ~4.8 Gbit/s network; this
 //! repository replaces that testbed with an in-process message-passing
 //! substrate so that the same algorithms (replication streams, replication
-//! fences, two-phase commit, Calvin input replication) run over an explicit
-//! network abstraction with:
+//! fences) run over an explicit network abstraction with:
 //!
-//! * **configurable one-way latency** between distinct nodes (zero for a node
-//!   talking to itself), applied at delivery time;
-//! * **byte accounting** per node pair, so the replication-bandwidth results
-//!   of Section 5 can be measured rather than estimated;
+//! * **one-way latency**: a message is due one configured latency after its
+//!   send, and the replication fence's [`Endpoint::drain`] waits until each
+//!   message it takes is due;
 //! * **failure injection**: a node can be marked failed, after which sends to
 //!   and from it error out — this is what the failure-detection and recovery
 //!   tests drive;
 //! * **seeded fault injection** (see [`fault`]): per-link drop / delay /
-//!   duplicate / reorder probabilities and link partitions, all drawn from
-//!   deterministic per-link RNGs so any chaos run reproduces from its seed —
-//!   this is what the `star-chaos` harness drives.
+//!   duplicate / reorder / corrupt probabilities and link cuts, all drawn
+//!   from deterministic per-link RNGs so any chaos run reproduces from its
+//!   seed — this is what the `star-chaos` harness drives. The rule that turns
+//!   a fault verdict into deliveries, [`fault::apply_verdict`], is shared by
+//!   every faulty link in the workspace.
 //!
 //! The substrate is deliberately simple: per-link FIFO channels built on
-//! `crossbeam`, with latency enforced by the receiver sleeping until the
-//! message's delivery deadline. This preserves ordering per link (which the
+//! `crossbeam`. This preserves ordering per link (which the
 //! operation-replication correctness argument relies on) while modelling the
-//! round-trip costs that dominate the baselines' behaviour. Delivery
-//! deadlines come from an injected [`star_common::clock::Clock`] (wall clock
-//! by default, virtual clock for fully deterministic runs), so no code on the
-//! message path reads real time directly.
+//! round-trip costs that dominate the baselines' behaviour.
 //!
 //! The [`transport::Transport`] trait is the seam between the engine's
 //! execution paths and the substrate: the in-memory [`Endpoint`] implements
@@ -37,10 +33,8 @@
 
 pub mod endpoint;
 pub mod fault;
-pub mod stats;
 pub mod transport;
 
-pub use endpoint::{Endpoint, Envelope, Message, NetworkConfig, RecvError, SendError, SimNetwork};
+pub use endpoint::{Endpoint, Message, NetworkConfig, SendError, SimNetwork};
 pub use fault::{FaultPlane, FaultVerdict, LinkFaults};
-pub use stats::NetStats;
 pub use transport::Transport;

@@ -200,27 +200,6 @@ impl Database {
         self.table(table)?.insert(partition, key, row).ok_or(Error::NoSuchPartition(partition))
     }
 
-    /// Inserts (or overwrites) a row carrying a TID — the path used by
-    /// replication appliers and recovery replay for keys that do not exist
-    /// yet on this replica.
-    pub fn upsert_with_tid(
-        &self,
-        table: TableId,
-        partition: PartitionId,
-        key: Key,
-        row: impl Into<PackedRow>,
-        tid: Tid,
-    ) -> Result<Arc<Record>> {
-        self.check_partition(partition)?;
-        let t = self.table(table)?;
-        if let Some(existing) = t.get(partition, key) {
-            existing.apply_value_thomas(row, tid);
-            Ok(existing)
-        } else {
-            t.insert_with_tid(partition, key, row, tid).ok_or(Error::NoSuchPartition(partition))
-        }
-    }
-
     /// Applies a replicated full-row write with the Thomas write rule,
     /// inserting the key if it does not exist. Returns `true` if the write
     /// was installed (i.e. it was not stale).

@@ -38,7 +38,8 @@
 //! race-free under ephemeral ports.
 
 use bytes::Bytes;
-use star_net::{FaultPlane, FaultVerdict, LinkFaults};
+use star_net::fault::apply_verdict;
+use star_net::{FaultPlane, LinkFaults};
 use star_proto::{read_frame, Closer, Listener, WireMessage};
 use star_replication::{encode_entry_block, split_entry_block};
 use std::collections::BTreeSet;
@@ -51,16 +52,6 @@ use std::time::{Duration, Instant};
 /// How long forward connects retry (the destination may be restarting).
 const FORWARD_CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// The mutable forwarding side of one link.
-#[derive(Default)]
-struct LinkState {
-    /// Lazily connected stream toward the destination node.
-    forward: Option<TcpStream>,
-    /// Frames held back by `Reorder` verdicts, released by the next
-    /// delivered frame or a fence flush.
-    stash: Vec<Bytes>,
-}
-
 /// One directed link `from → to`.
 struct Link {
     from: usize,
@@ -69,7 +60,12 @@ struct Link {
     addr: String,
     /// The destination node's current real address.
     target: Mutex<Option<String>>,
-    state: Mutex<LinkState>,
+    /// Lazily connected stream toward the destination node.
+    forward: Mutex<Option<TcpStream>>,
+    /// Frames held back by `Reorder` verdicts. Held while a frame's verdict
+    /// is applied, so a fence flush waits for a frame that is being
+    /// stashed or released instead of missing it.
+    stash: Mutex<Vec<Bytes>>,
     ingested: AtomicU64,
     settled: AtomicU64,
     delivered: AtomicU64,
@@ -91,6 +87,12 @@ struct MeshInner {
 impl MeshInner {
     fn link(&self, from: usize, to: usize) -> &Arc<Link> {
         self.links[from * self.num_nodes + to].as_ref().expect("no self link")
+    }
+
+    /// Whether `link` touches a node currently marked failed.
+    fn touches_failed(&self, link: &Link) -> bool {
+        let failed = self.failed.lock().unwrap_or_else(PoisonError::into_inner);
+        failed.contains(&link.from) || failed.contains(&link.to)
     }
 
     /// Counts one frame of `link` as settled and wakes `wait_settled`.
@@ -125,7 +127,8 @@ impl ProxyMesh {
                     to,
                     addr: listener.local_addr()?.to_string(),
                     target: Mutex::new(None),
-                    state: Mutex::new(LinkState::default()),
+                    forward: Mutex::new(None),
+                    stash: Mutex::new(Vec::new()),
                     ingested: AtomicU64::new(0),
                     settled: AtomicU64::new(0),
                     delivered: AtomicU64::new(0),
@@ -190,7 +193,7 @@ impl ProxyMesh {
             let link = self.inner.link(from, node);
             *link.target.lock().unwrap_or_else(|p| p.into_inner()) = Some(addr.to_string());
             // Any existing forward stream points at the old process.
-            link.state.lock().unwrap_or_else(|p| p.into_inner()).forward = None;
+            *link.forward.lock().unwrap_or_else(|p| p.into_inner()) = None;
         }
     }
 
@@ -322,47 +325,32 @@ fn serve_inbound(inner: &MeshInner, link: &Arc<Link>, stream: TcpStream) {
 }
 
 fn process_frame(inner: &MeshInner, link: &Arc<Link>, frame: Bytes) {
+    let arrived = Instant::now();
     link.ingested.fetch_add(1, Ordering::SeqCst);
-    let touching_failed = {
-        let failed = inner.failed.lock().unwrap_or_else(|p| p.into_inner());
-        failed.contains(&link.from) || failed.contains(&link.to)
-    };
-    if touching_failed {
+    if inner.touches_failed(link) {
         // Mirrors the simulated network: the failed-node check precedes any
         // fault draw, so the surviving links' RNG streams are unperturbed.
         inner.settle(link);
         return;
     }
-    match inner.plane.roll(link.from, link.to) {
-        FaultVerdict::Deliver { extra_delay } => {
-            sleep_nonzero(extra_delay);
-            forward(link, &frame);
-            flush_stash(inner, link);
+    let verdict = inner.plane.roll(link.from, link.to);
+    let mut stash = link.stash.lock().unwrap_or_else(PoisonError::into_inner);
+    let corrupt = |frame: &mut Bytes, salt| {
+        if let Some(corrupted) = corrupt_frame(frame, salt) {
+            *frame = corrupted;
         }
-        FaultVerdict::Drop => {}
-        FaultVerdict::Duplicate { extra_delay } => {
-            sleep_nonzero(extra_delay);
-            forward(link, &frame);
-            forward(link, &frame);
-            flush_stash(inner, link);
+    };
+    // An extra delay counts from the frame's arrival, so a duplicate's
+    // second copy and the released stash go out right behind it.
+    apply_verdict(verdict, frame, &mut stash, corrupt, |frame, extra_delay| {
+        let wait = (arrived + extra_delay).saturating_duration_since(Instant::now());
+        if !wait.is_zero() {
+            std::thread::sleep(wait);
         }
-        FaultVerdict::Reorder => {
-            link.state.lock().unwrap_or_else(|p| p.into_inner()).stash.push(frame);
-        }
-        FaultVerdict::Corrupt { salt, extra_delay } => {
-            sleep_nonzero(extra_delay);
-            let corrupted = corrupt_frame(&frame, salt).unwrap_or(frame);
-            forward(link, &corrupted);
-            flush_stash(inner, link);
-        }
-    }
+        forward(link, &frame);
+    });
+    drop(stash);
     inner.settle(link);
-}
-
-fn sleep_nonzero(delay: Duration) {
-    if !delay.is_zero() {
-        std::thread::sleep(delay);
-    }
 }
 
 /// The wire form of the simulator's byzantine bit-flip: decode the
@@ -383,20 +371,15 @@ fn corrupt_frame(frame: &Bytes, salt: u64) -> Option<Bytes> {
     Some(corrupted.encode())
 }
 
-/// Releases the reorder stash in order (each release is a delivery).
+/// Releases the reorder stash in order (each release is a delivery); a
+/// link touching a failed node swallows it instead.
 fn flush_stash(inner: &MeshInner, link: &Arc<Link>) {
-    let stashed: Vec<Bytes> = {
-        let mut state = link.state.lock().unwrap_or_else(|p| p.into_inner());
-        std::mem::take(&mut state.stash)
-    };
-    if stashed.is_empty() {
+    let mut stash = link.stash.lock().unwrap_or_else(PoisonError::into_inner);
+    if stash.is_empty() {
         return;
     }
-    let touching_failed = {
-        let failed = inner.failed.lock().unwrap_or_else(|p| p.into_inner());
-        failed.contains(&link.from) || failed.contains(&link.to)
-    };
-    for frame in stashed {
+    let touching_failed = inner.touches_failed(link);
+    for frame in stash.drain(..) {
         if !touching_failed {
             forward(link, &frame);
         }
@@ -407,24 +390,24 @@ fn flush_stash(inner: &MeshInner, link: &Arc<Link>) {
 /// frame that cannot be written is swallowed *without* counting as
 /// delivered, so fence barriers never wait for it.
 fn forward(link: &Arc<Link>, frame: &Bytes) {
-    let mut state = link.state.lock().unwrap_or_else(|p| p.into_inner());
-    if state.forward.is_none() {
-        state.forward = connect_forward(link);
+    let mut forward = link.forward.lock().unwrap_or_else(|p| p.into_inner());
+    if forward.is_none() {
+        *forward = connect_forward(link);
     }
-    let wrote = match state.forward.as_mut() {
+    let wrote = match forward.as_mut() {
         Some(stream) => stream.write_all(frame).and_then(|()| stream.flush()).is_ok(),
         None => false,
     };
     if !wrote {
         // One reconnect: the destination may have just restarted.
-        state.forward = connect_forward(link);
-        let rewrote = match state.forward.as_mut() {
+        *forward = connect_forward(link);
+        let rewrote = match forward.as_mut() {
             Some(stream) => stream.write_all(frame).and_then(|()| stream.flush()).is_ok(),
             None => false,
         };
         if !rewrote {
             // Destination unreachable: swallow, not delivered.
-            state.forward = None;
+            *forward = None;
             return;
         }
     }
@@ -439,9 +422,11 @@ fn connect_forward(link: &Arc<Link>) -> Option<TcpStream> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use star_net::{FaultVerdict, Message, NetworkConfig, SimNetwork};
     use star_proto::{read_message, replication_frame_encoded};
     use star_replication::{EncodedEntry, LogEntry, Payload};
     use std::io::Read;
+    use std::ops::Range;
 
     /// A little sink server that collects the frames it receives.
     struct Sink {
@@ -482,9 +467,9 @@ mod tests {
         })
     }
 
-    fn send_frames(addr: &str, count: u64) {
+    fn send_frames(addr: &str, keys: Range<u64>) {
         let mut stream = TcpStream::connect(addr).unwrap();
-        for k in 0..count {
+        for k in keys {
             let frame = replication_frame_encoded(0, 1, &[entry(k)]);
             stream.write_all(&frame.encode()).unwrap();
         }
@@ -508,7 +493,7 @@ mod tests {
             .filter(|_| matches!(reference.roll(0, 1), FaultVerdict::Deliver { .. }))
             .count() as u64;
 
-        send_frames(&mesh.proxy_addr(0, 1), 40);
+        send_frames(&mesh.proxy_addr(0, 1), 0..40);
         let shipped = vec![vec![0, 40], vec![0, 0]];
         mesh.wait_settled(&shipped, Duration::from_secs(10)).unwrap();
         mesh.flush_all();
@@ -527,15 +512,15 @@ mod tests {
         mesh.set_target(1, &sink.addr);
 
         let addr = mesh.proxy_addr(0, 1);
-        send_frames(&addr, 10);
+        send_frames(&addr, 0..10);
         mesh.wait_settled(&[vec![0, 10], vec![0, 0]], Duration::from_secs(10)).unwrap();
         let before_failure = mesh.delivered(0, 1);
         mesh.set_node_failed(1, true);
-        send_frames(&addr, 25);
+        send_frames(&addr, 0..25);
         mesh.wait_settled(&[vec![0, 35], vec![0, 0]], Duration::from_secs(10)).unwrap();
         assert_eq!(mesh.delivered(0, 1), before_failure, "gated frames must not deliver");
         mesh.set_node_failed(1, false);
-        send_frames(&addr, 10);
+        send_frames(&addr, 0..10);
         mesh.wait_settled(&[vec![0, 45], vec![0, 0]], Duration::from_secs(10)).unwrap();
 
         // Reference: 20 rolls with no gap — the 25 gated frames must not
@@ -558,7 +543,7 @@ mod tests {
         mesh.set_link_faults(0, 1, LinkFaults::reordering(1.0));
         let sink = Sink::start();
         mesh.set_target(1, &sink.addr);
-        send_frames(&mesh.proxy_addr(0, 1), 3);
+        send_frames(&mesh.proxy_addr(0, 1), 0..3);
         mesh.wait_settled(&[vec![0, 3], vec![0, 0]], Duration::from_secs(10)).unwrap();
         assert_eq!(mesh.delivered(0, 1), 0, "everything stashed before the flush");
         mesh.flush_all();
@@ -571,7 +556,7 @@ mod tests {
 
         mesh.clear_faults();
         mesh.set_link_faults(0, 1, LinkFaults::corrupting(1.0));
-        send_frames(&mesh.proxy_addr(0, 1), 1);
+        send_frames(&mesh.proxy_addr(0, 1), 0..1);
         mesh.wait_settled(&[vec![0, 4], vec![0, 0]], Duration::from_secs(10)).unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
         while sink.received().len() < 4 && Instant::now() < deadline {
@@ -587,6 +572,59 @@ mod tests {
             entry(0).decode().unwrap().payload,
             "payload must be corrupted"
         );
+    }
+
+    /// The replication-frame keys `sink` has received, once it has `count`.
+    fn received_keys(sink: &Sink, count: usize) -> Vec<u64> {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while sink.received().len() < count && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let keys = sink.received().into_iter().map(|message| {
+            let WireMessage::Replication { entries, .. } = message else {
+                panic!("expected a replication frame, got {message:?}");
+            };
+            split_entry_block(&entries).unwrap()[0].decode().unwrap().key
+        });
+        keys.collect()
+    }
+
+    /// A drop releases the reorder stash on the wire as it does in the
+    /// simulator: frame 0 is stashed, frame 1 is dropped, and frame 0 goes
+    /// out at that drop, before any fence flush.
+    #[test]
+    fn a_dropped_frame_releases_the_stash_as_in_the_simulator() {
+        let mesh = ProxyMesh::start(2).unwrap();
+        mesh.seed(5);
+        let sink = Sink::start();
+        mesh.set_target(1, &sink.addr);
+        let addr = mesh.proxy_addr(0, 1);
+        mesh.set_link_faults(0, 1, LinkFaults::reordering(1.0));
+        send_frames(&addr, 0..1);
+        mesh.wait_settled(&[vec![0, 1], vec![0, 0]], Duration::from_secs(10)).unwrap();
+        assert_eq!(mesh.delivered(0, 1), 0, "frame 0 is stashed");
+        mesh.set_link_faults(0, 1, LinkFaults::dropping(1.0));
+        send_frames(&addr, 1..2);
+        mesh.wait_settled(&[vec![0, 2], vec![0, 0]], Duration::from_secs(10)).unwrap();
+        assert_eq!(mesh.delivered(0, 1), 1, "the drop must release the stashed frame");
+        let wire = received_keys(&sink, 1);
+
+        #[derive(Debug, Clone, PartialEq)]
+        struct Key(u64);
+        impl Message for Key {
+            fn wire_size(&self) -> usize {
+                8
+            }
+        }
+        let (net, eps) = SimNetwork::new::<Key>(2, NetworkConfig::with_latency(Duration::ZERO));
+        net.seed_faults(5);
+        net.set_link_faults(0, 1, LinkFaults::reordering(1.0));
+        eps[0].send(1, Key(0)).unwrap();
+        net.set_link_faults(0, 1, LinkFaults::dropping(1.0));
+        eps[0].send(1, Key(1)).unwrap();
+        let simulated: Vec<u64> = eps[1].drain().into_iter().map(|Key(key)| key).collect();
+        assert_eq!(wire, simulated);
+        assert_eq!(wire, vec![0]);
     }
 
     /// Closing the mesh ends an idle inbound connection, dropping it returns

@@ -56,13 +56,6 @@ impl Default for YcsbConfig {
     }
 }
 
-impl YcsbConfig {
-    /// A configuration with `partitions` partitions and the default knobs.
-    pub fn with_partitions(partitions: usize) -> Self {
-        YcsbConfig { partitions, ..Default::default() }
-    }
-}
-
 /// One access of a YCSB transaction.
 #[derive(Debug, Clone)]
 struct YcsbOp {
